@@ -37,7 +37,7 @@ from .generators import (
     graph_to_maxvertexcover,
 )
 from .greedy import greedy_cover, greedy_guarantee
-from .hybrid import exact_then_greedy, greedy_branch_applies, greedy_then_exact, hybrid_ratio, ptas_dispatch
+from .hybrid import exact_then_greedy, greedy_then_exact, hybrid_ratio, ptas_dispatch
 from .minnoncovered import randomized_min_noncovered
 
 ALGORITHMS = ("exact", "greedy", "fpt", "minnc", "greedy-exact", "exact-greedy", "ptas")
@@ -180,7 +180,7 @@ def _solve_one(inst: Instance, alg: str, cfg: SolverConfig, alpha: float | None,
         beta = _require(cfg.beta, "--beta", alg)
         epsilon = _require(cfg.epsilon, "--epsilon", alg)
         p = _default_p_bound(inst, cfg.p_bound)
-        run = randomized_min_noncovered(inst, p, beta, epsilon, cfg.seed)
+        run = randomized_min_noncovered(inst, p, beta, epsilon, cfg.seed, ceiling)
         params = {
             "beta": beta,
             "epsilon": epsilon,
@@ -200,9 +200,7 @@ def _solve_one(inst: Instance, alg: str, cfg: SolverConfig, alpha: float | None,
     if alg == "ptas":
         alpha = _require(alpha, "--alpha", alg)
         beta = _require(cfg.beta, "--beta", alg)
-        solution = ptas_dispatch(inst, alpha, beta, ceiling)
-        profile = frequency_profile(inst)
-        branch = "greedy" if greedy_branch_applies(profile.p_min, inst.m, inst.k, beta) else "exact"
+        solution, branch = ptas_dispatch(inst, alpha, beta, ceiling)
         return solution, beta, {"alpha": alpha, "beta": beta, "branch": branch}
     raise ValueError(f"unknown algorithm '{alg}'")
 
@@ -317,7 +315,9 @@ def run_verify(args) -> int:
     solvers' bitmask kernel, and fail on any mismatch."""
     inst = load_instance_text(_read(args.infile))
     report = json.loads(_read(args.sol))
-    chosen = report.get("chosen", [])
+    chosen = report.get("chosen", []) if isinstance(report, dict) else None
+    if not isinstance(chosen, list) or not all(type(i) is int for i in chosen):
+        raise ParseError("report must be a JSON object whose 'chosen' is a list of integers")
     picked: set[int] = set()
     union: set[int] = set()
     for one_based in chosen:
@@ -420,10 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (ParseError, UnicodeDecodeError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (ValueError, EnumerationCeilingError) as err:

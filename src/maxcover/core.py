@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 class ParseError(ValueError):
     """Malformed input document; ``line`` is the 1-based offending line."""
@@ -136,14 +138,24 @@ class Graph:
 
 def set_masks(inst: Instance) -> list[int]:
     """One bitmask per set; bit e-1 represents element e."""
-    return [_mask_of(s) for s in inst.sets]
+    return _masks_of(inst.n, inst.sets)
 
 
-def _mask_of(ids: Iterable[int]) -> int:
-    mask = 0
-    for e in ids:
-        mask |= 1 << (e - 1)
-    return mask
+def _masks_of(n: int, sets: Iterable[Sequence[int]]) -> list[int]:
+    """Bitmasks of sets over elements 1..n, in time linear in n per set.
+
+    Each set's ids mark one reused row of n + 1 flags (slot 0 stays unused),
+    which is packed to little-endian bytes and read as one integer, so memory
+    beyond the masks themselves stays O(n).
+    """
+    row = np.zeros(n + 1, np.bool_)
+    masks = []
+    for s in sets:
+        ids = np.fromiter(s, np.intp, len(s))
+        row[ids] = True
+        masks.append(int.from_bytes(np.packbits(row[1:], bitorder="little"), "little"))
+        row[ids] = False
+    return masks
 
 
 def _check_indices(inst: Instance, chosen: Iterable[int]) -> list[int]:
@@ -162,8 +174,8 @@ def _check_indices(inst: Instance, chosen: Iterable[int]) -> list[int]:
 def coverage(inst: Instance, chosen: Iterable[int]) -> int:
     """Number of elements in the union of the chosen sets."""
     union = 0
-    for i in _check_indices(inst, chosen):
-        union |= _mask_of(inst.sets[i])
+    for mask in _masks_of(inst.n, [inst.sets[i] for i in _check_indices(inst, chosen)]):
+        union |= mask
     return union.bit_count()
 
 

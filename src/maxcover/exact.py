@@ -14,8 +14,8 @@ DEFAULT_CEILING = 10**8
 class EnumerationCeilingError(RuntimeError):
     """The requested enumeration is larger than the configured ceiling."""
 
-    def __init__(self, count: int, ceiling: int):
-        super().__init__(f"{count} subsets to scan exceeds the ceiling of {ceiling}")
+    def __init__(self, count: int, ceiling: int, what: str = "subsets to scan"):
+        super().__init__(f"{count} {what} exceeds the ceiling of {ceiling}")
         self.count = count
         self.ceiling = ceiling
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,25 +27,30 @@ def extend_greedily(
     Ties go to the lowest set index, and zero-gain picks are still made so
     exactly ``steps`` sets are added while any remain. ``taken`` is updated
     in place. Returns (picks, gains, covered mask).
+
+    Evaluation is lazy (Minoux's accelerated greedy): a heap holds every
+    untaken set keyed by (-gain when last scored, index), and only the top
+    entry is re-scored. Gains never grow as coverage grows, so a top entry
+    whose fresh gain equals its key beats every other set's fresh gain, or
+    ties it from a lower index: exactly the eager scan's pick.
     """
+    if steps <= 0:
+        return [], [], covered
+    heap = [(-(mask & ~covered).bit_count(), i) for i, mask in enumerate(masks) if not taken[i]]
+    heapq.heapify(heap)
     picks: list[int] = []
     gains: list[int] = []
-    for _ in range(steps):
-        best_idx = -1
-        best_gain = -1
-        for i, mask in enumerate(masks):
-            if taken[i]:
-                continue
-            gain = (mask & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_idx = i
-        if best_idx < 0:
-            break
-        taken[best_idx] = True
-        covered |= masks[best_idx]
-        picks.append(best_idx)
-        gains.append(best_gain)
+    while heap and len(picks) < steps:
+        stale, i = heap[0]
+        gain = (masks[i] & ~covered).bit_count()
+        if gain != -stale:
+            heapq.heapreplace(heap, (-gain, i))
+            continue
+        heapq.heappop(heap)
+        taken[i] = True
+        covered |= masks[i]
+        picks.append(i)
+        gains.append(gain)
     return picks, gains, covered
 
 

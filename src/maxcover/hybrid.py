@@ -120,9 +120,10 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
 
 def ptas_dispatch(
     inst: Instance, alpha: float, beta: float, ceiling: int = DEFAULT_CEILING
-) -> Solution:
+) -> tuple[Solution, str]:
     """Greedy when the budget alone already forces a beta ratio, exhaustive
-    search otherwise.
+    search otherwise; returns the solution and the branch taken, "greedy" or
+    "exact".
 
     Requires the density floor alpha <= p_min/m. Above the budget threshold
     -(m/p_min) * ln(1-beta) the greedy guarantee beats beta; below it the
@@ -140,8 +141,8 @@ def ptas_dispatch(
             f"got {profile.p_min}/{inst.m}"
         )
     if greedy_branch_applies(profile.p_min, inst.m, inst.k, beta):
-        return greedy_cover(inst)[0]
-    return brute_force(inst, ceiling).solution
+        return greedy_cover(inst)[0], "greedy"
+    return brute_force(inst, ceiling).solution, "exact"
 
 
 def greedy_branch_applies(p_min: int, m: int, k: int, beta: float) -> bool:

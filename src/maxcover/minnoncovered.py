@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Instance, Solution, frequency_profile, set_masks
+from .exact import DEFAULT_CEILING, EnumerationCeilingError
 
 
 @dataclass(frozen=True)
@@ -40,18 +41,26 @@ def repetition_count(beta: float, epsilon: float, k: int) -> int:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if k < 0:
         raise ValueError(f"budget must be nonnegative, got {k}")
-    return math.ceil(-math.log(epsilon) * (beta / (beta - 1.0)) ** k)
+    try:
+        return math.ceil(-math.log(epsilon) * (beta / (beta - 1.0)) ** k)
+    except OverflowError:
+        raise ValueError(
+            f"repetition count for beta={beta}, epsilon={epsilon}, k={k} is too large to represent"
+        ) from None
 
 
 def randomized_min_noncovered(
-    inst: Instance, p: int, beta: float, epsilon: float, seed: int
+    inst: Instance, p: int, beta: float, epsilon: float, seed: int,
+    ceiling: int = DEFAULT_CEILING,
 ) -> RandomizedRun:
     """Best of repetition_count(beta, epsilon, k) randomized depth-k searches.
 
     Deterministic per (instance, parameters, seed): repetition i uses the
     PCG64 stream derived from SeedSequence(seed, spawn_key=(i,)). A branch
     that covers everything returns early; ties on uncovered counts keep the
-    earlier candidate, both across branches and across repetitions.
+    earlier candidate, both across branches and across repetitions. Refuses
+    with :class:`EnumerationCeilingError`, before any search, when the plan's
+    repetitions times p**k search leaves exceed ``ceiling``.
     """
     if p < 1:
         raise ValueError(f"frequency bound must be positive, got {p}")
@@ -64,7 +73,15 @@ def randomized_min_noncovered(
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     reps = repetition_count(beta, epsilon, inst.k)
+    # One search has at most p**k leaves. For p >= 2 the power passes any
+    # ceiling within ceiling.bit_length() levels, so the exponent is clamped
+    # there and a huge budget costs nothing to check.
+    planned = reps * p ** min(inst.k, max(ceiling, 1).bit_length())
+    if planned > ceiling:
+        raise EnumerationCeilingError(planned, ceiling, "search leaves planned")
     masks = set_masks(inst)
+    full = (1 << inst.n) - 1
+    nbytes = (inst.n + 7) // 8
     owners: list[list[int]] = [[] for _ in range(inst.n)]
     for i, s in enumerate(inst.sets):
         for e in s:
@@ -73,10 +90,16 @@ def randomized_min_noncovered(
     def search(depth: int, chosen: tuple[int, ...], covered: int, rng) -> tuple[tuple[int, ...], int]:
         if depth == 0:
             return chosen, covered
-        uncovered = [e for e in range(1, inst.n + 1) if not covered >> (e - 1) & 1]
-        if not uncovered:
+        left = inst.n - covered.bit_count()
+        if not left:
             return chosen, covered
-        e = uncovered[int(rng.integers(len(uncovered)))]
+        # The r-th uncovered element in increasing order: the r-th set bit of
+        # the complement, found by unpacking it to one flag per element.
+        r = int(rng.integers(left))
+        flags = np.unpackbits(
+            np.frombuffer((full ^ covered).to_bytes(nbytes, "little"), np.uint8), bitorder="little"
+        )
+        e = int(flags.nonzero()[0][r]) + 1
         if not owners[e - 1]:
             # The sampled element lies in no set; nothing to branch on.
             return chosen, covered

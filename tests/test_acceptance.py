@@ -245,7 +245,7 @@ def test_criterion_9_dispatcher_guarantee():
         opt = brute_force(inst).opt
         p_min = frequency_profile(inst).p_min
         for beta in (0.5, 0.8):
-            sol = ptas_dispatch(inst, 0.4, beta)
+            sol, _ = ptas_dispatch(inst, 0.4, beta)
             if 10 * sol.covered < int(10 * beta) * opt:
                 violations += 1
             branch = "greedy" if greedy_branch_applies(p_min, inst.m, inst.k, beta) else "exact"

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import maxcover.minnoncovered
 from maxcover import brute_force, parse_instance
 from maxcover.cli import curve_points, load_instance_text, main, run_curves
 
@@ -84,6 +85,35 @@ def test_exit_code_1_on_missing_file(tmp_path):
     assert run(["solve", "--alg", "exact", "--in", str(tmp_path / "nope.mc")]) == 1
 
 
+def test_exit_code_1_on_directory_input(tmp_path, capsys):
+    assert run(["solve", "--alg", "exact", "--in", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exit_code_1_on_non_ascii_document(tmp_path, capsys):
+    bad = tmp_path / "bad.mc"
+    bad.write_text("p maxcover 2 1 1\ns 1 2 \u00e9\n", encoding="utf-8")
+    assert run(["solve", "--alg", "exact", "--in", str(bad)]) == 1
+    assert "codec can't decode" in capsys.readouterr().err
+
+
+def test_exit_code_1_on_malformed_report_json(inst_file, tmp_path, capsys):
+    sol = tmp_path / "r.json"
+    sol.write_text('{"chosen": [1, 2')
+    assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("body", ['{"chosen": ["a"]}', '{"chosen": 3}', '[1, 2]', '{"chosen": [true]}'])
+def test_exit_code_1_on_report_without_integer_choices(inst_file, tmp_path, capsys, body):
+    sol = tmp_path / "r.json"
+    sol.write_text(body)
+    assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 1
+    err = capsys.readouterr().err
+    assert "'chosen' is a list of integers" in err and err.count("\n") == 1
+
+
 def test_exit_code_2_on_missing_parameter(inst_file, capsys):
     assert run(["solve", "--alg", "fpt", "--in", inst_file]) == 2
     assert "--beta is required" in capsys.readouterr().err
@@ -92,6 +122,21 @@ def test_exit_code_2_on_missing_parameter(inst_file, capsys):
 def test_exit_code_2_on_ceiling(inst_file, capsys):
     assert run(["solve", "--alg", "exact", "--in", inst_file, "--ceiling", "1"]) == 2
     assert "exceeds the ceiling" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_unbounded_minnc_plan(tmp_path, capsys, monkeypatch):
+    def refuse(inst):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(maxcover.minnoncovered, "set_masks", refuse)
+    doc = tmp_path / "k20.mc"
+    doc.write_text("p maxcover 4 3 20\ns 1 2 3\ns 3 4\ns 4\n")
+    minnc = ["solve", "--alg", "minnc", "--epsilon", "0.1", "--in", str(doc)]
+    assert run(minnc + ["--beta", "1.5"]) == 2
+    assert "search leaves planned exceeds the ceiling" in capsys.readouterr().err
+    doc.write_text("p maxcover 4 3 200\ns 1 2 3\ns 3 4\ns 4\n")
+    assert run(minnc + ["--beta", "1.0001"]) == 2
+    assert "too large to represent" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_precondition(inst_file, capsys):

@@ -147,9 +147,9 @@ def test_dispatch_threshold_examples():
 
 def test_dispatch_branches_agree_with_solvers():
     inst2 = Instance.of(2, [[1], [2]], 2)
-    assert ptas_dispatch(inst2, 0.5, 0.5) == greedy_cover(inst2)[0]
+    assert ptas_dispatch(inst2, 0.5, 0.5) == (greedy_cover(inst2)[0], "greedy")
     inst1 = Instance.of(2, [[1], [2]], 1)
-    assert ptas_dispatch(inst1, 0.5, 0.5) == brute_force(inst1).solution
+    assert ptas_dispatch(inst1, 0.5, 0.5) == (brute_force(inst1).solution, "exact")
 
 
 def test_dispatch_guarantee_on_dense_instances():
@@ -159,11 +159,13 @@ def test_dispatch_guarantee_on_dense_instances():
         inst = dense_instance(rand)
         opt = brute_force(inst).opt
         for beta in (0.5, 0.8):
-            sol = ptas_dispatch(inst, 0.4, beta)
+            sol, branch = ptas_dispatch(inst, 0.4, beta)
             assert 10 * sol.covered >= int(10 * beta) * opt
             if greedy_branch_applies(frequency_profile(inst).p_min, inst.m, inst.k, beta):
+                assert branch == "greedy"
                 greedy_branch += 1
             else:
+                assert branch == "exact"
                 exact_branch += 1
     assert greedy_branch > 0 and exact_branch > 0
 

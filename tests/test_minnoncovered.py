@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+import maxcover.minnoncovered
 from maxcover import (
+    EnumerationCeilingError,
     Instance,
     brute_force,
     gen_random,
@@ -35,6 +37,49 @@ def test_repetition_count_rejects_bad_arguments():
             repetition_count(2.0, eps, 2)
     with pytest.raises(ValueError, match="budget"):
         repetition_count(2.0, 0.1, -1)
+
+
+def test_repetition_count_overflow_is_a_value_error():
+    with pytest.raises(ValueError, match="too large"):
+        repetition_count(1.0001, 0.1, 200)
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Fail at once if a search starts: the mask build precedes every search."""
+
+    def refuse(inst):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(maxcover.minnoncovered, "set_masks", refuse)
+
+
+def test_huge_plan_refused_before_any_search(no_search):
+    inst = Instance.of(40, [[e] for e in range(1, 41)], 20)
+    assert repetition_count(1.5, 0.1, 20) == 8_028_617_785
+    with pytest.raises(EnumerationCeilingError) as err:
+        randomized_min_noncovered(inst, 1, 1.5, 0.1, seed=0)
+    assert err.value.count == 8_028_617_785
+    assert err.value.ceiling == 10**8
+    # A large budget with p >= 2 is refused as quickly.
+    wide = Instance.of(4, [[1, 2], [2, 3], [3, 4], [4, 1]], 10**9)
+    with pytest.raises(EnumerationCeilingError):
+        randomized_min_noncovered(wide, 2, 1e12, 0.1, seed=0)
+
+
+def test_plan_counts_repetitions_times_branching(no_search):
+    inst = Instance.of(4, [[1, 2], [2, 3], [3, 4], [4, 1]], 2)
+    assert repetition_count(2.0, math.exp(-1), 2) == 4
+    with pytest.raises(EnumerationCeilingError) as err:
+        randomized_min_noncovered(inst, 2, 2.0, math.exp(-1), seed=0, ceiling=15)
+    assert err.value.count == 4 * 2**2
+
+
+def test_plan_at_the_ceiling_runs():
+    inst = Instance.of(4, [[1, 2], [2, 3], [3, 4], [4, 1]], 2)
+    run = randomized_min_noncovered(inst, 2, 2.0, math.exp(-1), seed=0, ceiling=16)
+    assert run.repetitions == 4
+    assert run.best.uncovered == 0
 
 
 def test_deterministic_per_seed():
