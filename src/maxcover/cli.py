@@ -357,12 +357,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--with-opt", dest="with_opt", action="store_true", help="also compute the exact optimum")
     parser.add_argument("--ceiling", type=int, default=DEFAULT_CEILING, help="subset enumeration ceiling")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="solver-internal parallelism hint; results never depend on it (0 = auto)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -187,14 +187,7 @@ def coverage_inclusion_exclusion(inst: Instance, chosen: Iterable[int], p: int) 
     subsets of ``chosen`` of size 1..p equals the plain union size.
     """
     order = sorted(_check_indices(inst, chosen))
-    if p < 1:
-        raise ValueError(f"frequency cap must be positive, got {p}")
-    profile = frequency_profile(inst)
-    if profile.p_max > p:
-        e = next(i + 1 for i, f in enumerate(profile.freq) if f > p)
-        raise ValueError(
-            f"element {e} appears in {profile.freq[e - 1]} sets, above the cap p={p}"
-        )
+    check_frequency_bound(inst, p, "cap")
     total = 0
     for size in range(1, min(p, len(order)) + 1):
         sign = 1 if size % 2 == 1 else -1
@@ -221,6 +214,22 @@ def _intersect_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
         else:
             ib += 1
     return out
+
+
+def check_frequency_bound(inst: Instance, p: int, word: str = "bound") -> None:
+    """Reject p < 1, and any element that appears in more than p sets.
+
+    ``word`` names p in the error messages, as in "frequency bound must be
+    positive" or "above the bound p=2".
+    """
+    if p < 1:
+        raise ValueError(f"frequency {word} must be positive, got {p}")
+    profile = frequency_profile(inst)
+    if profile.p_max > p:
+        e = next(i + 1 for i, f in enumerate(profile.freq) if f > p)
+        raise ValueError(
+            f"element {e} appears in {profile.freq[e - 1]} sets, above the {word} p={p}"
+        )
 
 
 def frequency_profile(inst: Instance) -> FrequencyProfile:
@@ -269,6 +278,12 @@ def pad_frequencies(inst: Instance, p: int) -> Instance:
 # Document formats (line oriented, ASCII; 'c' lines are comments).
 # ---------------------------------------------------------------------------
 
+# Largest element or set count a document header may declare: the universe
+# (elements, voters, edges) and the family (sets, candidates, vertices). The
+# mask build, the frequency profile and the reductions allocate in proportion
+# to these counts, so a larger header is a ParseError before any allocation.
+MAX_HEADER_COUNT = 10**7
+
 
 def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -296,6 +311,8 @@ def _parse_header(lines: Iterator[tuple[int, str]], kind: str) -> tuple[int, int
     a, b, k = (_int_token(t, ln) for t in tokens[2:])
     if a < 0 or b < 0 or k < 0:
         raise ParseError("header counts must be nonnegative", ln)
+    if max(a, b) > MAX_HEADER_COUNT:
+        raise ParseError(f"header count {max(a, b)} exceeds the limit of {MAX_HEADER_COUNT}", ln)
     return a, b, k
 
 

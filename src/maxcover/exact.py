@@ -1,7 +1,9 @@
-"""Brute-force search over fixed-size subfamilies; the optimum oracle of the suite."""
+"""Exhaustive branch-and-bound search over fixed-size subfamilies; the
+optimum oracle of the suite."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +24,8 @@ class EnumerationCeilingError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Optimal solution, its value, and the number of subsets scanned."""
+    """Optimal solution, its value, and the number of leaves (full-size
+    subsets) whose union the search evaluated."""
 
     solution: Solution
     opt: int
@@ -32,19 +35,31 @@ class ExactResult:
 def best_fixed_size_subset(
     masks: Sequence[int], size: int, ceiling: int = DEFAULT_CEILING
 ) -> tuple[tuple[int, ...], int, int]:
-    """Scan all ``size``-subsets of ``masks`` for the largest union.
+    """Branch-and-bound search of the ``size``-subsets of ``masks`` for the
+    largest union.
 
-    ``size`` is clamped to ``len(masks)``. Returns (indices, union popcount,
-    scanned count). Ties keep the lexicographically smallest index tuple; the
-    scan stops once no later subset can have a larger union. Unions grow
-    incrementally down the enumeration tree, one mask per level, and are
-    undone simply by returning to the parent level.
+    ``size`` is clamped to ``len(masks)``, and comb(m, size) above ``ceiling``
+    is refused up front. Returns (indices, union popcount, leaves evaluated).
+    Subsets are visited in lexicographic order and only a strictly larger
+    union replaces the best, so ties keep the lexicographically smallest
+    index tuple.
+
+    A node holding union ``u`` with ``r`` picks left counts ``u | masks[i]``
+    for every later set in one pass. Any subset whose next pick is j or later
+    covers at most popcount(u) plus the r largest gains from j on; that bound
+    never grows with j, so the node returns once it cannot beat the best
+    union. Such a subset could at best tie, and a tie never replaces the best,
+    so the answer is that of a full scan. At the last level those counts are
+    the leaves' unions themselves, evaluated without descending further. The
+    search stops at the first union covering every element some mask holds.
     """
     m = len(masks)
     size = min(size, m)
     total = math.comb(m, size)
     if total > ceiling:
         raise EnumerationCeilingError(total, ceiling)
+    if size == 0:
+        return (), 0, 1
     reachable = 0
     for mask in masks:
         reachable |= mask
@@ -53,31 +68,59 @@ def best_fixed_size_subset(
     best_cov = -1
     scanned = 0
     choice = [0] * size
-    done = False
 
-    def descend(pos: int, start: int, union: int) -> None:
-        nonlocal best, best_cov, scanned, done
-        if pos == size:
-            scanned += 1
-            cov = union.bit_count()
-            if cov > best_cov:
-                best_cov = cov
-                best = tuple(choice)
-                if cov >= stop_at:
-                    done = True
-            return
-        for i in range(start, m - (size - pos) + 1):
-            choice[pos] = i
-            descend(pos + 1, i + 1, union | masks[i])
-            if done:
-                return
+    def descend(pos: int, start: int, union: int) -> bool:
+        """Search below ``union``; True once the search may stop."""
+        nonlocal best, best_cov, scanned
+        covs = [(union | mask).bit_count() for mask in masks[start:]]
+        if pos == size - 1:
+            top = max(covs)
+            if top <= best_cov:
+                scanned += len(covs)
+                return False
+            # Evaluation in order stops at the first leaf covering stop_at.
+            j = covs.index(top)
+            scanned += j + 1 if top >= stop_at else len(covs)
+            best_cov = top
+            choice[pos] = start + j
+            best = tuple(choice)
+            return top >= stop_at
+        r = size - pos
+        # covs[j] is popcount(union) plus the gain of set start + j, so the
+        # bound popcount(union) + (r largest gains from j on) is
+        # bounds[j] - (r - 1) * popcount(union).
+        excess = (r - 1) * union.bit_count()
+        bounds = _suffix_top_sums(covs, r)
+        for j in range(len(covs) - r + 1):
+            if bounds[j] - excess <= best_cov:
+                return False
+            choice[pos] = start + j
+            if descend(pos + 1, start + j + 1, union | masks[start + j]):
+                return True
+        return False
 
     descend(0, 0, 0)
     return best, best_cov, scanned
 
 
+def _suffix_top_sums(values: Sequence[int], r: int) -> list[int]:
+    """``out[j]`` is the sum of the ``r`` largest of ``values[j:]``."""
+    out = [0] * len(values)
+    smallest_first: list[int] = []
+    total = 0
+    for j in range(len(values) - 1, -1, -1):
+        v = values[j]
+        if len(smallest_first) < r:
+            heapq.heappush(smallest_first, v)
+            total += v
+        elif v > smallest_first[0]:
+            total += v - heapq.heapreplace(smallest_first, v)
+        out[j] = total
+    return out
+
+
 def brute_force(inst: Instance, ceiling: int = DEFAULT_CEILING) -> ExactResult:
-    """Optimal coverage by scanning every min(k, m)-subset of the family.
+    """Optimal coverage by searching the min(k, m)-subsets of the family.
 
     Refuses with :class:`EnumerationCeilingError` when comb(m, min(k, m))
     exceeds ``ceiling``. The minimum achievable uncovered count is n - opt,

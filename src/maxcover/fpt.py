@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, Solution, frequency_profile, set_masks
+from .core import Instance, Solution, check_frequency_bound, set_masks
 from .exact import DEFAULT_CEILING, best_fixed_size_subset
 
 
@@ -48,14 +48,7 @@ def fpt_approx(
     the search degenerates to plain exhaustive search.
     """
     _check_beta(beta)
-    if p < 1:
-        raise ValueError(f"frequency bound must be positive, got {p}")
-    profile = frequency_profile(inst)
-    if profile.p_max > p:
-        e = next(i + 1 for i, f in enumerate(profile.freq) if f > p)
-        raise ValueError(
-            f"element {e} appears in {profile.freq[e - 1]} sets, above the bound p={p}"
-        )
+    check_frequency_bound(inst, p)
     if inst.effective_budget == 0:
         return Solution((), 0, inst.n), PoolPlan(0, (), 1)
     clamped = min(pool_size(p, inst.k, beta), inst.m)

@@ -9,9 +9,9 @@ here as well.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import Instance, Solution, frequency_profile, set_masks
 from .exact import (
@@ -28,7 +28,8 @@ RATIO_METHODS = ("alg4", "alg5", "alg5_vertexcover", "croce_paschos")
 @dataclass(frozen=True)
 class HybridReport:
     """Split parameter, result, the a-priori ratio for that split, and the
-    number of subsets the exact phase scanned."""
+    exact phase's work: the leaves the residual search evaluated
+    (greedy-then-exact), or the prefixes finished greedily (exact-then-greedy)."""
 
     x_split: int
     solution: Solution
@@ -87,9 +88,16 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     keep the best completed solution.
 
     Rerunning the greedy finish per prefix lets a deliberately suboptimal
-    prefix win when it leaves better ground for the greedy stage. Every
-    prefix is scanned; ties on coverage keep the lexicographically smallest
-    completed index tuple.
+    prefix win when it leaves better ground for the greedy stage. Ties on
+    coverage keep the lexicographically smallest completed index tuple.
+
+    Prefixes grow as a tree in lexicographic order. A partial prefix with
+    union ``u`` and ``r`` picks left completes with r + x more sets outside
+    it, so no completion below it covers more than popcount(u) plus the
+    r + x largest gains among those sets; the subtree is skipped when that
+    bound is below the best coverage so far. A completion that only ties may
+    still win on its index tuple, so a tying bound is searched.
+    ``combos_scanned`` counts the prefixes finished greedily.
     """
     _check_split(inst, x)
     masks = set_masks(inst)
@@ -99,23 +107,38 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     total = math.comb(inst.m, prefix_size)
     if total > ceiling:
         raise EnumerationCeilingError(total, ceiling)
-    best_chosen: tuple[int, ...] | None = None
+    prefix: list[int] = []
+    taken = [False] * inst.m
+    best_chosen: tuple[int, ...] = ()
     best_covered = -1
-    for prefix in combinations(range(inst.m), prefix_size):
-        covered = 0
-        taken = [False] * inst.m
-        for i in prefix:
-            covered |= masks[i]
+    finished = 0
+
+    def descend(start: int, union: int) -> None:
+        nonlocal best_chosen, best_covered, finished
+        r = prefix_size - len(prefix)
+        base = union.bit_count()
+        gains = [(union | mask).bit_count() - base for i, mask in enumerate(masks) if not taken[i]]
+        if base + sum(heapq.nlargest(r + x_eff, gains)) < best_covered:
+            return
+        if r == 0:
+            finished += 1
+            picks, _, covered = extend_greedily(masks, taken[:], union, x_eff)
+            chosen = tuple(sorted(prefix + picks))
+            cov = covered.bit_count()
+            if cov > best_covered or (cov == best_covered and chosen < best_chosen):
+                best_covered = cov
+                best_chosen = chosen
+            return
+        for i in range(start, inst.m - r + 1):
+            prefix.append(i)
             taken[i] = True
-        picks, _, covered = extend_greedily(masks, taken, covered, x_eff)
-        chosen = tuple(sorted(prefix + tuple(picks)))
-        cov = covered.bit_count()
-        if cov > best_covered or (cov == best_covered and chosen < best_chosen):
-            best_covered = cov
-            best_chosen = chosen
-    assert best_chosen is not None  # the prefix loop always runs at least once
+            descend(i + 1, union | masks[i])
+            taken[i] = False
+            prefix.pop()
+
+    descend(0, 0)
     solution = Solution(best_chosen, best_covered, inst.n - best_covered)
-    return HybridReport(x, solution, _ratio_or_unit("alg5", x, inst.k), total)
+    return HybridReport(x, solution, _ratio_or_unit("alg5", x, inst.k), finished)
 
 
 def ptas_dispatch(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Solution, frequency_profile, set_masks
+from .core import Instance, Solution, check_frequency_bound, set_masks
 from .exact import DEFAULT_CEILING, EnumerationCeilingError
 
 
@@ -62,14 +62,7 @@ def randomized_min_noncovered(
     with :class:`EnumerationCeilingError`, before any search, when the plan's
     repetitions times p**k search leaves exceed ``ceiling``.
     """
-    if p < 1:
-        raise ValueError(f"frequency bound must be positive, got {p}")
-    profile = frequency_profile(inst)
-    if profile.p_max > p:
-        e = next(i + 1 for i, f in enumerate(profile.freq) if f > p)
-        raise ValueError(
-            f"element {e} appears in {profile.freq[e - 1]} sets, above the bound p={p}"
-        )
+    check_frequency_bound(inst, p)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     reps = repetition_count(beta, epsilon, inst.k)

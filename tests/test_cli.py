@@ -6,7 +6,8 @@ import math
 import pytest
 
 import maxcover.minnoncovered
-from maxcover import brute_force, parse_instance
+from maxcover import ParseError, brute_force, parse_instance
+from maxcover.core import MAX_HEADER_COUNT
 from maxcover.cli import curve_points, load_instance_text, main, run_curves
 
 EXAMPLE = "p maxcover 4 3 2\ns 1 2 3\ns 3 4\ns 4\n"
@@ -79,6 +80,34 @@ def test_exit_code_1_on_parse_error(tmp_path, capsys):
     bad.write_text("p maxcover 2 1 1\ns 3\n")
     assert run(["solve", "--alg", "exact", "--in", str(bad)]) == 1
     assert "element id 3 exceeds n=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [
+    "p maxcover 100000000000 0 1",
+    "p approval 100000000000 0 1",
+    "p approval 2 100000000000 1",
+    "p graph 100000000000 0 1",
+    "p graph 2 100000000000 1",
+])
+def test_exit_code_1_on_oversized_header(tmp_path, capsys, header):
+    doc = tmp_path / "huge.mc"
+    doc.write_text(header + "\n")
+    assert run(["solve", "--alg", "greedy", "--in", str(doc)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: header count 100000000000 exceeds the limit of {MAX_HEADER_COUNT} at line 1\n"
+    )
+
+
+def test_header_count_cap_is_inclusive():
+    assert parse_instance(f"p maxcover {MAX_HEADER_COUNT} 0 0\n").n == MAX_HEADER_COUNT
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        parse_instance(f"p maxcover {MAX_HEADER_COUNT + 1} 0 0\n")
+
+
+def test_threads_flag_is_gone(inst_file):
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "--alg", "greedy", "--in", inst_file, "--threads", "2"])
+    assert err.value.code == 2
 
 
 def test_exit_code_1_on_missing_file(tmp_path):

@@ -13,11 +13,13 @@ from maxcover import (
     coverage_inclusion_exclusion,
     document_kind,
     election_to_maxcover,
+    fpt_approx,
     frequency_profile,
     pad_frequencies,
     parse_election,
     parse_graph,
     parse_instance,
+    randomized_min_noncovered,
     serialize_instance,
 )
 from helpers import random_instance, union_coverage
@@ -199,6 +201,23 @@ def test_inclusion_exclusion_rejects_frequency_violation():
     inst = Instance.of(2, [[1, 2], [1], [1]], 2)
     with pytest.raises(ValueError, match="element 1 appears in 3 sets"):
         coverage_inclusion_exclusion(inst, [0, 1], 2)
+
+
+def test_frequency_bound_messages_of_every_caller():
+    inst = Instance.of(2, [[1, 2], [1], [1]], 2)
+    calls = {
+        "bound": [lambda p: fpt_approx(inst, p, 0.5),
+                  lambda p: randomized_min_noncovered(inst, p, 2.0, 0.5, 0)],
+        "cap": [lambda p: coverage_inclusion_exclusion(inst, [0, 1], p)],
+    }
+    for word, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(ValueError) as err:
+                fn(2)
+            assert str(err.value) == f"element 1 appears in 3 sets, above the {word} p=2"
+            with pytest.raises(ValueError) as err:
+                fn(0)
+            assert str(err.value) == f"frequency {word} must be positive, got 0"
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,35 @@
 """The fast hot paths against test-local copies of the loops they replaced.
 
-Lazy greedy, select-based minnc sampling and the packed mask build must give
-exactly what the earlier eager scan, list-rebuilding sampler and bit-by-bit
-mask build gave, on seeded batches of random instances and graph reductions.
+Lazy greedy, select-based minnc sampling, the packed mask build and the
+bound-pruned exhaustive searches must give exactly what the earlier eager
+scan, list-rebuilding sampler, bit-by-bit mask build, full subset scan and
+prefix-by-prefix hybrid gave, on seeded batches of random instances, graph
+reductions and the adversarial families. The pruned searches may only do less
+work than the scans they replaced.
 """
 
+import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from maxcover import (
     Instance,
+    TightFptSpec,
+    TightGreedySpec,
+    brute_force,
+    exact_then_greedy,
     frequency_profile,
     gen_random,
+    gen_tight_fpt,
+    gen_tight_greedy,
     graph_to_maxvertexcover,
     randomized_min_noncovered,
     set_masks,
 )
+from maxcover.exact import best_fixed_size_subset
 from maxcover.greedy import extend_greedily
 
 
@@ -83,6 +95,49 @@ def rebuilding_min_noncovered(inst, reps, seed):
         if best is None or uncovered < best[1]:
             best = (tuple(sorted(chosen)), uncovered)
     return tuple(per_rep), best
+
+
+def full_scan(masks, size):
+    """Every size-subset in lexicographic order, stopping at the first union
+    that covers every element some mask holds."""
+    m = len(masks)
+    size = min(size, m)
+    reachable = 0
+    for mask in masks:
+        reachable |= mask
+    stop_at = reachable.bit_count()
+    best, best_cov, scanned = (), -1, 0
+    for combo in combinations(range(m), size):
+        union = 0
+        for i in combo:
+            union |= masks[i]
+        scanned += 1
+        if union.bit_count() > best_cov:
+            best, best_cov = combo, union.bit_count()
+            if best_cov >= stop_at:
+                break
+    return best, best_cov, scanned
+
+
+def every_prefix_then_greedy(inst, x):
+    """(chosen, covered, prefixes finished) of the loop that finished every
+    (k - x)-prefix greedily."""
+    masks = set_masks(inst)
+    x_eff = min(x, inst.effective_budget)
+    best_chosen, best_covered, finished = None, -1, 0
+    for prefix in combinations(range(inst.m), inst.effective_budget - x_eff):
+        covered = 0
+        taken = [False] * inst.m
+        for i in prefix:
+            covered |= masks[i]
+            taken[i] = True
+        picks, _, covered = extend_greedily(masks, taken, covered, x_eff)
+        finished += 1
+        chosen = tuple(sorted(prefix + tuple(picks)))
+        cov = covered.bit_count()
+        if cov > best_covered or (cov == best_covered and chosen < best_chosen):
+            best_covered, best_chosen = cov, chosen
+    return best_chosen, best_covered, finished
 
 
 def random_graph(rand, vertices, edges, k):
@@ -158,3 +213,72 @@ def test_select_sampling_equals_list_rebuild(seed):
         per_rep, (chosen, uncovered) = rebuilding_min_noncovered(inst, run.repetitions, seed)
         assert run.per_rep_uncovered == per_rep
         assert (run.best.chosen, run.best.uncovered) == (chosen, uncovered)
+
+
+def tight_instances():
+    return [
+        gen_tight_greedy(TightGreedySpec(p=4, k=3, m=9)),
+        gen_tight_greedy(TightGreedySpec(p=4, k=4, m=12)),
+        gen_tight_fpt(TightFptSpec(p=2, k=2, beta=0.5)),
+        gen_tight_fpt(TightFptSpec(p=2, k=2, beta=0.75)),
+    ]
+
+
+def test_pruned_kernel_equals_full_scan():
+    for inst in batch(4, 80) + tight_instances():
+        masks = set_masks(inst)
+        for size in {0, 1, 2, inst.k, inst.k + 1, inst.m - 1, inst.m, inst.m + 1}:
+            chosen, covered, scanned = best_fixed_size_subset(masks, size)
+            ref_chosen, ref_covered, ref_scanned = full_scan(masks, size)
+            assert (chosen, covered) == (ref_chosen, ref_covered)
+            assert 1 <= scanned <= ref_scanned
+
+
+def test_pruned_kernel_on_duplicates_and_size_edges():
+    masks = [0b0110, 0b0110, 0b1001, 0b0110, 0b1001, 0b0001]
+    for size in range(len(masks) + 3):
+        chosen, covered, scanned = best_fixed_size_subset(masks, size)
+        assert (chosen, covered) == full_scan(masks, size)[:2]
+        assert scanned <= full_scan(masks, size)[2]
+    assert best_fixed_size_subset(masks, 0) == ((), 0, 1)
+    assert best_fixed_size_subset(masks, 9) == ((0, 1, 2, 3, 4, 5), 4, 1)
+    assert best_fixed_size_subset([], 3) == ((), 0, 1)
+
+
+def test_pruned_kernel_stops_at_the_first_full_cover():
+    # (0, 2) is the first pair covering all four elements; the scan must stop
+    # there and never see the later full covers (0, 4), (1, 3) or (3, 4).
+    masks = [0b0011, 0b0100, 0b1100, 0b1011, 0b1100]
+    chosen, covered, scanned = best_fixed_size_subset(masks, 2)
+    assert (chosen, covered) == ((0, 2), 4) == full_scan(masks, 2)[:2]
+    assert scanned <= full_scan(masks, 2)[2] == 2
+    # Single picks: the first set holding every element ends the scan at once.
+    assert best_fixed_size_subset([0b01, 0b11, 0b11], 1) == ((1,), 2, 2)
+
+
+def test_pruned_kernel_skips_most_subsets_of_a_random_instance():
+    inst = gen_random(600, 30, 4, 2, 0)
+    result = brute_force(inst)
+    assert (result.solution.chosen, result.opt) == full_scan(set_masks(inst), inst.k)[:2]
+    assert result.subsets_scanned * 10 < math.comb(inst.m, inst.k)
+
+
+def test_pruned_hybrid_equals_every_prefix_scan():
+    for inst in batch(5, 60) + tight_instances():
+        for x in range(inst.k + 1):
+            report = exact_then_greedy(inst, x)
+            chosen, covered, finished = every_prefix_then_greedy(inst, x)
+            assert (report.solution.chosen, report.solution.covered) == (chosen, covered)
+            assert 1 <= report.combos_scanned <= finished
+
+
+def test_pruned_hybrid_keeps_a_tying_prefix_with_a_smaller_tuple():
+    # Split x = 2 of k = 3: prefix (0,) completes to (0, 1, 3), covering all
+    # 3 elements. Prefix (1,) has union {2} and two picks left whose largest
+    # gains are 1 and 1, so its bound 3 only ties; it completes to (0, 1, 2),
+    # which also covers 3 and wins on the smaller index tuple.
+    inst = Instance.of(3, [[1], [2], [3], [2, 3]], 3)
+    report = exact_then_greedy(inst, 2)
+    assert (report.solution.chosen, report.solution.covered) == ((0, 1, 2), 3)
+    assert every_prefix_then_greedy(inst, 2) == ((0, 1, 2), 3, 4)
+    assert report.combos_scanned == 4
