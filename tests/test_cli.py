@@ -143,9 +143,43 @@ def test_exit_code_1_on_report_without_integer_choices(inst_file, tmp_path, caps
     assert "'chosen' is a list of integers" in err and err.count("\n") == 1
 
 
-def test_exit_code_2_on_missing_parameter(inst_file, capsys):
-    assert run(["solve", "--alg", "fpt", "--in", inst_file]) == 2
-    assert "--beta is required" in capsys.readouterr().err
+ALL_ALGS = "('exact', 'greedy', 'fpt', 'minnc', 'greedy-exact', 'exact-greedy', 'ptas')"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param("solve --alg fpt --in IN", "--beta is required for --alg fpt", id="fpt-beta"),
+    pytest.param("solve --alg minnc --epsilon 0.1 --in IN", "--beta is required for --alg minnc", id="minnc-beta"),
+    pytest.param("solve --alg minnc --in IN", "--beta is required for --alg minnc", id="minnc-beta-first"),
+    pytest.param("solve --alg minnc --beta 2 --in IN", "--epsilon is required for --alg minnc", id="minnc-epsilon"),
+    pytest.param("solve --alg greedy-exact --in IN", "--x is required for --alg greedy-exact", id="greedy-exact-x"),
+    pytest.param("solve --alg exact-greedy --in IN", "--x is required for --alg exact-greedy", id="exact-greedy-x"),
+    pytest.param("solve --alg ptas --in IN", "--alpha is required for --alg ptas", id="ptas-alpha-first"),
+    pytest.param("solve --alg ptas --beta 0.5 --in IN", "--alpha is required for --alg ptas", id="ptas-alpha"),
+    pytest.param("solve --alg ptas --alpha 0.1 --in IN", "--beta is required for --alg ptas", id="ptas-beta"),
+    pytest.param("compare --algs exact,ptas --alpha 0.1 --in IN", "--beta is required for --alg ptas",
+                 id="compare-ptas-beta"),
+    pytest.param("compare --algs exact,magic --in IN",
+                 f"unknown algorithm 'magic', expected one of {ALL_ALGS}", id="compare-unknown"),
+    pytest.param("generate --family random", "--n is required for --family random", id="random-n"),
+    pytest.param("generate --family random --n 4", "--m is required for --family random", id="random-m"),
+    pytest.param("generate --family random --n 4 --m 3", "--k is required for --family random", id="random-k"),
+    pytest.param("generate --family random --n 4 --m 3 --k 2", "--p-max is required for --family random",
+                 id="random-p-max"),
+    pytest.param("generate --family tight-greedy", "--p is required for --family tight-greedy",
+                 id="tight-greedy-p"),
+    pytest.param("generate --family tight-greedy --p 4", "--k is required for --family tight-greedy",
+                 id="tight-greedy-k"),
+    pytest.param("generate --family tight-greedy --p 4 --k 3", "--m is required for --family tight-greedy",
+                 id="tight-greedy-m"),
+    pytest.param("generate --family tight-fpt", "--p is required for --family tight-fpt", id="tight-fpt-p"),
+    pytest.param("generate --family tight-fpt --p 2", "--k is required for --family tight-fpt", id="tight-fpt-k"),
+    pytest.param("generate --family tight-fpt --p 2 --k 2", "--beta is required for --family tight-fpt",
+                 id="tight-fpt-beta"),
+    pytest.param("generate --family graph", "--in is required for --family graph", id="graph-in"),
+])
+def test_exit_code_2_on_missing_parameter(inst_file, capsys, argv, message):
+    assert run([inst_file if a == "IN" else a for a in argv.split()]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_exit_code_2_on_ceiling(inst_file, capsys):

@@ -70,6 +70,55 @@ def test_parse_checks_set_line_count():
         parse_instance("p maxcover 2 1 1\ns 1\ns 2")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    # Missing and malformed headers, in every format.
+    (parse_instance, "", "missing 'p maxcover' header at line 1"),
+    (parse_election, "c only a comment\n", "missing 'p approval' header at line 1"),
+    (parse_graph, "\n\n", "missing 'p graph' header at line 1"),
+    (parse_instance, "p approval 2 1 1\ns 1", "malformed header, expected 'p maxcover <a> <b> <k>' at line 1"),
+    (parse_election, "c x\np approval 2 1\nv 1", "malformed header, expected 'p approval <a> <b> <k>' at line 2"),
+    (parse_graph, "q graph 3 1 1\ne 1 2", "malformed header, expected 'p graph <a> <b> <k>' at line 1"),
+    (parse_instance, "p maxcover 2 one 1\ns 1", "non-numeric token 'one' at line 1"),
+    (parse_graph, "p graph 3 1 -1\ne 1 2", "header counts must be nonnegative at line 1"),
+    # Wrong record tags and a graph line of the wrong arity.
+    (parse_instance, "p maxcover 2 1 1\nv 1", "expected a set line starting with 's', got 'v' at line 2"),
+    (parse_election, "p approval 2 1 1\ns 1", "expected a ballot line starting with 'v', got 's' at line 2"),
+    (parse_graph, "p graph 3 1 1\nv 1 2", "expected an edge line 'e <u> <v>' at line 2"),
+    (parse_graph, "p graph 3 1 1\ne 1 2 3", "expected an edge line 'e <u> <v>' at line 2"),
+    (parse_graph, "p graph 3 1 1\ne 1", "expected an edge line 'e <u> <v>' at line 2"),
+    # Non-numeric tokens and ids out of range.
+    (parse_instance, "p maxcover 2 1 1\ns 1 two", "non-numeric token 'two' at line 2"),
+    (parse_election, "p approval 2 1 1\nv 1 y", "non-numeric token 'y' at line 2"),
+    (parse_graph, "p graph 3 1 1\ne 1 x", "non-numeric token 'x' at line 2"),
+    (parse_instance, "p maxcover 2 1 1\ns 3", "element id 3 exceeds n=2 at line 2"),
+    (parse_instance, "p maxcover 2 1 1\ns -1", "element id -1 must be at least 1 at line 2"),
+    (parse_instance, "p maxcover 0 1 1\ns 0", "element id 0 must be at least 1 at line 2"),
+    (parse_election, "p approval 2 1 1\nv 5", "candidate id 5 out of range [1, 2] at line 2"),
+    (parse_election, "p approval 2 1 1\nv 0", "candidate id 0 out of range [1, 2] at line 2"),
+    (parse_graph, "p graph 3 1 1\ne 1 4", "vertex id 4 out of range [1, 3] at line 2"),
+    (parse_graph, "p graph 3 1 1\ne 0 4", "vertex id 0 out of range [1, 3] at line 2"),
+    # The first offending token in line order is the one reported.
+    (parse_instance, "p maxcover 2 1 1\ns 5 0", "element id 5 exceeds n=2 at line 2"),
+    (parse_instance, "p maxcover 2 1 1\ns 0 x", "element id 0 must be at least 1 at line 2"),
+    (parse_instance, "p maxcover 2 1 1\ns x 5", "non-numeric token 'x' at line 2"),
+    (parse_election, "p approval 2 1 1\nv 3 x", "candidate id 3 out of range [1, 2] at line 2"),
+    (parse_election, "p approval 2 1 1\nv x 3", "non-numeric token 'x' at line 2"),
+    # An edge line reads both ids before it checks their range.
+    (parse_graph, "p graph 3 1 1\ne 4 x", "non-numeric token 'x' at line 2"),
+    # Too few records, then content after the last record.
+    (parse_instance, "p maxcover 2 2 1\ns 1", "expected 2 set lines, found 1"),
+    (parse_election, "p approval 2 3 1\nv 1\nc x\nv 2", "expected 3 ballot lines, found 2"),
+    (parse_graph, "p graph 3 1 1", "expected 1 edge lines, found 0"),
+    (parse_instance, "p maxcover 2 1 1\ns 1\ns 2", "unexpected content 's 2' at line 3"),
+    (parse_election, "p approval 2 1 1\nv 1\nc x\nv 2", "unexpected content 'v 2' at line 4"),
+    (parse_graph, "p graph 3 1 1\ne 1 2\n\nx", "unexpected content 'x' at line 4"),
+])
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_parse_skips_comments_and_blank_lines():
     text = "c a comment\n\np maxcover 2 2 1\nc mid comment\ns 1\n\ns\n"
     inst = parse_instance(text)
