@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .core import (
     Instance,
     ParseError,
-    SolverConfig,
     document_kind,
     election_to_maxcover,
     frequency_profile,
@@ -40,9 +39,6 @@ from .greedy import greedy_cover, greedy_guarantee
 from .hybrid import exact_then_greedy, greedy_then_exact, hybrid_ratio, ptas_dispatch
 from .minnoncovered import randomized_min_noncovered
 
-ALGORITHMS = ("exact", "greedy", "fpt", "minnc", "greedy-exact", "exact-greedy", "ptas")
-
-
 @dataclass(frozen=True)
 class RatioPoint:
     """One guarantee-curve sample at exact-work fraction t = (k - x)/k."""
@@ -61,8 +57,8 @@ class RatioPoint:
 
 @dataclass(frozen=True)
 class SolverReport:
-    """What one solve run produced; ``wall_time_s`` stays out of the JSON body
-    so seeded reruns reproduce the document byte for byte."""
+    """What one solve run produced. It holds no wall time, so seeded reruns
+    reproduce the JSON document byte for byte."""
 
     algorithm: str
     instance: Instance
@@ -73,7 +69,6 @@ class SolverReport:
     params: dict
     opt: int | None
     include_opt: bool
-    wall_time_s: float
 
     def to_json(self) -> str:
         body = {
@@ -148,9 +143,9 @@ def _write(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _require(value, flag: str, alg: str):
+def _require(value, flag: str, context: str):
     if value is None:
-        raise ValueError(f"{flag} is required for --alg {alg}")
+        raise ValueError(f"{flag} is required for {context}")
     return value
 
 
@@ -160,59 +155,63 @@ def _default_p_bound(inst: Instance, requested: int | None) -> int:
     return max(frequency_profile(inst).p_max, 1)
 
 
-def _solve_one(inst: Instance, alg: str, cfg: SolverConfig, alpha: float | None, ceiling: int) -> tuple:
-    """Dispatch one algorithm; returns (solution, guarantee, params)."""
-    if alg == "exact":
-        return brute_force(inst, ceiling).solution, 1.0, {}
-    if alg == "greedy":
-        solution, _ = greedy_cover(inst)
-        profile = frequency_profile(inst)
-        guarantee = None
-        if profile.p_min >= 1 and inst.effective_budget >= 1:
-            guarantee = greedy_guarantee(profile.p_min, inst.effective_budget, inst.m)
-        return solution, guarantee, {}
-    if alg == "fpt":
-        beta = _require(cfg.beta, "--beta", alg)
-        p = _default_p_bound(inst, cfg.p_bound)
-        solution, plan = fpt_approx(inst, p, beta, ceiling)
-        return solution, beta, {"beta": beta, "p_bound": p, "pool_size": plan.pool_size}
-    if alg == "minnc":
-        beta = _require(cfg.beta, "--beta", alg)
-        epsilon = _require(cfg.epsilon, "--epsilon", alg)
-        p = _default_p_bound(inst, cfg.p_bound)
-        run = randomized_min_noncovered(inst, p, beta, epsilon, cfg.seed, ceiling)
-        params = {
-            "beta": beta,
-            "epsilon": epsilon,
-            "p_bound": p,
-            "seed": cfg.seed,
-            "repetitions": run.repetitions,
-        }
-        return run.best, beta, params
-    if alg == "greedy-exact":
-        x = _require(cfg.x_split, "--x", alg)
-        report = greedy_then_exact(inst, x, ceiling)
-        return report.solution, report.guarantee, {"x": x}
-    if alg == "exact-greedy":
-        x = _require(cfg.x_split, "--x", alg)
-        report = exact_then_greedy(inst, x, ceiling)
-        return report.solution, report.guarantee, {"x": x}
-    if alg == "ptas":
-        alpha = _require(alpha, "--alpha", alg)
-        beta = _require(cfg.beta, "--beta", alg)
-        solution, branch = ptas_dispatch(inst, alpha, beta, ceiling)
-        return solution, beta, {"alpha": alpha, "beta": beta, "branch": branch}
-    raise ValueError(f"unknown algorithm '{alg}'")
+def _run_greedy(inst: Instance, args) -> tuple:
+    solution, _ = greedy_cover(inst)
+    profile = frequency_profile(inst)
+    guarantee = None
+    if profile.p_min >= 1 and inst.effective_budget >= 1:
+        guarantee = greedy_guarantee(profile.p_min, inst.effective_budget, inst.m)
+    return solution, guarantee, {}
 
 
-def _config_from(args) -> SolverConfig:
-    return SolverConfig(
-        beta=args.beta,
-        epsilon=args.epsilon,
-        x_split=args.x,
-        p_bound=args.p_bound,
-        seed=args.seed,
-    )
+def _run_fpt(inst: Instance, args) -> tuple:
+    p = _default_p_bound(inst, args.p_bound)
+    solution, plan = fpt_approx(inst, p, args.beta, args.ceiling)
+    return solution, args.beta, {"beta": args.beta, "p_bound": p, "pool_size": plan.pool_size}
+
+
+def _run_minnc(inst: Instance, args) -> tuple:
+    p = _default_p_bound(inst, args.p_bound)
+    run = randomized_min_noncovered(inst, p, args.beta, args.epsilon, args.seed, args.ceiling)
+    params = {
+        "beta": args.beta,
+        "epsilon": args.epsilon,
+        "p_bound": p,
+        "seed": args.seed,
+        "repetitions": run.repetitions,
+    }
+    return run.best, args.beta, params
+
+
+def _run_ptas(inst: Instance, args) -> tuple:
+    solution, branch = ptas_dispatch(inst, args.alpha, args.beta, args.ceiling)
+    return solution, args.beta, {"alpha": args.alpha, "beta": args.beta, "branch": branch}
+
+
+def _hybrid(report, args) -> tuple:
+    return report.solution, report.guarantee, {"x": args.x}
+
+
+# Solver id -> (required flags, checked in order as args.<flag minus "--">;
+# runner), in --help order. Runners look the solvers up as module globals when
+# called, so a caller that patches those names, as the benchmark's tracer does, sees them.
+SOLVERS = {
+    "exact": ((), lambda inst, args: (brute_force(inst, args.ceiling).solution, 1.0, {})),
+    "greedy": ((), _run_greedy),
+    "fpt": (("--beta",), _run_fpt),
+    "minnc": (("--beta", "--epsilon"), _run_minnc),
+    "greedy-exact": (("--x",), lambda inst, args: _hybrid(greedy_then_exact(inst, args.x, args.ceiling), args)),
+    "exact-greedy": (("--x",), lambda inst, args: _hybrid(exact_then_greedy(inst, args.x, args.ceiling), args)),
+    "ptas": (("--alpha", "--beta"), _run_ptas),
+}
+
+
+def _solve_one(inst: Instance, alg: str, args) -> tuple:
+    """Check the solver's required flags, then run it; returns (solution, guarantee, params)."""
+    flags, run = SOLVERS[alg]
+    for flag in flags:
+        _require(getattr(args, flag[2:]), flag, f"--alg {alg}")
+    return run(inst, args)
 
 
 def _oracle_opt(inst: Instance, ceiling: int) -> int | None:
@@ -227,7 +226,7 @@ def _oracle_opt(inst: Instance, ceiling: int) -> int | None:
 def run_solve(args) -> int:
     inst = load_instance_text(_read(args.infile))
     start = time.perf_counter()
-    solution, guarantee, params = _solve_one(inst, args.alg, _config_from(args), args.alpha, args.ceiling)
+    solution, guarantee, params = _solve_one(inst, args.alg, args)
     elapsed = time.perf_counter() - start
     report = SolverReport(
         algorithm=args.alg,
@@ -239,7 +238,6 @@ def run_solve(args) -> int:
         params=params,
         opt=_oracle_opt(inst, args.ceiling) if args.with_opt else None,
         include_opt=args.with_opt,
-        wall_time_s=elapsed,
     )
     _write(args.out, report.to_json())
     print(
@@ -251,9 +249,7 @@ def run_solve(args) -> int:
 
 def run_generate(args) -> int:
     def need(value, flag):
-        if value is None:
-            raise ValueError(f"{flag} is required for --family {args.family}")
-        return value
+        return _require(value, flag, f"--family {args.family}")
 
     if args.family == "random":
         inst = gen_random(need(args.n, "--n"), need(args.m, "--m"),
@@ -279,17 +275,16 @@ def run_compare(args) -> int:
     inst = load_instance_text(_read(args.infile))
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
     for alg in algs:
-        if alg not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm '{alg}', expected one of {ALGORITHMS}")
+        if alg not in SOLVERS:
+            raise ValueError(f"unknown algorithm '{alg}', expected one of {tuple(SOLVERS)}")
     opt = _oracle_opt(inst, args.ceiling) if args.with_opt else None
     header = "algorithm,covered,uncovered,guarantee,wall_time_s"
     if args.with_opt:
         header += ",opt"
     rows = [header]
-    cfg = _config_from(args)
     for alg in algs:
         start = time.perf_counter()
-        solution, guarantee, _ = _solve_one(inst, alg, cfg, args.alpha, args.ceiling)
+        solution, guarantee, _ = _solve_one(inst, alg, args)
         elapsed = time.perf_counter() - start
         cells = [
             alg,
@@ -367,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run one algorithm on one instance")
-    solve.add_argument("--alg", required=True, choices=ALGORITHMS)
+    solve.add_argument("--alg", required=True, choices=tuple(SOLVERS))
     solve.add_argument("--in", dest="infile", required=True, help="instance, approval, or graph document")
     solve.add_argument("--out", help="report path (default: stdout)")
     _add_solver_flags(solve)

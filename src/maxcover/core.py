@@ -9,6 +9,7 @@ here are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -88,17 +89,6 @@ class Solution:
     def evaluate(cls, inst: Instance, chosen: Iterable[int]) -> "Solution":
         cov = coverage(inst, chosen)
         return cls(tuple(sorted(chosen)), cov, inst.n - cov)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Bag of optional solver parameters; each solver validates what it uses."""
-
-    beta: float | None = None
-    epsilon: float | None = None
-    x_split: int | None = None
-    p_bound: int | None = None
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -326,34 +316,67 @@ def document_kind(text: str) -> str:
     raise ParseError("empty document", 1)
 
 
+def _read_records(text: str, kind: str, what: str, read_record) -> tuple[int, int, tuple, int]:
+    """Header counts (a, b, k) and the b records after a 'p <kind>' header, each
+    read by ``read_record(tokens, ln, a)``; no content may follow the last."""
+    lines = _significant_lines(text)
+    a, b, k = _parse_header(lines, kind)
+    records = []
+    for i in range(b):
+        try:
+            ln, line = next(lines)
+        except StopIteration:
+            raise ParseError(f"expected {b} {what} lines, found {i}") from None
+        records.append(read_record(line.split(), ln, a))
+    for ln, line in lines:
+        raise ParseError(f"unexpected content '{line}'", ln)
+    return a, b, tuple(records), k
+
+
+def _read_ids(tag: str, what: str, out_of_range, tokens: list[str], ln: int, bound: int) -> tuple[int, ...]:
+    """Sorted distinct ids of a '<tag> <id> ...' line, each in [1, bound].
+
+    The first offending token in line order is reported; ``out_of_range(id,
+    bound)`` words the message for an id outside [1, bound].
+    """
+    if tokens[0] != tag:
+        raise ParseError(f"expected a {what} line starting with '{tag}', got '{tokens[0]}'", ln)
+    ids = set()
+    for t in tokens[1:]:
+        try:
+            e = int(t)
+        except ValueError:
+            raise ParseError(f"non-numeric token '{t}'", ln) from None
+        if not 0 < e <= bound:
+            raise ParseError(out_of_range(e, bound), ln)
+        ids.add(e)
+    return tuple(sorted(ids))
+
+
+_read_set = partial(
+    _read_ids, "s", "set",
+    lambda e, n: f"element id {e} must be at least 1" if e < 1 else f"element id {e} exceeds n={n}",
+)
+_read_ballot = partial(_read_ids, "v", "ballot", lambda c, bound: f"candidate id {c} out of range [1, {bound}]")
+
+
+def _read_edge(tokens: list[str], ln: int, num_vertices: int) -> tuple[int, int]:
+    if tokens[0] != "e" or len(tokens) != 3:
+        raise ParseError("expected an edge line 'e <u> <v>'", ln)
+    u, v = _int_token(tokens[1], ln), _int_token(tokens[2], ln)
+    for w in (u, v):
+        if not 1 <= w <= num_vertices:
+            raise ParseError(f"vertex id {w} out of range [1, {num_vertices}]", ln)
+    return u, v
+
+
 def parse_instance(text: str) -> Instance:
     """Parse a 'p maxcover <n> <m> <k>' document with m 's <e1> <e2> ...' lines.
 
     Element lists are deduplicated and sorted on ingest; ids must lie in [1, n].
     """
-    lines = _significant_lines(text)
-    n, m, k = _parse_header(lines, "maxcover")
-    sets: list[tuple[int, ...]] = []
-    for _ in range(m):
-        try:
-            ln, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"expected {m} set lines, found {len(sets)}") from None
-        tokens = line.split()
-        if tokens[0] != "s":
-            raise ParseError(f"expected a set line starting with 's', got '{tokens[0]}'", ln)
-        ids = set()
-        for t in tokens[1:]:
-            e = _int_token(t, ln)
-            if e < 1:
-                raise ParseError(f"element id {e} must be at least 1", ln)
-            if e > n:
-                raise ParseError(f"element id {e} exceeds n={n}", ln)
-            ids.add(e)
-        sets.append(tuple(sorted(ids)))
-    for ln, line in lines:
-        raise ParseError(f"unexpected content '{line}'", ln)
-    return Instance(n, tuple(sets), k)
+    n, _, sets, k = _read_records(text, "maxcover", "set", _read_set)
+    return Instance(n, sets, k)
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -366,49 +389,10 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_election(text: str) -> ApprovalElection:
     """Parse a 'p approval <candidates> <voters> <k>' document with 'v' ballot lines."""
-    lines = _significant_lines(text)
-    num_candidates, num_voters, k = _parse_header(lines, "approval")
-    ballots: list[tuple[int, ...]] = []
-    for _ in range(num_voters):
-        try:
-            ln, line = next(lines)
-        except StopIteration:
-            raise ParseError(
-                f"expected {num_voters} ballot lines, found {len(ballots)}"
-            ) from None
-        tokens = line.split()
-        if tokens[0] != "v":
-            raise ParseError(f"expected a ballot line starting with 'v', got '{tokens[0]}'", ln)
-        ids = set()
-        for t in tokens[1:]:
-            c = _int_token(t, ln)
-            if not 1 <= c <= num_candidates:
-                raise ParseError(f"candidate id {c} out of range [1, {num_candidates}]", ln)
-            ids.add(c)
-        ballots.append(tuple(sorted(ids)))
-    for ln, line in lines:
-        raise ParseError(f"unexpected content '{line}'", ln)
-    return ApprovalElection(num_candidates, num_voters, tuple(ballots), k)
+    return ApprovalElection(*_read_records(text, "approval", "ballot", _read_ballot))
 
 
 def parse_graph(text: str) -> Graph:
     """Parse a 'p graph <vertices> <edges> <k>' document with 'e <u> <v>' lines."""
-    lines = _significant_lines(text)
-    num_vertices, num_edges, k = _parse_header(lines, "graph")
-    edges: list[tuple[int, int]] = []
-    for _ in range(num_edges):
-        try:
-            ln, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"expected {num_edges} edge lines, found {len(edges)}") from None
-        tokens = line.split()
-        if tokens[0] != "e" or len(tokens) != 3:
-            raise ParseError("expected an edge line 'e <u> <v>'", ln)
-        u, v = _int_token(tokens[1], ln), _int_token(tokens[2], ln)
-        for w in (u, v):
-            if not 1 <= w <= num_vertices:
-                raise ParseError(f"vertex id {w} out of range [1, {num_vertices}]", ln)
-        edges.append((u, v))
-    for ln, line in lines:
-        raise ParseError(f"unexpected content '{line}'", ln)
-    return Graph(num_vertices, tuple(edges), k)
+    num_vertices, _, edges, k = _read_records(text, "graph", "edge", _read_edge)
+    return Graph(num_vertices, edges, k)

@@ -2,13 +2,15 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 import maxcover.minnoncovered
 from maxcover import ParseError, brute_force, parse_instance
 from maxcover.core import MAX_HEADER_COUNT
-from maxcover.cli import curve_points, load_instance_text, main, run_curves
+from maxcover.cli import SOLVERS, curve_points, load_instance_text, main, run_curves
 
 EXAMPLE = "p maxcover 4 3 2\ns 1 2 3\ns 3 4\ns 4\n"
 
@@ -180,6 +182,14 @@ ALL_ALGS = "('exact', 'greedy', 'fpt', 'minnc', 'greedy-exact', 'exact-greedy', 
 def test_exit_code_2_on_missing_parameter(inst_file, capsys, argv, message):
     assert run([inst_file if a == "IN" else a for a in argv.split()]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_readme_algorithm_table_matches_solver_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("## Algorithms", 1)[1].split("\n\n", 2)[1]
+    rows = re.findall(r"^\| `([a-z-]+)` +\|[^|]*\|([^|]*)\|", table, re.M)
+    documented = [(alg, tuple(re.findall(r"`(--[a-z-]+)`", flags))) for alg, flags in rows]
+    assert documented == [(alg, flags) for alg, (flags, _) in SOLVERS.items()]
 
 
 def test_exit_code_2_on_ceiling(inst_file, capsys):
