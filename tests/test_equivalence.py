@@ -6,29 +6,42 @@ scan, list-rebuilding sampler, bit-by-bit mask build, full subset scan and
 prefix-by-prefix hybrid gave, on seeded batches of random instances, graph
 reductions and the adversarial families. The pruned searches may only do less
 work than the scans they replaced.
+
+The document load (record reader, ``Instance`` and ``ApprovalElection``
+checks, approval and graph reductions, frequency profile) must give what the
+per-token and per-element loops gave: the same value, or an error of the same
+type with the same message, on seeded documents and on mutated record lines.
 """
 
 import math
 import random
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from maxcover import (
+    ApprovalElection,
     Instance,
+    ParseError,
     TightFptSpec,
     TightGreedySpec,
     brute_force,
+    election_to_maxcover,
     exact_then_greedy,
     frequency_profile,
     gen_random,
     gen_tight_fpt,
     gen_tight_greedy,
     graph_to_maxvertexcover,
+    parse_election,
+    parse_instance,
     randomized_min_noncovered,
+    serialize_instance,
     set_masks,
 )
+from maxcover.core import _parse_header
 from maxcover.exact import best_fixed_size_subset
 from maxcover.greedy import extend_greedily
 
@@ -282,3 +295,357 @@ def test_pruned_hybrid_keeps_a_tying_prefix_with_a_smaller_tuple():
     assert (report.solution.chosen, report.solution.covered) == ((0, 1, 2), 3)
     assert every_prefix_then_greedy(inst, 2) == ((0, 1, 2), 3, 4)
     assert report.combos_scanned == 4
+
+
+# ---------------------------------------------------------------------------
+# Document load against the per-token and per-element loops.
+# ---------------------------------------------------------------------------
+
+def loop_significant_lines(text):
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line == "c" or line.startswith("c "):
+            continue
+        yield ln, line
+
+
+def loop_read_ids(tag, what, out_of_range, tokens, ln, bound):
+    if tokens[0] != tag:
+        raise ParseError(f"expected a {what} line starting with '{tag}', got '{tokens[0]}'", ln)
+    ids = set()
+    for t in tokens[1:]:
+        try:
+            e = int(t)
+        except ValueError:
+            raise ParseError(f"non-numeric token '{t}'", ln) from None
+        if not 0 < e <= bound:
+            raise ParseError(out_of_range(e, bound), ln)
+        ids.add(e)
+    return tuple(sorted(ids))
+
+
+def loop_read_records(text, kind, what, read_record):
+    lines = loop_significant_lines(text)
+    a, b, k = _parse_header(lines, kind)
+    records = []
+    for i in range(b):
+        try:
+            ln, line = next(lines)
+        except StopIteration:
+            raise ParseError(f"expected {b} {what} lines, found {i}") from None
+        records.append(read_record(line.split(), ln, a))
+    for ln, line in lines:
+        raise ParseError(f"unexpected content '{line}'", ln)
+    return a, b, tuple(records), k
+
+
+loop_read_set = partial(
+    loop_read_ids, "s", "set",
+    lambda e, n: f"element id {e} must be at least 1" if e < 1 else f"element id {e} exceeds n={n}",
+)
+loop_read_ballot = partial(
+    loop_read_ids, "v", "ballot", lambda c, bound: f"candidate id {c} out of range [1, {bound}]"
+)
+
+
+def loop_check_instance(n, sets, k):
+    """The element loop of ``Instance.__post_init__``; returns its fields."""
+    if n < 0:
+        raise ValueError(f"universe size must be nonnegative, got {n}")
+    if k < 0:
+        raise ValueError(f"budget must be nonnegative, got {k}")
+    for idx, s in enumerate(sets):
+        prev = 0
+        for e in s:
+            if e < 1:
+                raise ValueError(f"element id {e} must be at least 1 in set {idx}")
+            if e <= prev:
+                raise ValueError(f"set {idx} is not strictly increasing")
+            if e > n:
+                raise ValueError(f"element id {e} exceeds n={n} in set {idx}")
+            prev = e
+    return n, sets, k
+
+
+def loop_check_election(num_candidates, num_voters, approvals, committee_size):
+    """The element loop of ``ApprovalElection.__post_init__``; returns its fields."""
+    if min(num_candidates, num_voters, committee_size) < 0:
+        raise ValueError("election counts must be nonnegative")
+    if len(approvals) != num_voters:
+        raise ValueError(f"expected {num_voters} ballots, got {len(approvals)}")
+    for voter, ballot in enumerate(approvals, start=1):
+        prev = 0
+        for c in ballot:
+            if not 1 <= c <= num_candidates:
+                raise ValueError(f"voter {voter} approves unknown candidate {c}")
+            if c <= prev:
+                raise ValueError(f"ballot of voter {voter} is not strictly increasing")
+            prev = c
+    return num_candidates, num_voters, approvals, committee_size
+
+
+def loop_parse_instance(text):
+    n, _, sets, k = loop_read_records(text, "maxcover", "set", loop_read_set)
+    return loop_check_instance(n, sets, k)
+
+
+def loop_parse_election(text):
+    return loop_check_election(*loop_read_records(text, "approval", "ballot", loop_read_ballot))
+
+
+def loop_election_to_maxcover(election):
+    supporters = [[] for _ in range(election.num_candidates)]
+    for voter, ballot in enumerate(election.approvals, start=1):
+        for c in ballot:
+            supporters[c - 1].append(voter)
+    return Instance.of(election.num_voters, supporters, election.committee_size)
+
+
+def loop_frequency_profile(inst):
+    counts = [0] * inst.n
+    for s in inst.sets:
+        for e in s:
+            counts[e - 1] += 1
+    if counts:
+        return tuple(counts), min(counts), max(counts)
+    return (), 0, 0
+
+
+def outcome(fn, *args):
+    """("ok", value) or (error type, message)."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+
+
+def instance_fields(inst):
+    return inst.n, inst.sets, inst.k
+
+
+def election_fields(e):
+    return e.num_candidates, e.num_voters, e.approvals, e.committee_size
+
+
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def mutate_line(rand, tag, line, bound):
+    """A record line made non-canonical, out of range or malformed, as the
+    lines that replace it (none drops it, two insert one before it)."""
+    head, *ids = line.split(" ")
+    pos = rand.randint(0, len(ids))
+    j = rand.randrange(len(ids)) if ids else None
+    kind = rand.randrange(22)
+    if kind == 0:
+        ids.insert(pos, rand.choice(["0", "-1", "-0", "+0", f"-{bound}"]))
+    elif kind == 1:
+        ids.insert(pos, rand.choice([str(bound + 1), str(bound + 10**6), "999999999"]))
+    elif kind == 2:
+        ids.insert(pos, str(rand.randint(1, max(bound, 1))).zfill(rand.randint(10, 14)))
+    elif kind == 3:
+        ids.insert(pos, "9" * rand.randint(10, 30))
+    elif kind == 4:
+        return [tag]
+    elif kind == 5 and ids:
+        return [tag + " ".join(ids)]  # "v1 2": the tag glued to the first id
+    elif kind == 6:
+        return []
+    elif kind == 7:
+        sep = rand.choice(["\x1c", "　", "\t", "\x0b", "\x0c", "\xa0", "  "])
+        return [line.replace(" ", sep, rand.randint(1, 3))]
+    elif kind == 8 and ids:
+        ids[j] = "+" + ids[j]
+    elif kind == 9 and ids and len(ids[j]) > 1:
+        ids[j] = ids[j][0] + "_" + ids[j][1:]
+    elif kind == 10 and ids:
+        ids[j] = ids[j].translate(FULLWIDTH)
+    elif kind == 11 and ids:
+        rand.shuffle(ids)
+    elif kind == 12 and ids:
+        ids.insert(pos, ids[j])
+    elif kind == 13 and ids:
+        ids[j] = "00" + ids[j]
+    elif kind == 14:
+        return [" " * rand.randint(1, 3) + line + " " * rand.randint(0, 3)]
+    elif kind == 15:
+        ids.insert(pos, rand.choice(["x", "1.0", "0x1", "1e3", "--"]))
+    elif kind == 16:
+        return [rand.choice(["c note", "", "c", "   ", "c\tnote", "cc", "p maxcover 1 1 1"]), line]
+    elif kind == 17:
+        return [rand.choice(["s", "v", "e"]) + (" " + " ".join(ids) if ids else "")]
+    elif kind == 18 and ids:
+        ids[j] = ids[j] + rand.choice(["x", "٣", "\U0001d7ce"])
+    elif kind == 19:
+        ids.insert(pos, rand.choice(["", " "]))
+    elif kind == 20 and ids:
+        ids[j] = str(bound).zfill(9) if bound < 10**9 else ids[j]
+    elif kind == 21:
+        return [line + rand.choice(["\r", "\x1c1", "\x1d", " "])]
+    return [" ".join([head, *ids])]
+
+
+def mutated(rand, text, tag, bound):
+    """The document with one to three record lines mutated, maybe a trailing
+    line, and LF or CRLF line ends."""
+    lines = text.splitlines()
+    for _ in range(rand.randint(1, 3)):
+        if len(lines) < 2:
+            break
+        i = rand.randrange(1, len(lines))
+        lines[i:i + 1] = mutate_line(rand, tag, lines[i], bound)
+    if rand.random() < 0.15:
+        lines.append(rand.choice([f"{tag} 1", "x", "c tail", ""]))
+    end = rand.choice(["\n", "\r\n"])
+    return end.join(lines) + rand.choice([end, ""])
+
+
+def approval_text(rand, candidates, voters, k, hi):
+    lines = [f"p approval {candidates} {voters} {k}"]
+    for _ in range(voters):
+        size = rand.randint(0, min(hi, candidates))
+        lines.append(" ".join(["v", *map(str, sorted(rand.sample(range(1, candidates + 1), size)))]))
+    return "\n".join(lines) + "\n"
+
+
+def maxcover_documents(rand, count):
+    docs = []
+    for t in range(count):
+        p_max = 1 + t % 3
+        m = rand.randint(p_max, 15)
+        inst = gen_random(rand.randint(1, 80), m, rand.randint(0, 6), p_max, rand.randrange(2**32))
+        docs.append((serialize_instance(inst), inst.n))
+    return docs
+
+
+def approval_documents(rand, count):
+    docs = []
+    for _ in range(count):
+        candidates = rand.randint(1, 30)
+        docs.append((approval_text(rand, candidates, rand.randint(1, 40), rand.randint(0, 5), 8), candidates))
+    return docs
+
+
+@cache
+def long_documents():
+    """Documents above the reader's chunk size, with some lines longer than
+    a chunk, so that mutations land past chunk boundaries."""
+    rand = random.Random(99)
+    wide = Instance(12000, (tuple(range(1, 12001)), (), tuple(range(2, 12001, 2))) * 3, 2)
+    return [
+        (serialize_instance(gen_random(20000, 40, 3, 3, 1)), 20000, "s"),
+        (serialize_instance(wide), 12000, "s"),
+        (approval_text(rand, 60, 6000, 5, 30), 60, "v"),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_record_reader_equals_token_loop(seed):
+    rand = random.Random(seed)
+    cases = [(text, bound, "s") for text, bound in maxcover_documents(rand, 120)]
+    cases += [(text, bound, "v") for text, bound in approval_documents(rand, 120)]
+    for text, bound, tag in cases:
+        for doc in [text] + [mutated(rand, text, tag, bound) for _ in range(4)]:
+            if tag == "s":
+                got = outcome(lambda d: instance_fields(parse_instance(d)), doc)
+                assert got == outcome(loop_parse_instance, doc), repr(doc)
+            else:
+                got = outcome(lambda d: election_fields(parse_election(d)), doc)
+                assert got == outcome(loop_parse_election, doc), repr(doc)
+
+
+def test_record_reader_equals_token_loop_past_chunk_boundaries():
+    rand = random.Random(5)
+    for text, bound, tag in long_documents():
+        parse, loop, fields = (
+            (parse_instance, loop_parse_instance, instance_fields) if tag == "s"
+            else (parse_election, loop_parse_election, election_fields)
+        )
+        for doc in [text] + [mutated(rand, text, tag, bound) for _ in range(6)]:
+            assert outcome(lambda d: fields(parse(d)), doc) == outcome(loop, doc)
+
+
+def mutated_sets(rand, sets, bound):
+    """Rows with one id moved out of range, repeated, swapped or made huge."""
+    rows = [list(s) for s in sets]
+    for _ in range(rand.randint(0, 2)):
+        i = rand.randrange(len(rows))
+        row = rows[i]
+        pos = rand.randint(0, len(row))
+        kind = rand.randrange(6)
+        if kind == 0:
+            row.insert(pos, rand.choice([0, -1, -(2**70)]))
+        elif kind == 1:
+            row.insert(pos, rand.choice([bound + 1, bound + 2**40, 2**70]))
+        elif kind == 2 and row:
+            row.insert(pos, row[rand.randrange(len(row))])
+        elif kind == 3 and len(row) > 1:
+            a, b = rand.sample(range(len(row)), 2)
+            row[a], row[b] = row[b], row[a]
+        elif kind == 4 and row:
+            row[rand.randrange(len(row))] = np.int64(row[0])
+        elif kind == 5:
+            rows[i] = []
+    return tuple(tuple(r) for r in rows)
+
+
+def test_instance_check_equals_element_loop():
+    rand = random.Random(7)
+    cases = [(0, ((), ()), 1), (3, (), 0), (-1, ((1,),), 1), (2, ((1,),), -1), (2**70, ((1, 2**69),), 0),
+             (4, ((1.5, 2.5),), 1), (4, ((4.5,),), 1), (4, ((0.5,),), 1)]
+    for inst in batch(8, 60) + [gen_random(30000, 20, 3, 3, 2)]:
+        for _ in range(4):
+            cases.append((inst.n, mutated_sets(rand, inst.sets, inst.n), inst.k))
+    for n, sets, k in cases:
+        assert outcome(lambda *a: instance_fields(Instance(*a)), n, sets, k) == \
+            outcome(loop_check_instance, n, sets, k)
+
+
+def test_election_check_equals_element_loop():
+    rand = random.Random(8)
+    cases = [(0, 0, (), 0), (2, 1, ((),), 0), (-1, 0, (), 0), (2, 2, ((1,),), 0), (3, 1, ((1.5, 2.5),), 1)]
+    for candidates, text in [(c, t) for t, c in approval_documents(rand, 60)] + [(60, long_documents()[2][0])]:
+        election = parse_election(text)
+        for _ in range(4):
+            ballots = mutated_sets(rand, election.approvals, candidates) if election.approvals else ()
+            cases.append((candidates, election.num_voters, ballots, election.committee_size))
+    for args in cases:
+        assert outcome(lambda *a: election_fields(ApprovalElection(*a)), *args) == \
+            outcome(loop_check_election, *args)
+
+
+def test_reductions_and_profile_equal_loops():
+    rand = random.Random(9)
+    texts = [text for text, _ in approval_documents(rand, 60)] + [
+        approval_text(rand, 5, 0, 1, 3), approval_text(rand, 40, 3, 1, 0), long_documents()[2][0],
+    ]
+    for text in texts:
+        election = parse_election(text)
+        inst = election_to_maxcover(election)
+        assert inst == loop_election_to_maxcover(election)
+        # One int object per voter, shared by every set the voter supports.
+        assert len({id(v) for s in inst.sets for v in s}) == len({v for s in inst.sets for v in s})
+        profile = frequency_profile(inst)
+        assert (profile.freq, profile.p_min, profile.p_max) == loop_frequency_profile(inst)
+    for inst in batch(10, 60) + [Instance(0, (), 0), Instance(5, ((),), 1), gen_random(30000, 20, 3, 3, 3)]:
+        profile = frequency_profile(inst)
+        assert (profile.freq, profile.p_min, profile.p_max) == loop_frequency_profile(inst)
+        assert all(type(f) is int for f in profile.freq + (profile.p_min, profile.p_max))
+
+
+def test_graph_reduction_equals_sorting_build():
+    rand = random.Random(11)
+    for _ in range(60):
+        vertices = rand.randint(2, 20)
+        seen = set()
+        for _ in range(rand.randint(0, min(40, vertices * (vertices - 1) // 2))):
+            u, v = rand.sample(range(1, vertices + 1), 2)
+            seen.add((u, v) if (v, u) not in seen else (v, u))
+        edges = list(seen)
+        rand.shuffle(edges)
+        incident = [[] for _ in range(vertices)]
+        for eid, (u, v) in enumerate(edges, start=1):
+            incident[u - 1].append(eid)
+            incident[v - 1].append(eid)
+        k = rand.randint(0, 4)
+        assert graph_to_maxvertexcover(vertices, edges, k) == Instance.of(len(edges), incident, k)

@@ -1,11 +1,13 @@
 """Golden corpus: pinned sha256 digests of CLI output on small documents.
 
-``golden.json`` holds one small document per input format, the flags each
-solver runs with, and the digest of every ``solve`` report (solver x format),
+``golden.json`` holds one small document per input format, a non-canonical
+twin of the maxcover and approval documents, the flags each solver runs with, and the digest of every ``solve`` report (solver x format),
 of one ``compare --with-opt`` CSV without its ``wall_time_s`` column, and of
 the ``solve --help`` and ``compare --help`` texts at 80 columns. A refactor
 that keeps behaviour keeps every digest; a changed digest means a changed
-report, message or help text.
+report, message or help text. Each twin spells its document with comments,
+blank lines, tabs, CRLF line ends, unsorted and duplicate ids, leading zeros,
+``+`` signs and a non-ASCII digit, and must give its document's report.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from maxcover import cli
 from maxcover.cli import main
 
 GOLDEN = json.loads(Path(__file__).with_name("golden.json").read_text())
@@ -50,6 +53,16 @@ def help_text(capsys, monkeypatch, command: str) -> str:
 def test_solve_report_digest(tmp_path, capsys, alg, fmt):
     argv = ["solve", "--alg", alg, *GOLDEN["flags"][alg], "--in", document(tmp_path, fmt)]
     assert main(argv) == 0
+    assert sha256(capsys.readouterr().out) == GOLDEN["solve"][f"{fmt}/{alg}"]
+
+
+@pytest.mark.parametrize("fmt", tuple(GOLDEN["twins"]))
+@pytest.mark.parametrize("alg", tuple(GOLDEN["flags"]))
+def test_twin_report_digest(monkeypatch, capsys, alg, fmt):
+    # The twin text reaches the parser as it is: a file read would turn CRLF
+    # into LF and reject the non-ASCII digit.
+    monkeypatch.setattr(cli, "_read", lambda path: GOLDEN["twins"][fmt])
+    assert main(["solve", "--alg", alg, *GOLDEN["flags"][alg], "--in", "twin"]) == 0
     assert sha256(capsys.readouterr().out) == GOLDEN["solve"][f"{fmt}/{alg}"]
 
 
