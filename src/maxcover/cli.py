@@ -39,6 +39,10 @@ from .greedy import greedy_cover, greedy_guarantee
 from .hybrid import exact_then_greedy, greedy_then_exact, hybrid_ratio, ptas_dispatch
 from .minnoncovered import randomized_min_noncovered
 
+# Largest --grid of the curves command: each point is a row of the CSV.
+MAX_CURVE_GRID = 10**6
+
+
 @dataclass(frozen=True)
 class RatioPoint:
     """One guarantee-curve sample at exact-work fraction t = (k - x)/k."""
@@ -94,6 +98,8 @@ def curve_points(k: int, beta_a: float, grid: int, alg5_form: str = "vertexcover
     """
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
+    if grid > MAX_CURVE_GRID:
+        raise ValueError(f"grid must have at most {MAX_CURVE_GRID} points, got {grid}")
     if k < 1:
         raise ValueError(f"budget must be positive, got {k}")
     try:
@@ -262,11 +268,9 @@ def run_generate(args) -> int:
         inst = gen_tight_fpt(
             TightFptSpec(p=need(args.p, "--p"), k=need(args.k, "--k"), beta=need(args.beta, "--beta"))
         )
-    elif args.family == "graph":
+    else:  # graph, the last of the --family choices
         g = parse_graph(_read(need(args.infile, "--in")))
         inst = graph_to_maxvertexcover(g.num_vertices, g.edges, g.k)
-    else:
-        raise ValueError(f"unknown family '{args.family}'")
     _write(args.out, serialize_instance(inst))
     return 0
 

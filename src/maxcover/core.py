@@ -8,12 +8,60 @@ here are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+# Byte budget of the whole-array passes. Documents are read, and id rows are
+# checked, reduced and counted, in chunks of about this many bytes of text or
+# of int64 ids (or one line or row, when that is longer), so that no
+# temporary grows with the document.
+_CHUNK_BYTES = 1 << 15
+
+
+def _row_chunks(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    """(start, stop) of consecutive row ranges of about _CHUNK_BYTES of ids."""
+    start = 0
+    while start < len(rows):
+        stop, size = start, 0
+        while stop < len(rows) and size < _CHUNK_BYTES // 8:
+            size += len(rows[stop])
+            stop += 1
+        yield start, stop
+        start = stop
+
+
+def _ids(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """The rows' elements in order, as int64. Raises struct.error on an element
+    that is not an integer of int64 range."""
+    flat = list(chain.from_iterable(rows))
+    return np.frombuffer(struct.pack(f"{len(flat)}q", *flat), np.int64)
+
+
+def _first_bad_row(rows: Sequence[Sequence[int]], bound) -> int:
+    """Index of the first row that is not a strictly increasing run of ids in
+    [1, bound], or len(rows) when there is none.
+
+    Each chunk is checked in one array pass. A chunk holding anything but
+    integers of int64 range counts as bad from its first row, so that the
+    caller's element loop settles it.
+    """
+    for start, stop in _row_chunks(rows):
+        chunk = rows[start:stop]
+        try:
+            ids = _ids(chunk)
+        except struct.error:
+            return start
+        row = np.repeat(np.arange(len(chunk)), np.fromiter(map(len, chunk), np.intp, len(chunk)))
+        bad = (ids < 1) | (ids > bound)
+        bad[1:] |= (ids[1:] <= ids[:-1]) & (row[1:] == row[:-1])
+        if bad.any():
+            return start + int(row[bad.argmax()])
+    return len(rows)
 
 
 class ParseError(ValueError):
@@ -43,9 +91,9 @@ class Instance:
             raise ValueError(f"universe size must be nonnegative, got {self.n}")
         if self.k < 0:
             raise ValueError(f"budget must be nonnegative, got {self.k}")
-        for idx, s in enumerate(self.sets):
+        for idx in range(_first_bad_row(self.sets, self.n), len(self.sets)):
             prev = 0
-            for e in s:
+            for e in self.sets[idx]:
                 if e < 1:
                     raise ValueError(f"element id {e} must be at least 1 in set {idx}")
                 if e <= prev:
@@ -107,9 +155,9 @@ class ApprovalElection:
             raise ValueError(
                 f"expected {self.num_voters} ballots, got {len(self.approvals)}"
             )
-        for voter, ballot in enumerate(self.approvals, start=1):
+        for voter in range(_first_bad_row(self.approvals, self.num_candidates) + 1, self.num_voters + 1):
             prev = 0
-            for c in ballot:
+            for c in self.approvals[voter - 1]:
                 if not 1 <= c <= self.num_candidates:
                     raise ValueError(f"voter {voter} approves unknown candidate {c}")
                 if c <= prev:
@@ -224,12 +272,12 @@ def check_frequency_bound(inst: Instance, p: int, word: str = "bound") -> None:
 
 def frequency_profile(inst: Instance) -> FrequencyProfile:
     """Count, for every element, how many sets contain it."""
-    counts = [0] * inst.n
-    for s in inst.sets:
-        for e in s:
-            counts[e - 1] += 1
-    if counts:
-        return FrequencyProfile(tuple(counts), min(counts), max(counts))
+    counts = np.zeros(inst.n + 1, np.int64)
+    for start, stop in _row_chunks(inst.sets):
+        np.add.at(counts, _ids(inst.sets[start:stop]), 1)
+    freq = counts[1:]
+    if freq.size:
+        return FrequencyProfile(tuple(freq.tolist()), int(freq.min()), int(freq.max()))
     return FrequencyProfile((), 0, 0)
 
 
@@ -239,11 +287,22 @@ def election_to_maxcover(election: ApprovalElection) -> Instance:
     A committee leaving the fewest voters unrepresented is then exactly a set
     selection leaving the fewest elements uncovered.
     """
-    supporters: list[list[int]] = [[] for _ in range(election.num_candidates)]
-    for voter, ballot in enumerate(election.approvals, start=1):
-        for c in ballot:
-            supporters[c - 1].append(voter)
-    return Instance.of(election.num_voters, supporters, election.committee_size)
+    supporters: list = [[] for _ in range(election.num_candidates)]
+    for start, stop in _row_chunks(election.approvals):
+        ballots = election.approvals[start:stop]
+        lengths = np.fromiter(map(len, ballots), np.intp, len(ballots))
+        # Sorting (candidate, position) keys is a stable sort by candidate, so
+        # every list stays in voter order; each voter's one int object is
+        # shared by all the candidates the voter approves.
+        key = np.sort(_ids(ballots) << 32 | np.arange(lengths.sum()))
+        voters = np.repeat(np.arange(start + 1, stop + 1, dtype=object), lengths)[key & 0xFFFFFFFF].tolist()
+        cands = key >> 32
+        firsts = np.flatnonzero(np.diff(cands, prepend=0))
+        for c, lo, hi in zip(cands[firsts].tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(cands)]):
+            supporters[c - 1] += voters[lo:hi]
+    for c, s in enumerate(supporters):
+        supporters[c] = tuple(s)
+    return Instance(election.num_voters, tuple(supporters), election.committee_size)
 
 
 def pad_frequencies(inst: Instance, p: int) -> Instance:
@@ -316,18 +375,27 @@ def document_kind(text: str) -> str:
     raise ParseError("empty document", 1)
 
 
-def _read_records(text: str, kind: str, what: str, read_record) -> tuple[int, int, tuple, int]:
-    """Header counts (a, b, k) and the b records after a 'p <kind>' header, each
-    read by ``read_record(tokens, ln, a)``; no content may follow the last."""
+def _read_records(text: str, kind: str, what: str, read_lines) -> tuple[int, int, tuple, int]:
+    """Header counts (a, b, k) and the b records after a 'p <kind>' header; no
+    content may follow the last.
+
+    ``read_lines(batch, a)`` reads a batch of (line number, line) pairs, about
+    _CHUNK_BYTES of text or one longer line, into one record per line, in order.
+    """
     lines = _significant_lines(text)
     a, b, k = _parse_header(lines, kind)
-    records = []
-    for i in range(b):
-        try:
-            ln, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"expected {b} {what} lines, found {i}") from None
-        records.append(read_record(line.split(), ln, a))
+    records: list = []
+    batch, size = [], 0
+    for ln_line in islice(lines, b):
+        batch.append(ln_line)
+        size += len(ln_line[1])
+        if size >= _CHUNK_BYTES:
+            records += read_lines(batch, a)
+            batch, size = [], 0
+    if batch:
+        records += read_lines(batch, a)
+    if len(records) < b:
+        raise ParseError(f"expected {b} {what} lines, found {len(records)}")
     for ln, line in lines:
         raise ParseError(f"unexpected content '{line}'", ln)
     return a, b, tuple(records), k
@@ -353,21 +421,74 @@ def _read_ids(tag: str, what: str, out_of_range, tokens: list[str], ln: int, bou
     return tuple(sorted(ids))
 
 
-_read_set = partial(
-    _read_ids, "s", "set",
+# Longest id the array pass reads; every id of at most this many digits fits
+# an int32. A longer id sends its line to ``_read_ids``.
+_MAX_ID_DIGITS = 9
+
+
+def _read_id_lines(tag: str, what: str, out_of_range, batch: list[tuple[int, str]], bound: int) -> list:
+    """``_read_ids`` of every line of a batch, in whole-array passes.
+
+    A canonical line (the tag, then only ASCII digits and spaces, every id of
+    at most _MAX_ID_DIGITS digits and in [1, bound]) is read from the batch's
+    bytes: digit runs are the ids, and the batch is sorted and deduplicated
+    only if one of its lines needs it. Any other line goes to ``_read_ids``,
+    which words the error. Canonical lines cannot fail, and the others are
+    settled in line order, so the first offender is the one reported.
+    """
+    # A newline before and after every line; the trailing spaces keep the
+    # digit reads of the last id inside the buffer.
+    blob = "\n".join(["", *[line for _, line in batch], ""]) + " " * _MAX_ID_DIGITS
+    buf = np.frombuffer(blob.encode("ascii", "replace"), np.uint8)
+    nl = np.flatnonzero(buf == 10)
+    starts = nl[:-1] + 1
+    digit = buf - 48 < 10  # uint8 arithmetic wraps the bytes below '0'
+    ok = digit | (buf == 32) | (buf == 10)
+    ok[starts] = buf[starts] == ord(tag)
+    ok[starts + 1] &= ~digit[starts + 1]  # 's1' is not the tag 's'
+    bad = np.logical_or.reduceat(~ok, starts)
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    first, width = edges[0::2], edges[1::2] - edges[0::2]
+    ids = np.zeros(len(first), np.int32)
+    for j in range(min(int(width.max(initial=0)), _MAX_ID_DIGITS)):
+        ids = np.where(j < width, ids * 10 + (buf[first + j] - 48), ids)
+    ids[width > _MAX_ID_DIGITS] = 0  # out of range, like any id below 1
+    offs = np.searchsorted(first, nl)  # the ids of line i are ids[offs[i]:offs[i + 1]]
+    id_line = np.repeat(np.arange(len(batch)), np.diff(offs))
+    bad[id_line[(ids < 1) | (ids > bound)]] = True
+    if ((ids[1:] <= ids[:-1]) & (id_line[1:] == id_line[:-1])).any():
+        key = np.sort(id_line << 30 | ids)
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        ids, offs = key & (1 << 30) - 1, np.searchsorted(key >> 30, np.arange(len(batch) + 1))
+    ids, offs = ids.tolist(), offs.tolist()
+    records = [tuple(ids[lo:hi]) for lo, hi in zip(offs, offs[1:])]
+    for i in np.flatnonzero(bad).tolist():
+        ln, line = batch[i]
+        records[i] = _read_ids(tag, what, out_of_range, line.split(), ln, bound)
+    return records
+
+
+_read_sets = partial(
+    _read_id_lines, "s", "set",
     lambda e, n: f"element id {e} must be at least 1" if e < 1 else f"element id {e} exceeds n={n}",
 )
-_read_ballot = partial(_read_ids, "v", "ballot", lambda c, bound: f"candidate id {c} out of range [1, {bound}]")
+_read_ballots = partial(
+    _read_id_lines, "v", "ballot", lambda c, bound: f"candidate id {c} out of range [1, {bound}]"
+)
 
 
-def _read_edge(tokens: list[str], ln: int, num_vertices: int) -> tuple[int, int]:
-    if tokens[0] != "e" or len(tokens) != 3:
-        raise ParseError("expected an edge line 'e <u> <v>'", ln)
-    u, v = _int_token(tokens[1], ln), _int_token(tokens[2], ln)
-    for w in (u, v):
-        if not 1 <= w <= num_vertices:
-            raise ParseError(f"vertex id {w} out of range [1, {num_vertices}]", ln)
-    return u, v
+def _read_edges(batch: list[tuple[int, str]], num_vertices: int) -> list[tuple[int, int]]:
+    edges = []
+    for ln, line in batch:
+        tokens = line.split()
+        if tokens[0] != "e" or len(tokens) != 3:
+            raise ParseError("expected an edge line 'e <u> <v>'", ln)
+        u, v = _int_token(tokens[1], ln), _int_token(tokens[2], ln)
+        for w in (u, v):
+            if not 1 <= w <= num_vertices:
+                raise ParseError(f"vertex id {w} out of range [1, {num_vertices}]", ln)
+        edges.append((u, v))
+    return edges
 
 
 def parse_instance(text: str) -> Instance:
@@ -375,7 +496,7 @@ def parse_instance(text: str) -> Instance:
 
     Element lists are deduplicated and sorted on ingest; ids must lie in [1, n].
     """
-    n, _, sets, k = _read_records(text, "maxcover", "set", _read_set)
+    n, _, sets, k = _read_records(text, "maxcover", "set", _read_sets)
     return Instance(n, sets, k)
 
 
@@ -389,10 +510,10 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_election(text: str) -> ApprovalElection:
     """Parse a 'p approval <candidates> <voters> <k>' document with 'v' ballot lines."""
-    return ApprovalElection(*_read_records(text, "approval", "ballot", _read_ballot))
+    return ApprovalElection(*_read_records(text, "approval", "ballot", _read_ballots))
 
 
 def parse_graph(text: str) -> Graph:
     """Parse a 'p graph <vertices> <edges> <k>' document with 'e <u> <v>' lines."""
-    num_vertices, _, edges, k = _read_records(text, "graph", "edge", _read_edge)
+    num_vertices, _, edges, k = _read_records(text, "graph", "edge", _read_edges)
     return Graph(num_vertices, edges, k)

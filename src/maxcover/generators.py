@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Instance
+from .core import MAX_HEADER_COUNT, Instance
 
 DEFAULT_SIZE_CEILING = 5_000_000
 
@@ -174,9 +174,14 @@ def gen_tight_fpt(spec: TightFptSpec, size_ceiling: int = DEFAULT_SIZE_CEILING) 
 
 def gen_random(n: int, m: int, k: int, p_max: int, seed: int) -> Instance:
     """Random instance where each element joins a uniform nonempty selection
-    of sets, its size drawn uniformly from [1, p_max]. Deterministic per seed."""
+    of sets, its size drawn uniformly from [1, p_max]. Deterministic per seed.
+
+    n and m may not exceed ``MAX_HEADER_COUNT``, the largest counts a
+    document header may declare."""
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
+    if max(n, m) > MAX_HEADER_COUNT:
+        raise ValueError(f"n and m must be at most {MAX_HEADER_COUNT}, got n={n}, m={m}")
     if not 1 <= p_max <= m:
         raise ValueError(f"p_max must lie in [1, {m}], got {p_max}")
     if k < 0:
@@ -219,4 +224,4 @@ def graph_to_maxvertexcover(
         seen.add(key)
         incident[u - 1].append(eid)
         incident[v - 1].append(eid)
-    return Instance.of(eid, incident, k)
+    return Instance(eid, tuple(map(tuple, incident)), k)

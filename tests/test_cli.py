@@ -10,7 +10,7 @@ import pytest
 import maxcover.minnoncovered
 from maxcover import ParseError, brute_force, parse_instance
 from maxcover.core import MAX_HEADER_COUNT
-from maxcover.cli import SOLVERS, curve_points, load_instance_text, main, run_curves
+from maxcover.cli import MAX_CURVE_GRID, SOLVERS, curve_points, load_instance_text, main, run_curves
 
 EXAMPLE = "p maxcover 4 3 2\ns 1 2 3\ns 3 4\ns 4\n"
 
@@ -249,6 +249,15 @@ def test_curve_points_validation():
         curve_points(1, 0.75, 3, alg5_form="other")
 
 
+def test_curves_rejects_a_grid_above_the_cap(tmp_path, capsys):
+    out = tmp_path / "curves.csv"
+    assert run(["curves", "--grid", str(MAX_CURVE_GRID + 1), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: grid must have at most {MAX_CURVE_GRID} points, got {MAX_CURVE_GRID + 1}\n"
+    )
+    assert not out.exists()
+
+
 def test_curves_command(tmp_path):
     out = tmp_path / "curves.csv"
     assert run(["curves", "--grid", "5", "--out", str(out)]) == 0
@@ -295,6 +304,17 @@ def test_generate_random_roundtrip(tmp_path, capsys):
     inst = parse_instance(out.read_text())
     assert (inst.n, inst.m, inst.k) == (10, 5, 2)
     assert run(["solve", "--alg", "exact", "--in", str(out)]) == 0
+
+
+@pytest.mark.parametrize("n, m", [(MAX_HEADER_COUNT + 1, 5), (10, MAX_HEADER_COUNT + 1), (10**12, 10**12)])
+def test_generate_random_rejects_counts_above_the_header_cap(tmp_path, capsys, n, m):
+    out = tmp_path / "gen.mc"
+    assert run(["generate", "--family", "random", "--n", str(n), "--m", str(m),
+                "--k", "2", "--p-max", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: n and m must be at most {MAX_HEADER_COUNT}, got n={n}, m={m}\n"
+    )
+    assert not out.exists()
 
 
 def test_generate_tight_families(tmp_path):
