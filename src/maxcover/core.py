@@ -16,53 +16,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Byte budget of the whole-array passes. Documents are read, and id rows are
-# checked, reduced and counted, in chunks of about this many bytes of text or
-# of int64 ids (or one line or row, when that is longer), so that no
-# temporary grows with the document.
-_CHUNK_BYTES = 1 << 15
-
-
-def _row_chunks(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
-    """(start, stop) of consecutive row ranges of about _CHUNK_BYTES of ids."""
-    start = 0
-    while start < len(rows):
-        stop, size = start, 0
-        while stop < len(rows) and size < _CHUNK_BYTES // 8:
-            size += len(rows[stop])
-            stop += 1
-        yield start, stop
-        start = stop
-
-
-def _ids(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """The rows' elements in order, as int64. Raises struct.error on an element
-    that is not an integer of int64 range."""
-    flat = list(chain.from_iterable(rows))
-    return np.frombuffer(struct.pack(f"{len(flat)}q", *flat), np.int64)
-
-
-def _first_bad_row(rows: Sequence[Sequence[int]], bound) -> int:
-    """Index of the first row that is not a strictly increasing run of ids in
-    [1, bound], or len(rows) when there is none.
-
-    Each chunk is checked in one array pass. A chunk holding anything but
-    integers of int64 range counts as bad from its first row, so that the
-    caller's element loop settles it.
-    """
-    for start, stop in _row_chunks(rows):
-        chunk = rows[start:stop]
-        try:
-            ids = _ids(chunk)
-        except struct.error:
-            return start
-        row = np.repeat(np.arange(len(chunk)), np.fromiter(map(len, chunk), np.intp, len(chunk)))
-        bad = (ids < 1) | (ids > bound)
-        bad[1:] |= (ids[1:] <= ids[:-1]) & (row[1:] == row[:-1])
-        if bad.any():
-            return start + int(row[bad.argmax()])
-    return len(rows)
-
 
 class ParseError(ValueError):
     """Malformed input document; ``line`` is the 1-based offending line."""
@@ -172,6 +125,54 @@ class Graph:
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     k: int
+
+
+# Byte budget of the whole-array passes. Documents are read, and id rows are
+# checked, reduced and counted, in chunks of about this many bytes of text or
+# of int64 ids (or one line or row, when that is longer), so that no
+# temporary grows with the document.
+_CHUNK_BYTES = 1 << 15
+
+
+def _row_chunks(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    """(start, stop) of consecutive row ranges of about _CHUNK_BYTES of ids."""
+    start = 0
+    while start < len(rows):
+        stop, size = start, 0
+        while stop < len(rows) and size < _CHUNK_BYTES // 8:
+            size += len(rows[stop])
+            stop += 1
+        yield start, stop
+        start = stop
+
+
+def _ids(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """The rows' elements in order, as int64. Raises struct.error on an element
+    that is not an integer of int64 range."""
+    flat = list(chain.from_iterable(rows))
+    return np.frombuffer(struct.pack(f"{len(flat)}q", *flat), np.int64)
+
+
+def _first_bad_row(rows: Sequence[Sequence[int]], bound) -> int:
+    """Index of the first row that is not a strictly increasing run of ids in
+    [1, bound], or len(rows) when there is none.
+
+    Each chunk is checked in one array pass. A chunk holding anything but
+    integers of int64 range counts as bad from its first row, so that the
+    caller's element loop settles it.
+    """
+    for start, stop in _row_chunks(rows):
+        chunk = rows[start:stop]
+        try:
+            ids = _ids(chunk)
+        except struct.error:
+            return start
+        row = np.repeat(np.arange(len(chunk)), np.fromiter(map(len, chunk), np.intp, len(chunk)))
+        bad = (ids < 1) | (ids > bound)
+        bad[1:] |= (ids[1:] <= ids[:-1]) & (row[1:] == row[:-1])
+        if bad.any():
+            return start + int(row[bad.argmax()])
+    return len(rows)
 
 
 def set_masks(inst: Instance) -> list[int]:
@@ -300,6 +301,8 @@ def election_to_maxcover(election: ApprovalElection) -> Instance:
         firsts = np.flatnonzero(np.diff(cands, prepend=0))
         for c, lo, hi in zip(cands[firsts].tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(cands)]):
             supporters[c - 1] += voters[lo:hi]
+    # Replacing each list by its tuple frees the list at once, so the two
+    # copies of the supporters never coexist.
     for c, s in enumerate(supporters):
         supporters[c] = tuple(s)
     return Instance(election.num_voters, tuple(supporters), election.committee_size)
