@@ -11,8 +11,11 @@ The document load (record reader, ``Instance`` and ``ApprovalElection``
 checks, approval and graph reductions, frequency profile) must give what the
 per-token and per-element loops gave: the same value, or an error of the same
 type with the same message, on seeded documents and on mutated record lines.
+Every value the parsers, reductions and tight generators build must pass the
+public constructor's check unchanged, with plain int ids.
 """
 
+import dataclasses
 import math
 import random
 from functools import cache, partial
@@ -649,3 +652,44 @@ def test_graph_reduction_equals_sorting_build():
             incident[v - 1].append(eid)
         k = rand.randint(0, 4)
         assert graph_to_maxvertexcover(vertices, edges, k) == Instance.of(len(edges), incident, k)
+
+
+# ---------------------------------------------------------------------------
+# Values the package builds from rows it has checked or constructed itself.
+# ---------------------------------------------------------------------------
+
+def rebuilt(value):
+    """The value rebuilt through its public constructor, which checks every id."""
+    return type(value)(*(getattr(value, f.name) for f in dataclasses.fields(value)))
+
+
+def assert_rebuilds(value):
+    assert rebuilt(value) == value
+    rows = value.sets if isinstance(value, Instance) else value.approvals
+    assert all(type(e) is int for row in rows for e in row)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_package_built_values_pass_the_public_check(seed):
+    rand = random.Random(seed)
+    cases = [(text, bound, "s") for text, bound in maxcover_documents(rand, 80)]
+    cases += [(text, bound, "v") for text, bound in approval_documents(rand, 80)]
+    cases += long_documents()
+    for text, bound, tag in cases:
+        for doc in [text] + [mutated(rand, text, tag, bound) for _ in range(4)]:
+            try:
+                value = parse_instance(doc) if tag == "s" else parse_election(doc)
+            except ParseError:
+                continue
+            assert_rebuilds(value)
+            if tag == "v":
+                assert_rebuilds(election_to_maxcover(value))
+    for _ in range(40):
+        vertices = rand.randint(2, 14)
+        edges = rand.randint(0, min(25, vertices * (vertices - 1) // 2))
+        assert_rebuilds(random_graph(rand, vertices, edges, rand.randint(0, 5)))
+    assert_rebuilds(graph_to_maxvertexcover(0, [], 0))
+    for spec in [TightGreedySpec(p=2, k=2, m=3), TightGreedySpec(p=4, k=3, m=6), TightGreedySpec(p=8, k=3, m=12)]:
+        assert_rebuilds(gen_tight_greedy(spec))
+    for spec in [TightFptSpec(p=1, k=1, beta=0.5), TightFptSpec(p=2, k=2, beta=0.75), TightFptSpec(p=3, k=3, beta=0.5)]:
+        assert_rebuilds(gen_tight_fpt(spec))
