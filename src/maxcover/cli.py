@@ -3,7 +3,8 @@
 Reports are deterministic JSON documents (wall times go to stderr, and to the
 compare CSV, never into the report), so rerunning a seeded command reproduces
 the output byte for byte. Exit codes: 0 success, 1 malformed input, 2
-infeasible or invalid parameters.
+infeasible or invalid parameters, or a budget deeper than the recursive
+searches can go.
 """
 
 from __future__ import annotations
@@ -221,10 +222,11 @@ def _solve_one(inst: Instance, alg: str, args) -> tuple:
 
 
 def _oracle_opt(inst: Instance, ceiling: int) -> int | None:
-    """Exact optimum, or None when the enumeration ceiling makes it infeasible."""
+    """Exact optimum, or None when the enumeration ceiling, or a budget deeper
+    than the recursive search can go, makes it infeasible."""
     try:
         return brute_force(inst, ceiling).opt
-    except EnumerationCeilingError as err:
+    except (EnumerationCeilingError, RecursionError) as err:
         print(f"note: optimum skipped, {err}", file=sys.stderr)
         return None
 
@@ -416,7 +418,7 @@ def main(argv=None) -> int:
     except (ParseError, UnicodeDecodeError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, EnumerationCeilingError) as err:
+    except (ValueError, EnumerationCeilingError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

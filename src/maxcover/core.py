@@ -8,10 +8,10 @@ here are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import struct
+import numbers
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,9 +44,11 @@ class Instance:
             raise ValueError(f"universe size must be nonnegative, got {self.n}")
         if self.k < 0:
             raise ValueError(f"budget must be nonnegative, got {self.k}")
-        for idx in range(_first_bad_row(self.sets, self.n), len(self.sets)):
+        for idx, s in enumerate(self.sets):
             prev = 0
-            for e in self.sets[idx]:
+            for e in s:
+                if type(e) is not int and not isinstance(e, numbers.Integral):
+                    raise ValueError(f"element id {e} is not an integer in set {idx}")
                 if e < 1:
                     raise ValueError(f"element id {e} must be at least 1 in set {idx}")
                 if e <= prev:
@@ -108,9 +110,11 @@ class ApprovalElection:
             raise ValueError(
                 f"expected {self.num_voters} ballots, got {len(self.approvals)}"
             )
-        for voter in range(_first_bad_row(self.approvals, self.num_candidates) + 1, self.num_voters + 1):
+        for voter, ballot in enumerate(self.approvals, start=1):
             prev = 0
-            for c in self.approvals[voter - 1]:
+            for c in ballot:
+                if type(c) is not int and not isinstance(c, numbers.Integral):
+                    raise ValueError(f"voter {voter} approves non-integer candidate {c}")
                 if not 1 <= c <= self.num_candidates:
                     raise ValueError(f"voter {voter} approves unknown candidate {c}")
                 if c <= prev:
@@ -127,52 +131,12 @@ class Graph:
     k: int
 
 
-# Byte budget of the whole-array passes. Documents are read, and id rows are
-# checked, reduced and counted, in chunks of about this many bytes of text or
-# of int64 ids (or one line or row, when that is longer), so that no
-# temporary grows with the document.
-_CHUNK_BYTES = 1 << 15
-
-
-def _row_chunks(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
-    """(start, stop) of consecutive row ranges of about _CHUNK_BYTES of ids."""
-    start = 0
-    while start < len(rows):
-        stop, size = start, 0
-        while stop < len(rows) and size < _CHUNK_BYTES // 8:
-            size += len(rows[stop])
-            stop += 1
-        yield start, stop
-        start = stop
-
-
-def _ids(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """The rows' elements in order, as int64. Raises struct.error on an element
-    that is not an integer of int64 range."""
-    flat = list(chain.from_iterable(rows))
-    return np.frombuffer(struct.pack(f"{len(flat)}q", *flat), np.int64)
-
-
-def _first_bad_row(rows: Sequence[Sequence[int]], bound) -> int:
-    """Index of the first row that is not a strictly increasing run of ids in
-    [1, bound], or len(rows) when there is none.
-
-    Each chunk is checked in one array pass. A chunk holding anything but
-    integers of int64 range counts as bad from its first row, so that the
-    caller's element loop settles it.
-    """
-    for start, stop in _row_chunks(rows):
-        chunk = rows[start:stop]
-        try:
-            ids = _ids(chunk)
-        except struct.error:
-            return start
-        row = np.repeat(np.arange(len(chunk)), np.fromiter(map(len, chunk), np.intp, len(chunk)))
-        bad = (ids < 1) | (ids > bound)
-        bad[1:] |= (ids[1:] <= ids[:-1]) & (row[1:] == row[:-1])
-        if bad.any():
-            return start + int(row[bad.argmax()])
-    return len(rows)
+def _unchecked(cls, *values):
+    """``cls(*values)`` without running its check, for rows that the package
+    has itself checked, or built in range and strictly increasing."""
+    value = object.__new__(cls)
+    value.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return value
 
 
 def set_masks(inst: Instance) -> list[int]:
@@ -273,12 +237,13 @@ def check_frequency_bound(inst: Instance, p: int, word: str = "bound") -> None:
 
 def frequency_profile(inst: Instance) -> FrequencyProfile:
     """Count, for every element, how many sets contain it."""
-    counts = np.zeros(inst.n + 1, np.int64)
-    for start, stop in _row_chunks(inst.sets):
-        np.add.at(counts, _ids(inst.sets[start:stop]), 1)
+    counts = [0] * (inst.n + 1)  # slot 0 stays unused
+    for s in inst.sets:
+        for e in s:
+            counts[e] += 1
     freq = counts[1:]
-    if freq.size:
-        return FrequencyProfile(tuple(freq.tolist()), int(freq.min()), int(freq.max()))
+    if freq:
+        return FrequencyProfile(tuple(freq), min(freq), max(freq))
     return FrequencyProfile((), 0, 0)
 
 
@@ -289,23 +254,19 @@ def election_to_maxcover(election: ApprovalElection) -> Instance:
     selection leaving the fewest elements uncovered.
     """
     supporters: list = [[] for _ in range(election.num_candidates)]
-    for start, stop in _row_chunks(election.approvals):
-        ballots = election.approvals[start:stop]
-        lengths = np.fromiter(map(len, ballots), np.intp, len(ballots))
-        # Sorting (candidate, position) keys is a stable sort by candidate, so
-        # every list stays in voter order; each voter's one int object is
-        # shared by all the candidates the voter approves.
-        key = np.sort(_ids(ballots) << 32 | np.arange(lengths.sum()))
-        voters = np.repeat(np.arange(start + 1, stop + 1, dtype=object), lengths)[key & 0xFFFFFFFF].tolist()
-        cands = key >> 32
-        firsts = np.flatnonzero(np.diff(cands, prepend=0))
-        for c, lo, hi in zip(cands[firsts].tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(cands)]):
-            supporters[c - 1] += voters[lo:hi]
-    # Replacing each list by its tuple frees the list at once, so the two
-    # copies of the supporters never coexist.
+    adds = [s.append for s in supporters]
+    # Ballots in voter order keep every list strictly increasing; each voter's
+    # one int object is shared by all the candidates the voter approves.
+    for voter, ballot in enumerate(election.approvals, start=1):
+        for c in ballot:
+            adds[c - 1](voter)
+    # Each bound append holds its list, so they go first; replacing each list
+    # by its tuple then frees the list at once, and the two copies of the
+    # supporters never coexist.
+    del adds
     for c, s in enumerate(supporters):
         supporters[c] = tuple(s)
-    return Instance(election.num_voters, tuple(supporters), election.committee_size)
+    return _unchecked(Instance, election.num_voters, tuple(supporters), election.committee_size)
 
 
 def pad_frequencies(inst: Instance, p: int) -> Instance:
@@ -335,6 +296,11 @@ def pad_frequencies(inst: Instance, p: int) -> Instance:
 # mask build, the frequency profile and the reductions allocate in proportion
 # to these counts, so a larger header is a ParseError before any allocation.
 MAX_HEADER_COUNT = 10**7
+
+# Byte budget of the record reader: lines are read in batches of about this
+# many bytes of text (or one line, when that is longer), so that no temporary
+# of the array pass grows with the document.
+_CHUNK_BYTES = 1 << 15
 
 
 def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -500,7 +466,7 @@ def parse_instance(text: str) -> Instance:
     Element lists are deduplicated and sorted on ingest; ids must lie in [1, n].
     """
     n, _, sets, k = _read_records(text, "maxcover", "set", _read_sets)
-    return Instance(n, sets, k)
+    return _unchecked(Instance, n, sets, k)
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -513,7 +479,7 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_election(text: str) -> ApprovalElection:
     """Parse a 'p approval <candidates> <voters> <k>' document with 'v' ballot lines."""
-    return ApprovalElection(*_read_records(text, "approval", "ballot", _read_ballots))
+    return _unchecked(ApprovalElection, *_read_records(text, "approval", "ballot", _read_ballots))
 
 
 def parse_graph(text: str) -> Graph:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_HEADER_COUNT, Instance
+from .core import MAX_HEADER_COUNT, Instance, _unchecked
 
 DEFAULT_SIZE_CEILING = 5_000_000
 
@@ -137,7 +137,7 @@ def gen_tight_greedy(
     expected = spec.k * math.comb(q - 1, spec.p - 2)
     for s in spread:
         assert len(s) == expected
-    return Instance(n, tuple(tuple(s) for s in spread) + tuple(blocks), spec.k)
+    return _unchecked(Instance, n, tuple(tuple(s) for s in spread) + tuple(blocks), spec.k)
 
 
 def gen_tight_fpt(spec: TightFptSpec, size_ceiling: int = DEFAULT_SIZE_CEILING) -> Instance:
@@ -169,7 +169,7 @@ def gen_tight_fpt(spec: TightFptSpec, size_ceiling: int = DEFAULT_SIZE_CEILING) 
         decoys.append(tuple(range(base + 1, base + per_set + 1)))
     for s in overlapping:
         assert len(s) == per_set
-    return Instance(n, tuple(tuple(s) for s in overlapping) + tuple(decoys), spec.k)
+    return _unchecked(Instance, n, tuple(tuple(s) for s in overlapping) + tuple(decoys), spec.k)
 
 
 def gen_random(n: int, m: int, k: int, p_max: int, seed: int) -> Instance:
@@ -224,4 +224,4 @@ def graph_to_maxvertexcover(
         seen.add(key)
         incident[u - 1].append(eid)
         incident[v - 1].append(eid)
-    return Instance(eid, tuple(map(tuple, incident)), k)
+    return _unchecked(Instance, eid, tuple(map(tuple, incident)), k)

@@ -353,3 +353,61 @@ def test_generate_graph_family(tmp_path):
     assert run(["generate", "--family", "graph", "--in", str(doc), "--out", str(out)]) == 0
     inst = parse_instance(out.read_text())
     assert (inst.n, inst.m, inst.k) == (3, 3, 2)
+
+
+def deep_document(tmp_path, m):
+    """m singleton sets with budget m: the exhaustive searches recurse m deep."""
+    doc = tmp_path / f"deep{m}.mc"
+    doc.write_text(f"p maxcover {m} {m} {m}\n" + "".join(f"s {e}\n" for e in range(1, m + 1)))
+    return str(doc)
+
+
+@pytest.mark.parametrize("alg, m", [
+    ("exact", 990), ("greedy-exact --x 0", 990), ("exact-greedy --x 0", 990), ("fpt --beta 0.5", 990),
+    ("minnc --beta 1000000 --epsilon 0.5", 1200),
+])
+def test_exit_code_2_on_a_budget_too_deep_for_the_search(tmp_path, capsys, alg, m):
+    assert run(["solve", "--alg", *alg.split(), "--in", deep_document(tmp_path, m)]) == 2
+    assert re.fullmatch(r"error: maximum recursion depth exceeded[^\n]*\n", capsys.readouterr().err)
+
+
+def test_oracle_skips_a_budget_too_deep_for_the_search(tmp_path, capsys):
+    assert run(["solve", "--alg", "greedy", "--with-opt", "--in", deep_document(tmp_path, 990)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["opt"] is None
+    assert re.match(r"note: optimum skipped, maximum recursion depth exceeded[^\n]*\n", err)
+
+
+EDGE_DOCUMENTS = {
+    "empty-family": "p maxcover 3 0 2\n",
+    "n0": "p maxcover 0 2 1\ns\ns\n",
+    "k0": "p maxcover 3 2 0\ns 1 2\ns 3\n",
+    "duplicate-sets": "p maxcover 3 3 2\ns 1 2\ns 1 2\ns 1 2\n",
+    "uncovered": "p maxcover 5 2 1\ns 1\ns 2\n",
+    "edgeless-graph": "p graph 4 0 2\n",
+    "empty-ballots": "p approval 3 2 1\nv\nv\n",
+    "k-1e21": f"p maxcover 3 2 {10**21}\ns 1\ns 2 3\n",
+}
+
+SOLVER_FLAGS = {
+    "exact": [], "greedy": [], "fpt": ["--beta", "0.5"], "minnc": ["--beta", "1000000", "--epsilon", "0.5"],
+    "greedy-exact": ["--x", "0"], "exact-greedy": ["--x", "0"], "ptas": ["--alpha", "0.5", "--beta", "0.5"],
+}
+
+
+@pytest.mark.parametrize("name", [*EDGE_DOCUMENTS, "deep990", "deep1200"])
+def test_every_solver_keeps_the_exit_code_contract_on_edge_documents(tmp_path, capsys, name):
+    if name.startswith("deep"):
+        doc = deep_document(tmp_path, int(name[4:]))
+    else:
+        doc = tmp_path / "edge.txt"
+        doc.write_text(EDGE_DOCUMENTS[name])
+    runs = [["solve", "--alg", alg, *flags] for alg, flags in SOLVER_FLAGS.items()]
+    runs.append(["compare", "--algs", "exact,greedy,fpt,greedy-exact,exact-greedy,ptas",
+                 "--beta", "0.5", "--x", "0", "--alpha", "0.5"])
+    runs.append(["compare", "--algs", "greedy,minnc", "--beta", "1000000", "--epsilon", "0.5"])
+    for argv in runs:
+        for opt in ([], ["--with-opt"]):
+            code = run([*argv, *opt, "--in", str(doc)])
+            errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+            assert code in (0, 1, 2) and len(errors) == (code != 0), (argv, opt, code, errors)

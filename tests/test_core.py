@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from maxcover import (
@@ -149,6 +150,26 @@ def test_instance_validation():
     # Budgets beyond m are legal; solvers clamp.
     inst = Instance(2, ((1,),), 9)
     assert inst.effective_budget == 1
+
+
+def test_non_integer_ids_are_rejected_before_the_range_test():
+    cases = [
+        (lambda: Instance(4, ((1.5, 1.7), (2,)), 1), "element id 1.5 is not an integer in set 0"),
+        (lambda: Instance(4, ((1,), (2.0,)), 1), "element id 2.0 is not an integer in set 1"),
+        (lambda: Instance(4, ((0.5,),), 1), "element id 0.5 is not an integer in set 0"),
+        (lambda: Instance.of(4, [[2, 1.5]], 1), "element id 1.5 is not an integer in set 0"),
+        (lambda: Instance(4, (("1",),), 1), "element id 1 is not an integer in set 0"),
+        (lambda: ApprovalElection(3, 1, ((1.5, 2.5),), 1), "voter 1 approves non-integer candidate 1.5"),
+        (lambda: ApprovalElection(3, 2, ((1,), (9.5,)), 1), "voter 2 approves non-integer candidate 9.5"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+    # Integral ids of other types stay accepted, and count as their values.
+    inst = Instance(3, ((np.int64(1), np.int64(3)), (True, 2)), 1)
+    assert frequency_profile(inst).freq == (2, 1, 1)
+    assert election_to_maxcover(ApprovalElection(2, 1, ((np.int64(2),),), 1)).sets == ((), (1,))
 
 
 def test_document_kind():

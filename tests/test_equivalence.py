@@ -17,6 +17,7 @@ public constructor's check unchanged, with plain int ids.
 
 import dataclasses
 import math
+import numbers
 import random
 from functools import cache, partial
 from itertools import combinations
@@ -360,6 +361,8 @@ def loop_check_instance(n, sets, k):
     for idx, s in enumerate(sets):
         prev = 0
         for e in s:
+            if not isinstance(e, numbers.Integral):
+                raise ValueError(f"element id {e} is not an integer in set {idx}")
             if e < 1:
                 raise ValueError(f"element id {e} must be at least 1 in set {idx}")
             if e <= prev:
@@ -379,6 +382,8 @@ def loop_check_election(num_candidates, num_voters, approvals, committee_size):
     for voter, ballot in enumerate(approvals, start=1):
         prev = 0
         for c in ballot:
+            if not isinstance(c, numbers.Integral):
+                raise ValueError(f"voter {voter} approves non-integer candidate {c}")
             if not 1 <= c <= num_candidates:
                 raise ValueError(f"voter {voter} approves unknown candidate {c}")
             if c <= prev:
