@@ -1,8 +1,15 @@
 """Shared builders and independent oracles for the test suite."""
 
 import random
+from itertools import combinations
 
-from maxcover import Instance
+from maxcover import (
+    Instance,
+    TightFptSpec,
+    gen_random,
+    gen_tight_fpt,
+    graph_to_maxvertexcover,
+)
 
 
 def random_instance(rand: random.Random, n: int, m: int, k: int, p_max: int,
@@ -23,3 +30,74 @@ def union_coverage(inst: Instance, chosen) -> int:
     for i in chosen:
         union.update(inst.sets[i])
     return len(union)
+
+
+def full_scan(masks, size):
+    """Every size-subset in lexicographic order, stopping at the first union
+    that covers every element some mask holds."""
+    m = len(masks)
+    size = min(size, m)
+    reachable = 0
+    for mask in masks:
+        reachable |= mask
+    stop_at = reachable.bit_count()
+    best, best_cov, scanned = (), -1, 0
+    for combo in combinations(range(m), size):
+        union = 0
+        for i in combo:
+            union |= masks[i]
+        scanned += 1
+        if union.bit_count() > best_cov:
+            best, best_cov = combo, union.bit_count()
+            if best_cov >= stop_at:
+                break
+    return best, best_cov, scanned
+
+
+def dense_instance(rand: random.Random, m: int, k: int, p: int) -> Instance:
+    """Every pair of sets shares an element, and every element lies in at
+    most p >= 2 sets: each pair gets elements it holds with up to p - 2
+    further sets, then come elements of random frequency 1..p."""
+    sets = [[] for _ in range(m)]
+    e = 0
+    for a, b in combinations(range(m), 2):
+        for _ in range(rand.randint(1, 2)):
+            e += 1
+            others = [i for i in range(m) if i not in (a, b)]
+            for i in [a, b] + rand.sample(others, rand.randint(0, min(p - 2, len(others)))):
+                sets[i].append(e)
+    for _ in range(rand.randint(0, 3 * m)):
+        e += 1
+        for i in rand.sample(range(m), rand.randint(1, min(p, m))):
+            sets[i].append(e)
+    return Instance.of(e, sets, k)
+
+
+def bounded_families(seed: int):
+    """(instance, p, beta) triples whose every element lies in at most p sets:
+    tight-fpt families, graph reductions (p = 2), ``gen_random`` with p_max in
+    {1, 2, 3}, and dense families where every pair of sets overlaps (p = 2..4).
+    The betas make the fpt pool both smaller than m and all of it."""
+    rand = random.Random(seed)
+    out = []
+    for p, k, beta in [(2, 2, 0.5), (2, 4, 0.5), (2, 2, 0.75), (3, 3, 0.5)]:
+        out.append((gen_tight_fpt(TightFptSpec(p=p, k=k, beta=beta)), p, beta))
+    for t in range(150):
+        beta = rand.choice([0.05, 0.3, 0.5, 0.75])
+        k = rand.randint(1, 4)
+        if t % 3 == 0:
+            vertices = rand.randint(3, 18)
+            edges = set()
+            for _ in range(rand.randint(1, min(40, vertices * (vertices - 1) // 2))):
+                u, v = rand.sample(range(1, vertices + 1), 2)
+                edges.add((min(u, v), max(u, v)))
+            out.append((graph_to_maxvertexcover(vertices, sorted(edges), k), 2, beta))
+        elif t % 3 == 1:
+            p_max = 1 + t % 9 // 3
+            m = rand.randint(p_max, 24)
+            inst = gen_random(rand.randint(1, 80), m, k, p_max, rand.randrange(2**32))
+            out.append((inst, p_max, beta))
+        else:
+            p = 2 + t % 9 // 3
+            out.append((dense_instance(rand, rand.randint(2, 11), k, p), p, beta))
+    return out

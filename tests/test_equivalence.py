@@ -34,6 +34,7 @@ from maxcover import (
     brute_force,
     election_to_maxcover,
     exact_then_greedy,
+    fpt_approx,
     frequency_profile,
     gen_random,
     gen_tight_fpt,
@@ -48,6 +49,7 @@ from maxcover import (
 from maxcover.core import _parse_header
 from maxcover.exact import best_fixed_size_subset
 from maxcover.greedy import extend_greedily
+from helpers import bounded_families, full_scan
 
 
 def mask_of(ids) -> int:
@@ -112,28 +114,6 @@ def rebuilding_min_noncovered(inst, reps, seed):
         if best is None or uncovered < best[1]:
             best = (tuple(sorted(chosen)), uncovered)
     return tuple(per_rep), best
-
-
-def full_scan(masks, size):
-    """Every size-subset in lexicographic order, stopping at the first union
-    that covers every element some mask holds."""
-    m = len(masks)
-    size = min(size, m)
-    reachable = 0
-    for mask in masks:
-        reachable |= mask
-    stop_at = reachable.bit_count()
-    best, best_cov, scanned = (), -1, 0
-    for combo in combinations(range(m), size):
-        union = 0
-        for i in combo:
-            union |= masks[i]
-        scanned += 1
-        if union.bit_count() > best_cov:
-            best, best_cov = combo, union.bit_count()
-            if best_cov >= stop_at:
-                break
-    return best, best_cov, scanned
 
 
 def every_prefix_then_greedy(inst, x):
@@ -278,6 +258,16 @@ def test_pruned_kernel_skips_most_subsets_of_a_random_instance():
     result = brute_force(inst)
     assert (result.solution.chosen, result.opt) == full_scan(set_masks(inst), inst.k)[:2]
     assert result.subsets_scanned * 10 < math.comb(inst.m, inst.k)
+
+
+def test_fpt_pool_search_equals_full_scan_of_its_pool():
+    for inst, p, beta in bounded_families(8):
+        sol, plan = fpt_approx(inst, p, beta)
+        pool = sorted(plan.pool)
+        masks = set_masks(inst)
+        combo, covered, _ = full_scan([masks[i] for i in pool], inst.k)
+        assert (sol.chosen, sol.covered) == (tuple(pool[j] for j in combo), covered)
+        assert sol.uncovered == inst.n - covered
 
 
 def test_pruned_hybrid_equals_every_prefix_scan():
