@@ -33,7 +33,7 @@ class ExactResult:
 
 
 def best_fixed_size_subset(
-    masks: Sequence[int], size: int, ceiling: int = DEFAULT_CEILING
+    masks: Sequence[int], size: int, ceiling: int = DEFAULT_CEILING, p: int | None = None
 ) -> tuple[tuple[int, ...], int, int]:
     """Branch-and-bound search of the ``size``-subsets of ``masks`` for the
     largest union.
@@ -52,6 +52,16 @@ def best_fixed_size_subset(
     so the answer is that of a full scan. At the last level those counts are
     the leaves' unions themselves, evaluated without descending further. The
     search stops at the first union covering every element some mask holds.
+
+    ``p``, when given, must bound how many of ``masks`` hold any one element.
+    An element outside ``u`` that t <= p of the r picks hold then counts t - 1
+    times too often in the summed gains and C(t, 2) times in the summed
+    pairwise overlaps outside ``u``, and t - 1 >= (2/p) * C(t, 2). With delta
+    the smallest such overlap among the later sets, the union is therefore at
+    most the bound above minus ceil(r * (r - 1) * delta / p). The bound still
+    only prunes subsets that cannot beat the best, so the answer does not
+    change. delta is computed only where every pair of the later sets
+    overlaps in ``masks`` itself, which on most families is never.
     """
     m = len(masks)
     size = min(size, m)
@@ -68,6 +78,7 @@ def best_fixed_size_subset(
     best_cov = -1
     scanned = 0
     choice = [0] * size
+    gate = _overlap_gate(masks) if p is not None and size >= 2 else [0] * m
 
     def descend(pos: int, start: int, union: int) -> bool:
         """Search below ``union``; True once the search may stop."""
@@ -90,6 +101,10 @@ def best_fixed_size_subset(
         # bound popcount(union) + (r largest gains from j on) is
         # bounds[j] - (r - 1) * popcount(union).
         excess = (r - 1) * union.bit_count()
+        if gate[start]:
+            # With nothing covered yet, the residual overlaps are the gate's.
+            delta = _least_residual_overlap(masks[start:], union) if union else gate[start]
+            excess += -(-r * (r - 1) * delta // p)
         bounds = _suffix_top_sums(covs, r)
         for j in range(len(covs) - r + 1):
             if bounds[j] - excess <= best_cov:
@@ -117,6 +132,37 @@ def _suffix_top_sums(values: Sequence[int], r: int) -> list[int]:
             total += v - heapq.heapreplace(smallest_first, v)
         out[j] = total
     return out
+
+
+def _overlap_gate(masks: Sequence[int]) -> list[int]:
+    """``gate[j]`` is the smallest |A_a & A_b| over pairs a < b of
+    ``masks[j:]``; 0 where that suffix has a disjoint pair or fewer than two
+    masks. A residual overlap never exceeds the original one, so a search
+    node starting at j can skip its own pair pass wherever ``gate[j]`` is 0."""
+    gate = [0] * len(masks)
+    least = math.inf
+    for a in range(len(masks) - 2, -1, -1):
+        least = min(least, _least_overlap_with(masks[a], masks[a + 1 :]))
+        if not least:
+            break
+        gate[a] = least
+    return gate
+
+
+def _least_residual_overlap(masks: Sequence[int], union: int) -> int:
+    """The smallest overlap outside ``union`` over pairs of ``masks``,
+    stopping after the first mask that is disjoint from a later one there."""
+    rest = [mask & ~union for mask in masks]
+    least = math.inf
+    for a in range(len(rest) - 1):
+        least = min(least, _least_overlap_with(rest[a], rest[a + 1 :]))
+        if not least:
+            break
+    return least
+
+
+def _least_overlap_with(mask: int, others: Sequence[int]) -> int:
+    return min(map(int.bit_count, map(mask.__and__, others)))
 
 
 def brute_force(inst: Instance, ceiling: int = DEFAULT_CEILING) -> ExactResult:

@@ -17,12 +17,15 @@ class PoolPlan:
 
     ``pool`` lists set indices ordered by (cardinality desc, index asc), so
     every excluded set is no larger than any included one. ``combos`` is the
-    number of budget-size subsets the pool admits.
+    number of budget-size subsets the pool admits, and ``subsets_scanned``
+    the number of them whose union the search evaluated, as in
+    :class:`~maxcover.exact.ExactResult`.
     """
 
     pool_size: int
     pool: tuple[int, ...]
     combos: int
+    subsets_scanned: int
 
 
 def pool_size(p: int, k: int, beta: float) -> int:
@@ -45,23 +48,24 @@ def fpt_approx(
     Requires every element to appear in at most p sets; the returned coverage
     is then at least beta times the optimum. Cardinality ties at the pool
     boundary go to the lowest index, and with the formula pool clamped to m
-    the search degenerates to plain exhaustive search.
+    the search degenerates to plain exhaustive search. The search prunes with
+    p as a frequency bound, which leaves its answer unchanged.
     """
     _check_beta(beta)
     check_frequency_bound(inst, p)
     if inst.effective_budget == 0:
-        return Solution((), 0, inst.n), PoolPlan(0, (), 1)
+        return Solution((), 0, inst.n), PoolPlan(0, (), 1, 1)
     clamped = min(pool_size(p, inst.k, beta), inst.m)
     by_cardinality = sorted(range(inst.m), key=lambda i: (-len(inst.sets[i]), i))
     pool = tuple(by_cardinality[:clamped])
     budget = min(inst.k, clamped)
     in_index_order = sorted(pool)
     masks = set_masks(inst)
-    combo, covered, _ = best_fixed_size_subset(
-        [masks[i] for i in in_index_order], budget, ceiling
+    combo, covered, scanned = best_fixed_size_subset(
+        [masks[i] for i in in_index_order], budget, ceiling, p
     )
     chosen = tuple(in_index_order[j] for j in combo)
-    plan = PoolPlan(clamped, pool, math.comb(clamped, budget))
+    plan = PoolPlan(clamped, pool, math.comb(clamped, budget), scanned)
     return Solution(chosen, covered, inst.n - covered), plan
 
 

@@ -192,7 +192,9 @@ def gen_random(n: int, m: int, k: int, p_max: int, seed: int) -> Instance:
         size = int(rng.integers(1, p_max + 1))
         for i in rng.choice(m, size=size, replace=False):
             sets[int(i)].append(e)
-    return Instance.of(n, sets, k)
+    # Each element joins distinct sets in increasing order, so every row is
+    # already strictly increasing and in range.
+    return _unchecked(Instance, n, tuple(map(tuple, sets)), k)
 
 
 def graph_to_maxvertexcover(

@@ -11,7 +11,7 @@ The document load (record reader, ``Instance`` and ``ApprovalElection``
 checks, approval and graph reductions, frequency profile) must give what the
 per-token and per-element loops gave: the same value, or an error of the same
 type with the same message, on seeded documents and on mutated record lines.
-Every value the parsers, reductions and tight generators build must pass the
+Every value the parsers, reductions and generators build must pass the
 public constructor's check unchanged, with plain int ids.
 """
 
@@ -688,3 +688,7 @@ def test_package_built_values_pass_the_public_check(seed):
         assert_rebuilds(gen_tight_greedy(spec))
     for spec in [TightFptSpec(p=1, k=1, beta=0.5), TightFptSpec(p=2, k=2, beta=0.75), TightFptSpec(p=3, k=3, beta=0.5)]:
         assert_rebuilds(gen_tight_fpt(spec))
+    for t in range(30):
+        p_max = 1 + t % 3
+        m = rand.randint(p_max, 40)
+        assert_rebuilds(gen_random(rand.randint(1, 300), m, rand.randint(0, 6), p_max, rand.randrange(2**32)))

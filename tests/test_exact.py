@@ -1,12 +1,26 @@
-"""Brute-force oracle: exactness, tie-breaking, determinism, refusal."""
+"""Brute-force oracle: exactness, tie-breaking, determinism, refusal, and the
+kernel's frequency bound."""
 
+import math
 import random
 from itertools import combinations
 
 import pytest
 
-from maxcover import EnumerationCeilingError, Instance, brute_force, coverage, set_masks
-from helpers import random_instance, union_coverage
+from maxcover import (
+    EnumerationCeilingError,
+    Instance,
+    TightFptSpec,
+    brute_force,
+    coverage,
+    fpt_approx,
+    frequency_profile,
+    gen_random,
+    gen_tight_fpt,
+    set_masks,
+)
+from maxcover.exact import best_fixed_size_subset
+from helpers import bounded_families, full_scan, random_instance, union_coverage
 
 
 def test_scans_all_pairs_example():
@@ -92,3 +106,60 @@ def test_uncovered_minimum_is_n_minus_opt():
             for combo in combinations(range(inst.m), inst.effective_budget)
         )
         assert inst.n - res.opt == best_uncovered
+
+
+# ---------------------------------------------------------------------------
+# The frequency bound p: a pairwise-overlap term in the kernel's gain bound.
+# ---------------------------------------------------------------------------
+
+def tight_pool(beta):
+    """The masks of the fpt pool of the (p, k) = (2, 4) tight family."""
+    inst = gen_tight_fpt(TightFptSpec(p=2, k=4, beta=beta))
+    _, plan = fpt_approx(inst, 2, beta)
+    masks = set_masks(inst)
+    return [masks[i] for i in sorted(plan.pool)]
+
+
+def test_frequency_bound_keeps_the_full_scan_answer():
+    for inst, p, _ in bounded_families(9):
+        masks = set_masks(inst)
+        ref_chosen, ref_covered, ref_scanned = full_scan(masks, inst.k)
+        for bound in {p, max(frequency_profile(inst).p_max, 1)}:
+            chosen, covered, scanned = best_fixed_size_subset(masks, inst.k, p=bound)
+            assert (chosen, covered) == (ref_chosen, ref_covered)
+            assert 1 <= scanned <= ref_scanned
+
+
+@pytest.mark.parametrize("beta, unbounded, bounded", [(0.75, 814385, 65), (0.5, 58905, 33)])
+def test_frequency_bound_leaf_counts_on_the_tight_pools(beta, unbounded, bounded):
+    masks = tight_pool(beta)
+    assert len(masks) == {0.75: 68, 0.5: 36}[beta]
+    plain = best_fixed_size_subset(masks, 4)
+    pruned = best_fixed_size_subset(masks, 4, p=2)
+    assert plain[2] == math.comb(len(masks), 4) == unbounded
+    assert pruned[2] == bounded
+    assert pruned[:2] == plain[:2] == ((0, 1, 2, 3), {0.75: 262, 0.5: 134}[beta])
+
+
+def test_frequency_bound_is_off_where_two_sets_are_disjoint():
+    inst = gen_random(2000, 40, 5, 2, 0)
+    masks = set_masks(inst)
+    assert any(not a & b for a, b in combinations(masks, 2))
+    plain = best_fixed_size_subset(masks, 5)
+    assert best_fixed_size_subset(masks, 5, p=2) == plain
+    assert plain[2] == 1075
+
+
+def test_frequency_bound_subtracts_only_two_over_p_of_the_pair_overlaps():
+    # p = 3, k = 3. Elements 4 and 5 lie in sets 1, 2 and 3; sets 1, 2 and 3
+    # each share two more elements with set 0, so every pair overlaps in
+    # exactly 2. The triples with set 0 cover at most 10; (1, 2, 3) covers all
+    # 11. At the root, from set 1 on, the three largest gains sum to 15, and
+    # the bound 15 - ceil(3 * 2 * 2 / 3) = 11 lets the search reach (1, 2, 3).
+    # Subtracting C(3, 2) * 2 = 6 instead would give 9 <= 10 and lose it.
+    sets = [[6, 7, 8, 9, 10, 11], [1, 4, 5, 6, 7], [2, 4, 5, 8, 9], [3, 4, 5, 10, 11]]
+    inst = Instance.of(11, sets, 3)
+    assert frequency_profile(inst).p_max == 3
+    masks = set_masks(inst)
+    assert full_scan(masks, 3)[:2] == ((1, 2, 3), 11)
+    assert best_fixed_size_subset(masks, 3, p=3)[:2] == ((1, 2, 3), 11)

@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from maxcover import Instance, brute_force, fpt_approx, gen_random, pool_size
+from maxcover import (
+    Instance,
+    TightFptSpec,
+    brute_force,
+    fpt_approx,
+    gen_random,
+    gen_tight_fpt,
+    pool_size,
+)
 from helpers import random_instance
 
 
@@ -97,3 +105,15 @@ def test_budget_zero():
     sol, plan = fpt_approx(inst, 1, 0.5)
     assert sol.chosen == ()
     assert plan.combos == 1
+
+
+def test_plan_counts_the_leaves_the_search_evaluated():
+    assert fpt_approx(Instance.of(3, [[1, 2]], 0), 1, 0.5)[1].subsets_scanned == 1
+    inst = gen_tight_fpt(TightFptSpec(p=2, k=4, beta=0.75))
+    _, plan = fpt_approx(inst, 2, 0.75)
+    assert (plan.pool_size, plan.combos, plan.subsets_scanned) == (68, 814385, 65)
+    # Pairs (0, 1) and (0, 2) are leaves; the gain bound 1 + 2 of pair (1, 2)
+    # cannot beat (0, 2)'s 3, so it is never evaluated.
+    inst = Instance.of(4, [[1], [2], [3, 4]], 2)
+    _, plan = fpt_approx(inst, 1, 0.5)
+    assert (plan.combos, plan.subsets_scanned) == (3, 2)
