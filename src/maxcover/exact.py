@@ -78,7 +78,9 @@ def best_fixed_size_subset(
     best_cov = -1
     scanned = 0
     choice = [0] * size
-    gate = _overlap_gate(masks) if p is not None and size >= 2 else [0] * m
+    # A residual overlap never exceeds the original one, so a node starting
+    # at j looks for the smallest residual one only where gate[j] > 0.
+    gate = _least_overlaps(masks) if p is not None and size >= 2 else [0] * m
 
     def descend(pos: int, start: int, union: int) -> bool:
         """Search below ``union``; True once the search may stop."""
@@ -102,8 +104,7 @@ def best_fixed_size_subset(
         # bounds[j] - (r - 1) * popcount(union).
         excess = (r - 1) * union.bit_count()
         if gate[start]:
-            # With nothing covered yet, the residual overlaps are the gate's.
-            delta = _least_residual_overlap(masks[start:], union) if union else gate[start]
+            delta = _least_overlaps([mask & ~union for mask in masks[start:]])[0]
             excess += -(-r * (r - 1) * delta // p)
         bounds = _suffix_top_sums(covs, r)
         for j in range(len(covs) - r + 1):
@@ -134,35 +135,19 @@ def _suffix_top_sums(values: Sequence[int], r: int) -> list[int]:
     return out
 
 
-def _overlap_gate(masks: Sequence[int]) -> list[int]:
-    """``gate[j]`` is the smallest |A_a & A_b| over pairs a < b of
+def _least_overlaps(masks: Sequence[int]) -> list[int]:
+    """``out[j]`` is the smallest |A_a & A_b| over pairs a < b of
     ``masks[j:]``; 0 where that suffix has a disjoint pair or fewer than two
-    masks. A residual overlap never exceeds the original one, so a search
-    node starting at j can skip its own pair pass wherever ``gate[j]`` is 0."""
-    gate = [0] * len(masks)
+    masks. The pass runs from the end and stops after the first row that
+    holds a disjoint pair."""
+    out = [0] * len(masks)
     least = math.inf
     for a in range(len(masks) - 2, -1, -1):
-        least = min(least, _least_overlap_with(masks[a], masks[a + 1 :]))
+        least = min(least, min(map(int.bit_count, map(masks[a].__and__, masks[a + 1 :]))))
         if not least:
             break
-        gate[a] = least
-    return gate
-
-
-def _least_residual_overlap(masks: Sequence[int], union: int) -> int:
-    """The smallest overlap outside ``union`` over pairs of ``masks``,
-    stopping after the first mask that is disjoint from a later one there."""
-    rest = [mask & ~union for mask in masks]
-    least = math.inf
-    for a in range(len(rest) - 1):
-        least = min(least, _least_overlap_with(rest[a], rest[a + 1 :]))
-        if not least:
-            break
-    return least
-
-
-def _least_overlap_with(mask: int, others: Sequence[int]) -> int:
-    return min(map(int.bit_count, map(mask.__and__, others)))
+        out[a] = least
+    return out
 
 
 def brute_force(inst: Instance, ceiling: int = DEFAULT_CEILING) -> ExactResult:
