@@ -58,10 +58,12 @@ def best_fixed_size_subset(
     times too often in the summed gains and C(t, 2) times in the summed
     pairwise overlaps outside ``u``, and t - 1 >= (2/p) * C(t, 2). With delta
     the smallest such overlap among the later sets, the union is therefore at
-    most the bound above minus ceil(r * (r - 1) * delta / p). The bound still
-    only prunes subsets that cannot beat the best, so the answer does not
-    change. delta is computed only where every pair of the later sets
-    overlaps in ``masks`` itself, which on most families is never.
+    most the bound above minus ceil(r * (r - 1) * delta / p), and the node
+    still returns only when that cannot beat the best. The term is used where
+    delta is simply the smallest overlap of two later sets: at a node with
+    nothing covered yet, and at every node when p <= 2, since an element two
+    later sets share then lies in no picked set. One pass per search finds
+    those minima.
     """
     m = len(masks)
     size = min(size, m)
@@ -78,8 +80,9 @@ def best_fixed_size_subset(
     best_cov = -1
     scanned = 0
     choice = [0] * size
-    # A residual overlap never exceeds the original one, so a node starting
-    # at j looks for the smallest residual one only where gate[j] > 0.
+    # gate[j] is delta for a node starting at j where the term is used.
+    # Elsewhere delta would take a pass over every pair of later sets at each
+    # node, which costs more than the leaves it saves.
     gate = _least_overlaps(masks) if p is not None and size >= 2 else [0] * m
 
     def descend(pos: int, start: int, union: int) -> bool:
@@ -103,9 +106,8 @@ def best_fixed_size_subset(
         # bound popcount(union) + (r largest gains from j on) is
         # bounds[j] - (r - 1) * popcount(union).
         excess = (r - 1) * union.bit_count()
-        if gate[start]:
-            delta = _least_overlaps([mask & ~union for mask in masks[start:]])[0]
-            excess += -(-r * (r - 1) * delta // p)
+        if gate[start] and (p <= 2 or not union):
+            excess += -(-r * (r - 1) * gate[start] // p)
         bounds = _suffix_top_sums(covs, r)
         for j in range(len(covs) - r + 1):
             if bounds[j] - excess <= best_cov:
@@ -139,7 +141,7 @@ def _least_overlaps(masks: Sequence[int]) -> list[int]:
     """``out[j]`` is the smallest |A_a & A_b| over pairs a < b of
     ``masks[j:]``; 0 where that suffix has a disjoint pair or fewer than two
     masks. The pass runs from the end and stops after the first row that
-    holds a disjoint pair."""
+    holds a disjoint pair, so on most families it reads a few pairs."""
     out = [0] * len(masks)
     least = math.inf
     for a in range(len(masks) - 2, -1, -1):

@@ -157,6 +157,8 @@ def test_frequency_bound_subtracts_only_two_over_p_of_the_pair_overlaps():
     # 11. At the root, from set 1 on, the three largest gains sum to 15, and
     # the bound 15 - ceil(3 * 2 * 2 / 3) = 11 lets the search reach (1, 2, 3).
     # Subtracting C(3, 2) * 2 = 6 instead would give 9 <= 10 and lose it.
+    # Below the root the overlaps shrink: with set 1 picked, sets 2 and 3
+    # share nothing outside it, so the root's 2 is no bound there at p = 3.
     sets = [[6, 7, 8, 9, 10, 11], [1, 4, 5, 6, 7], [2, 4, 5, 8, 9], [3, 4, 5, 10, 11]]
     inst = Instance.of(11, sets, 3)
     assert frequency_profile(inst).p_max == 3
