@@ -54,6 +54,15 @@ def full_scan(masks, size):
     return best, best_cov, scanned
 
 
+def random_graph(rand: random.Random, vertices: int, edges: int, k: int) -> Instance:
+    """Vertex-cover instance of a uniform simple graph with the given edge count."""
+    seen = set()
+    while len(seen) < edges:
+        u, v = rand.sample(range(1, vertices + 1), 2)
+        seen.add((min(u, v), max(u, v)))
+    return graph_to_maxvertexcover(vertices, sorted(seen), k)
+
+
 def dense_instance(rand: random.Random, m: int, k: int, p: int) -> Instance:
     """Every pair of sets shares an element, and every element lies in at
     most p >= 2 sets: each pair gets elements it holds with up to p - 2
@@ -61,9 +70,9 @@ def dense_instance(rand: random.Random, m: int, k: int, p: int) -> Instance:
     sets = [[] for _ in range(m)]
     e = 0
     for a, b in combinations(range(m), 2):
+        others = [i for i in range(m) if i not in (a, b)]
         for _ in range(rand.randint(1, 2)):
             e += 1
-            others = [i for i in range(m) if i not in (a, b)]
             for i in [a, b] + rand.sample(others, rand.randint(0, min(p - 2, len(others)))):
                 sets[i].append(e)
     for _ in range(rand.randint(0, 3 * m)):
@@ -87,11 +96,8 @@ def bounded_families(seed: int):
         k = rand.randint(1, 4)
         if t % 3 == 0:
             vertices = rand.randint(3, 18)
-            edges = set()
-            for _ in range(rand.randint(1, min(40, vertices * (vertices - 1) // 2))):
-                u, v = rand.sample(range(1, vertices + 1), 2)
-                edges.add((min(u, v), max(u, v)))
-            out.append((graph_to_maxvertexcover(vertices, sorted(edges), k), 2, beta))
+            edges = rand.randint(1, min(40, vertices * (vertices - 1) // 2))
+            out.append((random_graph(rand, vertices, edges, k), 2, beta))
         elif t % 3 == 1:
             p_max = 1 + t % 9 // 3
             m = rand.randint(p_max, 24)

@@ -49,7 +49,7 @@ from maxcover import (
 from maxcover.core import _parse_header
 from maxcover.exact import best_fixed_size_subset
 from maxcover.greedy import extend_greedily
-from helpers import bounded_families, full_scan
+from helpers import bounded_families, full_scan, random_graph
 
 
 def mask_of(ids) -> int:
@@ -135,14 +135,6 @@ def every_prefix_then_greedy(inst, x):
         if cov > best_covered or (cov == best_covered and chosen < best_chosen):
             best_covered, best_chosen = cov, chosen
     return best_chosen, best_covered, finished
-
-
-def random_graph(rand, vertices, edges, k):
-    seen = set()
-    while len(seen) < edges:
-        u, v = rand.sample(range(1, vertices + 1), 2)
-        seen.add((min(u, v), max(u, v)))
-    return graph_to_maxvertexcover(vertices, sorted(seen), k)
 
 
 def batch(seed, count):

@@ -130,15 +130,16 @@ def test_frequency_bound_keeps_the_full_scan_answer():
             assert 1 <= scanned <= ref_scanned
 
 
-@pytest.mark.parametrize("beta, unbounded, bounded", [(0.75, 814385, 65), (0.5, 58905, 33)])
-def test_frequency_bound_leaf_counts_on_the_tight_pools(beta, unbounded, bounded):
+@pytest.mark.parametrize("beta, pool, covered, unbounded, bounded",
+                         [(0.75, 68, 262, 814385, 65), (0.5, 36, 134, 58905, 33)])
+def test_frequency_bound_leaf_counts_on_the_tight_pools(beta, pool, covered, unbounded, bounded):
     masks = tight_pool(beta)
-    assert len(masks) == {0.75: 68, 0.5: 36}[beta]
+    assert len(masks) == pool
     plain = best_fixed_size_subset(masks, 4)
     pruned = best_fixed_size_subset(masks, 4, p=2)
-    assert plain[2] == math.comb(len(masks), 4) == unbounded
+    assert plain[2] == math.comb(pool, 4) == unbounded
     assert pruned[2] == bounded
-    assert pruned[:2] == plain[:2] == ((0, 1, 2, 3), {0.75: 262, 0.5: 134}[beta])
+    assert pruned[:2] == plain[:2] == ((0, 1, 2, 3), covered)
 
 
 def test_frequency_bound_is_off_where_two_sets_are_disjoint():
