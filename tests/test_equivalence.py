@@ -195,9 +195,28 @@ def test_lazy_greedy_ties_and_zero_gains():
     assert picks == [0, 1, 2, 3, 4] and gains == [2, 1, 0, 0, 0]
 
 
+def mostly_covered(k):
+    """Instances where a few picks cover nearly everything, so the sampled
+    element is one of a few left: n = 300 with a set holding the run 1..290,
+    free elements only at the low or only at the high end of the range,
+    elements in no set placed last, and the graph of a complete graph on 12
+    vertices."""
+    def run(a, b):
+        return list(range(a, b + 1))
+
+    edges = list(combinations(range(1, 13), 2))
+    return [
+        Instance.of(300, [run(1, 290), [291, 292], run(293, 295), run(296, 300), [5, 6], [290, 291], [1, 300]], k),
+        Instance.of(300, [run(20, 300), [1, 2], run(3, 5), run(6, 10), run(11, 19), [15, 25]], k),
+        Instance.of(300, [run(1, 280), run(281, 285), [286, 287], run(288, 300), [279, 281]], k),
+        Instance.of(300, [run(1, 150), run(151, 290), run(1, 10), [150, 151]], k),
+        graph_to_maxvertexcover(12, edges, k),
+    ]
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 def test_select_sampling_equals_list_rebuild(seed):
-    for inst in batch(3 + seed, 30):
+    for inst in batch(3 + seed, 30) + [inst for k in range(1, 5) for inst in mostly_covered(k)]:
         run = randomized_min_noncovered(inst, max(frequency_profile(inst).p_max, 1), 2.0, 0.3, seed)
         per_rep, (chosen, uncovered) = rebuilding_min_noncovered(inst, run.repetitions, seed)
         assert run.per_rep_uncovered == per_rep
