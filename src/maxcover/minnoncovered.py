@@ -21,12 +21,14 @@ from .exact import DEFAULT_CEILING, EnumerationCeilingError
 @dataclass(frozen=True)
 class RandomizedRun:
     """All repetition outcomes: the planned repetition count, the best solution
-    found, every repetition's uncovered count, and the master seed."""
+    found, every repetition's uncovered count, the master seed, and the number
+    of search nodes that drew an element."""
 
     repetitions: int
     best: Solution
     per_rep_uncovered: tuple[int, ...]
     seed: int
+    samples: int
 
 
 def repetition_count(beta: float, epsilon: float, k: int) -> int:
@@ -47,6 +49,25 @@ def repetition_count(beta: float, epsilon: float, k: int) -> int:
         raise ValueError(
             f"repetition count for beta={beta}, epsilon={epsilon}, k={k} is too large to represent"
         ) from None
+
+
+def _nth_uncovered(covered: int, count: int, r: int) -> int:
+    """The r-th element (1-based, in increasing order) outside ``covered``,
+    which holds ``count`` elements; r must not exceed the uncovered count.
+
+    Elements 1..e leave e - count + popcount(covered >> e) of themselves
+    uncovered, which never falls as e grows, so the answer is the first e
+    where that reaches r. It lies in [r, r + count], and bisection finds it
+    with ceil(log2(count + 1)) shifts.
+    """
+    lo, hi = r, r + count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid - count + (covered >> mid).bit_count() >= r:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def randomized_min_noncovered(
@@ -73,26 +94,21 @@ def randomized_min_noncovered(
     if planned > ceiling:
         raise EnumerationCeilingError(planned, ceiling, "search leaves planned")
     masks = set_masks(inst)
-    full = (1 << inst.n) - 1
-    nbytes = (inst.n + 7) // 8
+    samples = 0
     owners: list[list[int]] = [[] for _ in range(inst.n)]
     for i, s in enumerate(inst.sets):
         for e in s:
             owners[e - 1].append(i)
 
     def search(depth: int, chosen: tuple[int, ...], covered: int, rng) -> tuple[tuple[int, ...], int]:
+        nonlocal samples
         if depth == 0:
             return chosen, covered
-        left = inst.n - covered.bit_count()
-        if not left:
+        count = covered.bit_count()
+        if count == inst.n:
             return chosen, covered
-        # The r-th uncovered element in increasing order: the r-th set bit of
-        # the complement, found by unpacking it to one flag per element.
-        r = int(rng.integers(left))
-        flags = np.unpackbits(
-            np.frombuffer((full ^ covered).to_bytes(nbytes, "little"), np.uint8), bitorder="little"
-        )
-        e = int(flags.nonzero()[0][r]) + 1
+        samples += 1
+        e = _nth_uncovered(covered, count, int(rng.integers(inst.n - count)) + 1)
         if not owners[e - 1]:
             # The sampled element lies in no set; nothing to branch on.
             return chosen, covered
@@ -118,4 +134,4 @@ def randomized_min_noncovered(
         if best_solution is None or uncovered < best_solution.uncovered:
             best_solution = Solution(tuple(sorted(chosen)), covered_count, uncovered)
     assert best_solution is not None  # reps >= 1 since -ln(epsilon) > 0
-    return RandomizedRun(reps, best_solution, tuple(per_rep), seed)
+    return RandomizedRun(reps, best_solution, tuple(per_rep), seed, samples)

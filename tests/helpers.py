@@ -3,6 +3,8 @@
 import random
 from itertools import combinations
 
+import numpy as np
+
 from maxcover import (
     Instance,
     TightFptSpec,
@@ -30,6 +32,16 @@ def union_coverage(inst: Instance, chosen) -> int:
     for i in chosen:
         union.update(inst.sets[i])
     return len(union)
+
+
+def unpacked_nth_uncovered(covered: int, n: int, r: int) -> int:
+    """The r-th (1-based) element of 1..n outside ``covered``, found as minnc
+    once found it: unpack the complement to one flag per element."""
+    flags = np.unpackbits(
+        np.frombuffer((((1 << n) - 1) ^ covered).to_bytes((n + 7) // 8, "little"), np.uint8),
+        bitorder="little",
+    )
+    return int(flags.nonzero()[0][r - 1]) + 1
 
 
 def full_scan(masks, size):

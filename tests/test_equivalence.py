@@ -81,20 +81,23 @@ def eager_extend(masks, taken, covered, steps):
 
 
 def rebuilding_min_noncovered(inst, reps, seed):
-    """Per-repetition uncovered counts and best (chosen, uncovered) of the
-    search that rebuilt the uncovered list at every node."""
+    """Per-repetition uncovered counts, best (chosen, uncovered) and number of
+    draws of the search that rebuilt the uncovered list at every node."""
     masks = [mask_of(s) for s in inst.sets]
     owners = [[] for _ in range(inst.n)]
     for i, s in enumerate(inst.sets):
         for e in s:
             owners[e - 1].append(i)
+    draws = 0
 
     def search(depth, chosen, covered, rng):
+        nonlocal draws
         if depth == 0:
             return chosen, covered
         uncovered = [e for e in range(1, inst.n + 1) if not covered >> (e - 1) & 1]
         if not uncovered:
             return chosen, covered
+        draws += 1
         e = uncovered[int(rng.integers(len(uncovered)))]
         if not owners[e - 1]:
             return chosen, covered
@@ -113,7 +116,7 @@ def rebuilding_min_noncovered(inst, reps, seed):
         per_rep.append(uncovered)
         if best is None or uncovered < best[1]:
             best = (tuple(sorted(chosen)), uncovered)
-    return tuple(per_rep), best
+    return tuple(per_rep), best, draws
 
 
 def every_prefix_then_greedy(inst, x):
@@ -218,9 +221,10 @@ def mostly_covered(k):
 def test_select_sampling_equals_list_rebuild(seed):
     for inst in batch(3 + seed, 30) + [inst for k in range(1, 5) for inst in mostly_covered(k)]:
         run = randomized_min_noncovered(inst, max(frequency_profile(inst).p_max, 1), 2.0, 0.3, seed)
-        per_rep, (chosen, uncovered) = rebuilding_min_noncovered(inst, run.repetitions, seed)
+        per_rep, (chosen, uncovered), draws = rebuilding_min_noncovered(inst, run.repetitions, seed)
         assert run.per_rep_uncovered == per_rep
         assert (run.best.chosen, run.best.uncovered) == (chosen, uncovered)
+        assert run.samples == draws
 
 
 def tight_instances():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import maxcover.minnoncovered
+from maxcover.minnoncovered import _nth_uncovered
 from maxcover import (
     EnumerationCeilingError,
     Instance,
@@ -14,7 +15,7 @@ from maxcover import (
     randomized_min_noncovered,
     repetition_count,
 )
-from helpers import random_instance
+from helpers import random_instance, unpacked_nth_uncovered
 
 
 def test_repetition_count_examples():
@@ -42,6 +43,32 @@ def test_repetition_count_rejects_bad_arguments():
 def test_repetition_count_overflow_is_a_value_error():
     with pytest.raises(ValueError, match="too large"):
         repetition_count(1.0001, 0.1, 200)
+
+
+def select_masks(n: int, rand: random.Random):
+    """Covered masks over 1..n: empty, all but one element covered, low and
+    high covered runs, every other element, and random masks of density
+    0.05 to 0.99."""
+    full = (1 << n) - 1
+    masks = [0]
+    masks += [full ^ (1 << b) for b in {0, n // 2, n - 1}]
+    masks += [(1 << length) - 1 for length in {1, n // 2, n - 1}]
+    masks += [full ^ ((1 << (n - length)) - 1) for length in {1, n // 2, n - 1}]
+    masks += [sum(1 << b for b in range(start, n, 2)) for start in (0, 1)]
+    for density in (0.05, 0.3, 0.5, 0.9, 0.99):
+        masks += [sum(1 << b for b in range(n) if rand.random() < density) for _ in range(3)]
+    return [mask for mask in masks if mask != full]
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000])
+def test_nth_uncovered_equals_unpacked_select(n):
+    rand = random.Random(n)
+    for covered in select_masks(n, rand):
+        count = covered.bit_count()
+        left = n - count
+        for r in {1, 2, left // 2, left - 1, left}:
+            if 1 <= r <= left:
+                assert _nth_uncovered(covered, count, r) == unpacked_nth_uncovered(covered, n, r)
 
 
 @pytest.fixture
@@ -89,6 +116,20 @@ def test_deterministic_per_seed():
     assert a == b
     c = randomized_min_noncovered(inst, 3, 2.0, 0.1, seed=43)
     assert c.seed != a.seed
+
+
+def test_samples_count_the_nodes_that_drew():
+    # Every repetition on the 4-cycle draws at the root, and both branches
+    # leave two elements for a draw at depth 1: 3 draws in each of 4.
+    cycle = Instance.of(4, [[1, 2], [2, 3], [3, 4], [4, 1]], 2)
+    assert randomized_min_noncovered(cycle, 2, 2.0, math.exp(-1), seed=0).samples == 12
+    # One set covers everything, so only the root of each of the 19
+    # repetitions draws.
+    whole = Instance.of(3, [[1, 2, 3]], 3)
+    assert randomized_min_noncovered(whole, 1, 2.0, 0.1, seed=0).samples == 19
+    # A drawn element in no set still counts; a zero budget draws nothing.
+    assert randomized_min_noncovered(Instance.of(1, [[]], 1), 1, 2.0, 0.5, seed=0).samples == 2
+    assert randomized_min_noncovered(Instance.of(2, [[1], [2]], 0), 1, 2.0, 0.5, seed=0).samples == 0
 
 
 def test_run_invariants():
