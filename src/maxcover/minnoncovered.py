@@ -52,14 +52,10 @@ def repetition_count(beta: float, epsilon: float, k: int) -> int:
 
 
 def _nth_uncovered(covered: int, count: int, r: int) -> int:
-    """The r-th element (1-based, in increasing order) outside ``covered``,
-    which holds ``count`` elements; r must not exceed the uncovered count.
-
-    Elements 1..e leave e - count + popcount(covered >> e) of themselves
-    uncovered, which never falls as e grows, so the answer is the first e
-    where that reaches r. It lies in [r, r + count], and bisection finds it
-    with ceil(log2(count + 1)) shifts.
-    """
+    """The r-th (1-based) element outside ``covered``, a mask of ``count``
+    elements. Elements 1..e leave e - count + popcount(covered >> e) of
+    themselves uncovered, which never falls as e grows, so bisection finds
+    the first e where that reaches r; it lies in [r, r + count]."""
     lo, hi = r, r + count
     while lo < hi:
         mid = (lo + hi) // 2

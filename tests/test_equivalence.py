@@ -202,8 +202,8 @@ def mostly_covered(k):
     """Instances where a few picks cover nearly everything, so the sampled
     element is one of a few left: n = 300 with a set holding the run 1..290,
     free elements only at the low or only at the high end of the range,
-    elements in no set placed last, and the graph of a complete graph on 12
-    vertices."""
+    elements in no set placed last, and the graph reduction of the complete
+    graph on 12 vertices."""
     def run(a, b):
         return list(range(a, b + 1))
 
