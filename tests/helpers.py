@@ -1,5 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
+import heapq
+import math
 import random
 from itertools import combinations
 
@@ -63,6 +65,73 @@ def full_scan(masks, size):
             best, best_cov = combo, union.bit_count()
             if best_cov >= stop_at:
                 break
+    return best, best_cov, scanned
+
+
+def int_kernel(masks, size, p=None):
+    """The exhaustive kernel as it was on Python ints: each node ORs its union
+    into every later mask and counts each result with ``int.bit_count``; the
+    frequency-bound gate reads every pair with big-int ANDs. Returns (indices,
+    union popcount, leaves evaluated), node for node as the packed kernel."""
+    m = len(masks)
+    size = min(size, m)
+    if size == 0:
+        return (), 0, 1
+    reachable = 0
+    for mask in masks:
+        reachable |= mask
+    stop_at = reachable.bit_count()
+    best, best_cov, scanned = (), -1, 0
+    choice = [0] * size
+    gate = [0] * m
+    if p is not None and size >= 2:
+        least = math.inf
+        for a in range(m - 2, -1, -1):
+            least = min(least, min((masks[a] & b).bit_count() for b in masks[a + 1:]))
+            if not least:
+                break
+            gate[a] = least
+
+    def top_sums(values, r):
+        out, smallest_first, total = [0] * len(values), [], 0
+        for j in range(len(values) - 1, -1, -1):
+            v = values[j]
+            if len(smallest_first) < r:
+                heapq.heappush(smallest_first, v)
+                total += v
+            elif v > smallest_first[0]:
+                total += v - heapq.heapreplace(smallest_first, v)
+            out[j] = total
+        return out
+
+    def descend(pos, start, union):
+        nonlocal best, best_cov, scanned
+        covs = [(union | mask).bit_count() for mask in masks[start:]]
+        if pos == size - 1:
+            top = max(covs)
+            if top <= best_cov:
+                scanned += len(covs)
+                return False
+            j = covs.index(top)
+            scanned += j + 1 if top >= stop_at else len(covs)
+            best_cov = top
+            choice[pos] = start + j
+            best = tuple(choice)
+            return top >= stop_at
+        r = size - pos
+        excess = (r - 1) * union.bit_count()
+        if gate[start] and (p <= 2 or not union):
+            excess += -(-r * (r - 1) * gate[start] // p)
+        bounds = top_sums(covs, r)
+        for j in range(len(covs) - r + 1):
+            if bounds[j] - excess <= best_cov:
+                return False
+            choice[pos] = start + j
+            if descend(pos + 1, start + j + 1, union | masks[start + j]):
+                return True
+        return False
+
+    descend(0, 0, 0)
     return best, best_cov, scanned
 
 

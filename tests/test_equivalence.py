@@ -5,7 +5,9 @@ bound-pruned exhaustive searches must give exactly what the earlier eager
 scan, list-rebuilding sampler, bit-by-bit mask build, full subset scan and
 prefix-by-prefix hybrid gave, on seeded batches of random instances, graph
 reductions and the adversarial families. The pruned searches may only do less
-work than the scans they replaced.
+work than the scans they replaced. The exhaustive kernel must also give what
+its Python-int form gave, leaf count included, with and without a frequency
+bound.
 
 The document load (record reader, ``Instance`` and ``ApprovalElection``
 checks, approval and graph reductions, frequency profile) must give what the
@@ -49,7 +51,7 @@ from maxcover import (
 from maxcover.core import _parse_header
 from maxcover.exact import best_fixed_size_subset
 from maxcover.greedy import extend_greedily
-from helpers import bounded_families, full_scan, random_graph
+from helpers import bounded_families, full_scan, int_kernel, random_graph
 
 
 def mask_of(ids) -> int:
@@ -266,6 +268,40 @@ def test_pruned_kernel_stops_at_the_first_full_cover():
     assert scanned <= full_scan(masks, 2)[2] == 2
     # Single picks: the first set holding every element ends the scan at once.
     assert best_fixed_size_subset([0b01, 0b11, 0b11], 1) == ((1,), 2, 2)
+
+
+def most_holders(masks):
+    """The largest number of ``masks`` holding one element, at least 1."""
+    width = max(masks, default=0).bit_length()
+    return max([1] + [sum(mask >> e & 1 for mask in masks) for e in range(width)])
+
+
+def row_width_cases(rand):
+    """Mask families at and around the 64-bit word boundaries: random masks,
+    all-zero masks, a single non-empty mask, and masks far narrower than the
+    widest one."""
+    for n in (1, 63, 64, 65, 127, 128, 129):
+        full = (1 << n) - 1
+        yield [rand.getrandbits(n) for _ in range(rand.randint(2, 8))]
+        yield [rand.getrandbits(n) & rand.getrandbits(n) for _ in range(7)]
+        yield [0] * 5
+        yield [0, 0, full, 0]
+        yield [1 << (n - 1)]
+        wide = [full, 1 << (n - 1)]
+        narrow = [rand.getrandbits(max(1, n // 3)) for _ in range(5)]
+        yield narrow[:2] + wide[:1] + narrow[2:] + wide[1:]
+
+
+def test_kernel_equals_the_int_kernel():
+    rand = random.Random(10)
+    cases = [(set_masks(inst), inst.k, {p, most_holders(set_masks(inst))})
+             for inst, p, _ in bounded_families(10)]
+    cases += [(masks, 2, {most_holders(masks)}) for masks in row_width_cases(rand)]
+    for masks, k, bounds in cases:
+        m = len(masks)
+        for size in {1, 2, k, m - 1, m}:
+            for p in [None, *bounds]:
+                assert best_fixed_size_subset(masks, size, p=p) == int_kernel(masks, size, p)
 
 
 def test_pruned_kernel_skips_most_subsets_of_a_random_instance():

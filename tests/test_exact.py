@@ -11,12 +11,14 @@ from maxcover import (
     EnumerationCeilingError,
     Instance,
     TightFptSpec,
+    TightGreedySpec,
     brute_force,
     coverage,
     fpt_approx,
     frequency_profile,
     gen_random,
     gen_tight_fpt,
+    gen_tight_greedy,
     set_masks,
 )
 from maxcover.exact import best_fixed_size_subset
@@ -76,6 +78,16 @@ def test_ceiling_refusal_reports_count():
         brute_force(inst, ceiling=1000)
     assert err.value.count == 184756
     assert err.value.ceiling == 1000
+
+
+def test_tight_greedy_search():
+    # The 24-set, K = 6 document of the exhaustive-small benchmark: the last
+    # six sets are the disjoint blocks that cover every element.
+    inst = gen_tight_greedy(TightGreedySpec(5, 6, 24))
+    res = brute_force(inst)
+    assert res.solution.chosen == tuple(range(18, 24))
+    assert res.opt == res.solution.covered == inst.n == 18360
+    assert res.subsets_scanned == 17111
 
 
 def test_never_beaten_by_random_subsets():
