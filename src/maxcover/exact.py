@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import Instance, Solution, set_masks
 
 DEFAULT_CEILING = 10**8
@@ -44,14 +46,22 @@ def best_fixed_size_subset(
     union replaces the best, so ties keep the lexicographically smallest
     index tuple.
 
-    A node holding union ``u`` with ``r`` picks left counts ``u | masks[i]``
-    for every later set in one pass. Any subset whose next pick is j or later
-    covers at most popcount(u) plus the r largest gains from j on; that bound
-    never grows with j, so the node returns once it cannot beat the best
-    union. Such a subset could at best tie, and a tie never replaces the best,
-    so the answer is that of a full scan. At the last level those counts are
-    the leaves' unions themselves, evaluated without descending further. The
-    search stops at the first union covering every element some mask holds.
+    For ``size >= 2`` the masks are packed once into an (m, ceil(bits / 64))
+    array of little-endian uint64 rows. A node holding union ``u``, itself
+    such a row, with ``r`` picks left counts ``u | masks[i]`` for every later
+    set with one ``np.bitwise_count`` over the rows from its start, and hands
+    each child that count as the popcount of the child's union. Every
+    temporary of that scan is dropped before the node descends, so the extra
+    memory stays that of a few rows. A size-1 search is a single scan with no
+    pruning and reads the ints, because packing costs more than that scan.
+
+    Any subset whose next pick is j or later covers at most popcount(u) plus
+    the r largest gains from j on; that bound never grows with j, so the node
+    returns once it cannot beat the best union. Such a subset could at best
+    tie, and a tie never replaces the best, so the answer is that of a full
+    scan. At the last level those counts are the leaves' unions themselves,
+    evaluated without descending further. The search stops at the first union
+    covering every element some mask holds.
 
     ``p``, when given, must bound how many of ``masks`` hold any one element.
     An element outside ``u`` that t <= p of the r picks hold then counts t - 1
@@ -62,8 +72,8 @@ def best_fixed_size_subset(
     still returns only when that cannot beat the best. The term is used where
     delta is simply the smallest overlap of two later sets: at a node with
     nothing covered yet, and at every node when p <= 2, since an element two
-    later sets share then lies in no picked set. One pass per search finds
-    those minima.
+    later sets share then lies in no picked set. One pass per search over the
+    rows finds those minima.
     """
     m = len(masks)
     size = min(size, m)
@@ -76,6 +86,14 @@ def best_fixed_size_subset(
     for mask in masks:
         reachable |= mask
     stop_at = reachable.bit_count()
+    if size == 1:
+        covs = [mask.bit_count() for mask in masks]
+        top = max(covs)
+        j = covs.index(top)
+        return (j,), top, j + 1 if top >= stop_at else m
+    words = -(-reachable.bit_length() // 64)
+    packed = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+    rows = np.frombuffer(packed, "<u8").reshape(m, words)
     best: tuple[int, ...] = ()
     best_cov = -1
     scanned = 0
@@ -83,12 +101,13 @@ def best_fixed_size_subset(
     # gate[j] is delta for a node starting at j where the term is used.
     # Elsewhere delta would take a pass over every pair of later sets at each
     # node, which costs more than the leaves it saves.
-    gate = _least_overlaps(masks) if p is not None and size >= 2 else [0] * m
+    gate = _least_overlaps(rows) if p is not None else [0] * m
 
-    def descend(pos: int, start: int, union: int) -> bool:
-        """Search below ``union``; True once the search may stop."""
+    def descend(pos: int, start: int, union: np.ndarray, union_cov: int) -> bool:
+        """Search below ``union``, which covers ``union_cov`` elements; True
+        once the search may stop."""
         nonlocal best, best_cov, scanned
-        covs = [(union | mask).bit_count() for mask in masks[start:]]
+        covs = np.bitwise_count(rows[start:] | union).sum(axis=1).tolist()
         if pos == size - 1:
             top = max(covs)
             if top <= best_cov:
@@ -105,19 +124,19 @@ def best_fixed_size_subset(
         # covs[j] is popcount(union) plus the gain of set start + j, so the
         # bound popcount(union) + (r largest gains from j on) is
         # bounds[j] - (r - 1) * popcount(union).
-        excess = (r - 1) * union.bit_count()
-        if gate[start] and (p <= 2 or not union):
+        excess = (r - 1) * union_cov
+        if gate[start] and (p <= 2 or not union_cov):
             excess += -(-r * (r - 1) * gate[start] // p)
         bounds = _suffix_top_sums(covs, r)
         for j in range(len(covs) - r + 1):
             if bounds[j] - excess <= best_cov:
                 return False
             choice[pos] = start + j
-            if descend(pos + 1, start + j + 1, union | masks[start + j]):
+            if descend(pos + 1, start + j + 1, union | rows[start + j], covs[j]):
                 return True
         return False
 
-    descend(0, 0, 0)
+    descend(0, 0, np.zeros(words, np.uint64), 0)
     return best, best_cov, scanned
 
 
@@ -137,15 +156,15 @@ def _suffix_top_sums(values: Sequence[int], r: int) -> list[int]:
     return out
 
 
-def _least_overlaps(masks: Sequence[int]) -> list[int]:
+def _least_overlaps(rows: np.ndarray) -> list[int]:
     """``out[j]`` is the smallest |A_a & A_b| over pairs a < b of
-    ``masks[j:]``; 0 where that suffix has a disjoint pair or fewer than two
-    masks. The pass runs from the end and stops after the first row that
+    ``rows[j:]``; 0 where that suffix has a disjoint pair or fewer than two
+    rows. The pass runs from the end and stops after the first row that
     holds a disjoint pair, so on most families it reads a few pairs."""
-    out = [0] * len(masks)
+    out = [0] * len(rows)
     least = math.inf
-    for a in range(len(masks) - 2, -1, -1):
-        least = min(least, min(map(int.bit_count, map(masks[a].__and__, masks[a + 1 :]))))
+    for a in range(len(rows) - 2, -1, -1):
+        least = min(least, int(np.bitwise_count(rows[a] & rows[a + 1 :]).sum(axis=1).min()))
         if not least:
             break
         out[a] = least

@@ -3,6 +3,7 @@ kernel's frequency bound."""
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -88,6 +89,23 @@ def test_tight_greedy_search():
     assert res.solution.chosen == tuple(range(18, 24))
     assert res.opt == res.solution.covered == inst.n == 18360
     assert res.subsets_scanned == 17111
+
+
+def test_search_memory_stays_within_a_few_row_copies():
+    # The kernel packs the 24 masks into 24 rows of ceil(18360 / 64) words.
+    # Each node's scan makes its temporaries and drops them before it
+    # descends, so the peak is the rows, one scan's temporaries and numpy's
+    # fixed iteration buffers, whatever the depth. Keeping each level's scan
+    # alive would add about five more row copies.
+    masks = set_masks(gen_tight_greedy(TightGreedySpec(5, 6, 24)))
+    rows_bytes = len(masks) * -(-18360 // 64) * 8
+    tracemalloc.start()
+    try:
+        best_fixed_size_subset(masks, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * rows_bytes
 
 
 def test_never_beaten_by_random_subsets():
