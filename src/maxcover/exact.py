@@ -137,6 +137,9 @@ def best_fixed_size_subset(
         return False
 
     descend(0, 0, np.zeros(words, np.uint64), 0)
+    # descend refers to itself through its closure; dropping the name frees
+    # the rows on return instead of at the next garbage collection.
+    del descend
     return best, best_cov, scanned
 
 

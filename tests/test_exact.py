@@ -96,16 +96,18 @@ def test_search_memory_stays_within_a_few_row_copies():
     # Each node's scan makes its temporaries and drops them before it
     # descends, so the peak is the rows, one scan's temporaries and numpy's
     # fixed iteration buffers, whatever the depth. Keeping each level's scan
-    # alive would add about five more row copies.
+    # alive would add about five more row copies. The rows themselves are
+    # freed when the search returns.
     masks = set_masks(gen_tight_greedy(TightGreedySpec(5, 6, 24)))
     rows_bytes = len(masks) * -(-18360 // 64) * 8
     tracemalloc.start()
     try:
         best_fixed_size_subset(masks, 6)
-        _, peak = tracemalloc.get_traced_memory()
+        left, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * rows_bytes
+    assert left < rows_bytes // 8
 
 
 def test_never_beaten_by_random_subsets():
