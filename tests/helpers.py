@@ -13,7 +13,9 @@ from maxcover import (
     gen_random,
     gen_tight_fpt,
     graph_to_maxvertexcover,
+    set_masks,
 )
+from maxcover.greedy import extend_greedily
 
 
 def random_instance(rand: random.Random, n: int, m: int, k: int, p_max: int,
@@ -133,6 +135,43 @@ def int_kernel(masks, size, p=None):
 
     descend(0, 0, 0)
     return best, best_cov, scanned
+
+
+def recursive_exact_then_greedy(inst, x):
+    """``exact_then_greedy`` as it was with a recursive prefix tree: each
+    node sums the r + x largest gains among the sets outside its prefix, and
+    every finished prefix is completed greedily. Returns (chosen, covered,
+    prefixes finished), prefix for prefix as the library's search."""
+    masks = set_masks(inst)
+    x_eff = min(x, inst.effective_budget)
+    prefix_size = inst.effective_budget - x_eff
+    prefix, taken = [], [False] * inst.m
+    best_chosen, best_covered, finished = (), -1, 0
+
+    def descend(start, union):
+        nonlocal best_chosen, best_covered, finished
+        r = prefix_size - len(prefix)
+        base = union.bit_count()
+        gains = [(union | mask).bit_count() - base for i, mask in enumerate(masks) if not taken[i]]
+        if base + sum(heapq.nlargest(r + x_eff, gains)) < best_covered:
+            return
+        if r == 0:
+            finished += 1
+            picks, _, covered = extend_greedily(masks, taken[:], union, x_eff)
+            chosen = tuple(sorted(prefix + picks))
+            cov = covered.bit_count()
+            if cov > best_covered or (cov == best_covered and chosen < best_chosen):
+                best_covered, best_chosen = cov, chosen
+            return
+        for i in range(start, inst.m - r + 1):
+            prefix.append(i)
+            taken[i] = True
+            descend(i + 1, union | masks[i])
+            taken[i] = False
+            prefix.pop()
+
+    descend(0, 0)
+    return best_chosen, best_covered, finished
 
 
 def random_graph(rand: random.Random, vertices: int, edges: int, k: int) -> Instance:

@@ -51,7 +51,7 @@ from maxcover import (
 from maxcover.core import _parse_header
 from maxcover.exact import best_fixed_size_subset
 from maxcover.greedy import extend_greedily
-from helpers import bounded_families, full_scan, int_kernel, random_graph
+from helpers import bounded_families, full_scan, int_kernel, random_graph, recursive_exact_then_greedy
 
 
 def mask_of(ids) -> int:
@@ -328,6 +328,17 @@ def test_pruned_hybrid_equals_every_prefix_scan():
             chosen, covered, finished = every_prefix_then_greedy(inst, x)
             assert (report.solution.chosen, report.solution.covered) == (chosen, covered)
             assert 1 <= report.combos_scanned <= finished
+
+
+def test_hybrid_equals_its_recursive_form():
+    # The exhaustive-small rand-m40 and rand-m60 documents of seeds 0 and 11.
+    shapes = [gen_random(2000, 40, 5, 2, s) for s in (0, 11000)]
+    shapes += [gen_random(2000, 60, 4, 3, s) for s in (1, 11001)]
+    for inst in batch(5, 60) + tight_instances() + shapes:
+        for x in range(inst.k + 1):
+            report = exact_then_greedy(inst, x)
+            got = (report.solution.chosen, report.solution.covered, report.combos_scanned)
+            assert got == recursive_exact_then_greedy(inst, x), x
 
 
 def test_pruned_hybrid_keeps_a_tying_prefix_with_a_smaller_tuple():
