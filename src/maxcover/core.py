@@ -380,10 +380,7 @@ def _read_ids(tag: str, what: str, out_of_range, tokens: list[str], ln: int, bou
         raise ParseError(f"expected a {what} line starting with '{tag}', got '{tokens[0]}'", ln)
     ids = set()
     for t in tokens[1:]:
-        try:
-            e = int(t)
-        except ValueError:
-            raise ParseError(f"non-numeric token '{t}'", ln) from None
+        e = _int_token(t, ln)
         if not 0 < e <= bound:
             raise ParseError(out_of_range(e, bound), ln)
         ids.add(e)
