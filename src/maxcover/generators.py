@@ -16,6 +16,8 @@ import numpy as np
 
 from .core import MAX_HEADER_COUNT, Instance, _unchecked
 
+# Most incidences the tight constructions build; a larger spec is refused
+# before anything is allocated.
 DEFAULT_SIZE_CEILING = 5_000_000
 
 
@@ -104,9 +106,7 @@ class TightFptSpec:
         return int(Fraction(2 * self.p * self.k) / self._gap + self.k)
 
 
-def gen_tight_greedy(
-    spec: TightGreedySpec, size_ceiling: int = DEFAULT_SIZE_CEILING
-) -> Instance:
+def gen_tight_greedy(spec: TightGreedySpec) -> Instance:
     """Blocks of identically spread elements baiting greedy away from the
     disjoint optimal blocks.
 
@@ -120,10 +120,8 @@ def gen_tight_greedy(
     q = spec.m - spec.k
     block = math.comb(q, spec.p - 1)
     n = spec.k * block
-    if n * spec.p > size_ceiling:
-        raise ValueError(
-            f"construction needs {n * spec.p} incidences, above the ceiling {size_ceiling}"
-        )
+    if n * spec.p > DEFAULT_SIZE_CEILING:
+        raise ValueError(f"construction needs {n * spec.p} incidences, above the ceiling {DEFAULT_SIZE_CEILING}")
     spread: list[list[int]] = [[] for _ in range(q)]
     blocks: list[tuple[int, ...]] = []
     for b in range(spec.k):
@@ -140,7 +138,7 @@ def gen_tight_greedy(
     return _unchecked(Instance, n, tuple(tuple(s) for s in spread) + tuple(blocks), spec.k)
 
 
-def gen_tight_fpt(spec: TightFptSpec, size_ceiling: int = DEFAULT_SIZE_CEILING) -> Instance:
+def gen_tight_fpt(spec: TightFptSpec) -> Instance:
     """A pool-sized overlapping family next to k disjoint decoys.
 
     The first x sets cover a block of comb(x, p) elements, one element per
@@ -155,10 +153,8 @@ def gen_tight_fpt(spec: TightFptSpec, size_ceiling: int = DEFAULT_SIZE_CEILING) 
     per_set = math.comb(x - 1, spec.p - 1)
     n2 = spec.k * per_set
     n = n1 + n2
-    if n1 * spec.p + n2 > size_ceiling:
-        raise ValueError(
-            f"construction needs {n1 * spec.p + n2} incidences, above the ceiling {size_ceiling}"
-        )
+    if n1 * spec.p + n2 > DEFAULT_SIZE_CEILING:
+        raise ValueError(f"construction needs {n1 * spec.p + n2} incidences, above the ceiling {DEFAULT_SIZE_CEILING}")
     overlapping: list[list[int]] = [[] for _ in range(x)]
     for r in range(n1):
         for j in unrank_colex(r, spec.p):

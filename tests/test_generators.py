@@ -85,7 +85,7 @@ def test_tight_greedy_rejects_bad_parameters():
     with pytest.raises(ValueError, match="p-1 <= m-k"):
         TightGreedySpec(p=9, k=3, m=10)
     with pytest.raises(ValueError, match="ceiling"):
-        gen_tight_greedy(TightGreedySpec(p=20, k=4, m=40), size_ceiling=100)
+        gen_tight_greedy(TightGreedySpec(p=20, k=4, m=40))
 
 
 def test_tight_greedy_alpha():
@@ -148,7 +148,7 @@ def test_tight_fpt_rejects_bad_parameters():
     with pytest.raises(ValueError, match="divide"):
         TightFptSpec(p=2, k=3, beta=0.5)
     with pytest.raises(ValueError, match="ceiling"):
-        gen_tight_fpt(TightFptSpec(p=3, k=3, beta=0.75), size_ceiling=100)
+        gen_tight_fpt(TightFptSpec(p=4, k=4, beta=0.75))
 
 
 # ---------------------------------------------------------------------------
