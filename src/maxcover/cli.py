@@ -3,8 +3,7 @@
 Reports are deterministic JSON documents (wall times go to stderr, and to the
 compare CSV, never into the report), so rerunning a seeded command reproduces
 the output byte for byte. Exit codes: 0 success, 1 malformed input, 2
-infeasible or invalid parameters, or a budget deeper than the recursive
-searches can go.
+infeasible or invalid parameters.
 """
 
 from __future__ import annotations
@@ -222,11 +221,10 @@ def _solve_one(inst: Instance, alg: str, args) -> tuple:
 
 
 def _oracle_opt(inst: Instance, ceiling: int) -> int | None:
-    """Exact optimum, or None when the enumeration ceiling, or a budget deeper
-    than the recursive search can go, makes it infeasible."""
+    """Exact optimum, or None when the enumeration ceiling makes it infeasible."""
     try:
         return brute_force(inst, ceiling).opt
-    except (EnumerationCeilingError, RecursionError) as err:
+    except EnumerationCeilingError as err:
         print(f"note: optimum skipped, {err}", file=sys.stderr)
         return None
 
@@ -315,7 +313,10 @@ def run_verify(args) -> int:
     """Recount a report's coverage with plain set unions, independent of the
     solvers' bitmask kernel, and fail on any mismatch."""
     inst = load_instance_text(_read(args.infile))
-    report = json.loads(_read(args.sol))
+    try:
+        report = json.loads(_read(args.sol))
+    except RuntimeError:  # the decoder's recursion limit, reached by deep nesting
+        raise ParseError("report is nested too deeply to decode") from None
     chosen = report.get("chosen", []) if isinstance(report, dict) else None
     if not isinstance(chosen, list) or not all(type(i) is int for i in chosen):
         raise ParseError("report must be a JSON object whose 'chosen' is a list of integers")
@@ -418,7 +419,7 @@ def main(argv=None) -> int:
     except (ParseError, UnicodeDecodeError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, EnumerationCeilingError, RecursionError) as err:
+    except (ValueError, EnumerationCeilingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -50,18 +50,25 @@ def best_fixed_size_subset(
     array of little-endian uint64 rows. A node holding union ``u``, itself
     such a row, with ``r`` picks left counts ``u | masks[i]`` for every later
     set with one ``np.bitwise_count`` over the rows from its start, and hands
-    each child that count as the popcount of the child's union. Every
-    temporary of that scan is dropped before the node descends, so the extra
-    memory stays that of a few rows. A size-1 search is a single scan with no
-    pruning and reads the ints, because packing costs more than that scan.
+    each child that count as the popcount of the child's union. A size-1
+    search is a single scan with no pruning and reads the ints, because
+    packing costs more than that scan.
 
     Any subset whose next pick is j or later covers at most popcount(u) plus
-    the r largest gains from j on; that bound never grows with j, so the node
-    returns once it cannot beat the best union. Such a subset could at best
-    tie, and a tie never replaces the best, so the answer is that of a full
-    scan. At the last level those counts are the leaves' unions themselves,
-    evaluated without descending further. The search stops at the first union
-    covering every element some mask holds.
+    the r largest gains from j on; that bound never grows with j, so a node's
+    children are cut from the first one whose bound cannot beat the best
+    union. Such a subset could at best tie, and a tie never replaces the best,
+    so the answer is that of a full scan. At the last level those counts are
+    the leaves' unions themselves, evaluated without descending further. The
+    search stops at the first union covering every element some mask holds.
+
+    The tree is walked depth first on an explicit stack, so no budget is too
+    deep for it. A frame is an unvisited child: its depth, first later set,
+    parent's union row, own union's popcount and bound. Children are pushed
+    in reverse, so they pop in index order, and each is skipped if its bound
+    no longer beats the best. A child forms its union when it pops, so the
+    stack holds one row per level, and with each scan's temporaries dropped
+    the extra memory stays that of a few rows.
 
     ``p``, when given, must bound how many of ``masks`` hold any one element.
     An element outside ``u`` that t <= p of the r picks hold then counts t - 1
@@ -102,24 +109,29 @@ def best_fixed_size_subset(
     # Elsewhere delta would take a pass over every pair of later sets at each
     # node, which costs more than the leaves it saves.
     gate = _least_overlaps(rows) if p is not None else [0] * m
-
-    def descend(pos: int, start: int, union: np.ndarray, union_cov: int) -> bool:
-        """Search below ``union``, which covers ``union_cov`` elements; True
-        once the search may stop."""
-        nonlocal best, best_cov, scanned
+    stack = [(0, 0, np.zeros(words, np.uint64), 0, math.inf)]
+    while stack:
+        pos, start, union, union_cov, bound = stack.pop()
+        if bound <= best_cov:
+            continue
+        if pos:  # the root picks nothing
+            choice[pos - 1] = start - 1
+            union = union | rows[start - 1]
         covs = np.bitwise_count(rows[start:] | union).sum(axis=1).tolist()
         if pos == size - 1:
             top = max(covs)
             if top <= best_cov:
                 scanned += len(covs)
-                return False
+                continue
             # Evaluation in order stops at the first leaf covering stop_at.
             j = covs.index(top)
             scanned += j + 1 if top >= stop_at else len(covs)
             best_cov = top
             choice[pos] = start + j
             best = tuple(choice)
-            return top >= stop_at
+            if top >= stop_at:
+                break
+            continue
         r = size - pos
         # covs[j] is popcount(union) plus the gain of set start + j, so the
         # bound popcount(union) + (r largest gains from j on) is
@@ -128,18 +140,12 @@ def best_fixed_size_subset(
         if gate[start] and (p <= 2 or not union_cov):
             excess += -(-r * (r - 1) * gate[start] // p)
         bounds = _suffix_top_sums(covs, r)
+        kids = []
         for j in range(len(covs) - r + 1):
             if bounds[j] - excess <= best_cov:
-                return False
-            choice[pos] = start + j
-            if descend(pos + 1, start + j + 1, union | rows[start + j], covs[j]):
-                return True
-        return False
-
-    descend(0, 0, np.zeros(words, np.uint64), 0)
-    # descend refers to itself through its closure; dropping the name frees
-    # the rows on return instead of at the next garbage collection.
-    del descend
+                break
+            kids.append((pos + 1, start + j + 1, union, covs[j], bounds[j] - excess))
+        stack += reversed(kids)
     return best, best_cov, scanned
 
 

@@ -9,7 +9,6 @@ here as well.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -91,13 +90,15 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     prefix win when it leaves better ground for the greedy stage. Ties on
     coverage keep the lexicographically smallest completed index tuple.
 
-    Prefixes grow as a tree in lexicographic order. A partial prefix with
-    union ``u`` and ``r`` picks left completes with r + x more sets outside
-    it, so no completion below it covers more than popcount(u) plus the
-    r + x largest gains among those sets; the subtree is skipped when that
-    bound is below the best coverage so far. A completion that only ties may
-    still win on its index tuple, so a tying bound is searched.
-    ``combos_scanned`` counts the prefixes finished greedily.
+    Prefixes grow as a tree in lexicographic order, walked depth first on an
+    explicit stack of (next index, prefix, union) frames, so no budget is too
+    deep for it. Children are pushed in reverse, so they pop in order. A
+    prefix with union ``u`` and ``r`` picks left completes with r + x more
+    sets outside it, so no completion below it covers more than popcount(u)
+    plus the r + x largest gains among those sets; when it pops, its subtree
+    is skipped if that bound is below the best coverage so far. A completion
+    that only ties may still win on its index tuple, so a tying bound is
+    searched. ``combos_scanned`` counts the prefixes finished greedily.
     """
     _check_split(inst, x)
     masks = set_masks(inst)
@@ -107,36 +108,32 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     total = math.comb(inst.m, prefix_size)
     if total > ceiling:
         raise EnumerationCeilingError(total, ceiling)
-    prefix: list[int] = []
-    taken = [False] * inst.m
     best_chosen: tuple[int, ...] = ()
     best_covered = -1
     finished = 0
-
-    def descend(start: int, union: int) -> None:
-        nonlocal best_chosen, best_covered, finished
+    stack = [(0, (), 0)]  # (first index to branch on, prefix, its union)
+    while stack:
+        start, prefix, union = stack.pop()
         r = prefix_size - len(prefix)
         base = union.bit_count()
-        gains = [(union | mask).bit_count() - base for i, mask in enumerate(masks) if not taken[i]]
-        if base + sum(heapq.nlargest(r + x_eff, gains)) < best_covered:
-            return
+        # A prefix set gains 0, and at least r + x_eff other sets remain, so
+        # the prefix sets do not change the sum of the r + x_eff largest gains.
+        gains = sorted([(union | mask).bit_count() - base for mask in masks], reverse=True)
+        if base + sum(gains[: r + x_eff]) < best_covered:
+            continue
         if r == 0:
             finished += 1
-            picks, _, covered = extend_greedily(masks, taken[:], union, x_eff)
-            chosen = tuple(sorted(prefix + picks))
+            taken = [False] * inst.m
+            for i in prefix:
+                taken[i] = True
+            picks, _, covered = extend_greedily(masks, taken, union, x_eff)
+            chosen = tuple(sorted(prefix + tuple(picks)))
             cov = covered.bit_count()
             if cov > best_covered or (cov == best_covered and chosen < best_chosen):
                 best_covered = cov
                 best_chosen = chosen
-            return
-        for i in range(start, inst.m - r + 1):
-            prefix.append(i)
-            taken[i] = True
-            descend(i + 1, union | masks[i])
-            taken[i] = False
-            prefix.pop()
-
-    descend(0, 0)
+            continue
+        stack += [(i + 1, prefix + (i,), union | masks[i]) for i in range(inst.m - r, start - 1, -1)]
     solution = Solution(best_chosen, best_covered, inst.n - best_covered)
     return HybridReport(x, solution, _ratio_or_unit("alg5", x, inst.k), finished)
 

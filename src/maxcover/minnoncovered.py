@@ -75,7 +75,10 @@ def randomized_min_noncovered(
     Deterministic per (instance, parameters, seed): repetition i uses the
     PCG64 stream derived from SeedSequence(seed, spawn_key=(i,)). A branch
     that covers everything returns early; ties on uncovered counts keep the
-    earlier candidate, both across branches and across repetitions. Refuses
+    earlier candidate, both across branches and across repetitions, so a
+    repetition's result is the first leaf, in depth-first order, that covers
+    the most. Each tree is walked on an explicit stack of (picks left, picks
+    made, covered mask) frames, so no budget is too deep for it. Refuses
     with :class:`EnumerationCeilingError`, before any search, when the plan's
     repetitions times p**k search leaves exceed ``ceiling``.
     """
@@ -96,38 +99,37 @@ def randomized_min_noncovered(
         for e in s:
             owners[e - 1].append(i)
 
-    def search(depth: int, chosen: tuple[int, ...], covered: int, rng) -> tuple[tuple[int, ...], int]:
-        nonlocal samples
-        if depth == 0:
-            return chosen, covered
-        count = covered.bit_count()
-        if count == inst.n:
-            return chosen, covered
-        samples += 1
-        e = _nth_uncovered(covered, count, int(rng.integers(inst.n - count)) + 1)
-        if not owners[e - 1]:
-            # The sampled element lies in no set; nothing to branch on.
-            return chosen, covered
-        best_chosen = chosen
-        best_covered = covered
-        best_count = -1
-        for i in owners[e - 1]:
-            ch, cov = search(depth - 1, chosen + (i,), covered | masks[i], rng)
-            count = cov.bit_count()
-            if count > best_count:
-                best_chosen, best_covered, best_count = ch, cov, count
-        return best_chosen, best_covered
-
     best_solution: Solution | None = None
     per_rep: list[int] = []
     for rep in range(reps):
         stream = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
         rng = np.random.Generator(np.random.PCG64(stream))
-        chosen, covered = search(inst.k, (), 0, rng)
-        covered_count = covered.bit_count()
-        uncovered = inst.n - covered_count
+        # Nodes pop, and draw, in depth-first order; children with no picks
+        # left are leaves, read in order where they are made.
+        best_chosen, best_count = (), -1
+        stack = [(inst.k, (), 0)]
+        while stack:
+            depth, chosen, covered = stack.pop()
+            count = covered.bit_count()
+            if depth and count < inst.n:
+                samples += 1
+                e = _nth_uncovered(covered, count, int(rng.integers(inst.n - count)) + 1)
+                kids = owners[e - 1]
+                if kids and depth > 1:
+                    stack += [(depth - 1, chosen + (i,), covered | masks[i]) for i in reversed(kids)]
+                    continue
+                for i in kids:
+                    kid_count = (covered | masks[i]).bit_count()
+                    if kid_count > best_count:
+                        best_chosen, best_count = chosen + (i,), kid_count
+                if kids:
+                    continue
+                # The sampled element lies in no set; nothing to branch on.
+            if count > best_count:
+                best_chosen, best_count = chosen, count
+        uncovered = inst.n - best_count
         per_rep.append(uncovered)
         if best_solution is None or uncovered < best_solution.uncovered:
-            best_solution = Solution(tuple(sorted(chosen)), covered_count, uncovered)
+            best_solution = Solution(tuple(sorted(best_chosen)), best_count, uncovered)
     assert best_solution is not None  # reps >= 1 since -ln(epsilon) > 0
     return RandomizedRun(reps, best_solution, tuple(per_rep), seed, samples)

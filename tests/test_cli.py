@@ -136,6 +136,14 @@ def test_exit_code_1_on_malformed_report_json(inst_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("body", ["[" * 10**5 + "]" * 10**5, '{"chosen": [1], "params": ' + "[" * 10**5])
+def test_exit_code_1_on_a_report_nested_too_deeply(inst_file, tmp_path, capsys, body):
+    sol = tmp_path / "r.json"
+    sol.write_text(body)
+    assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 1
+    assert capsys.readouterr().err == "error: report is nested too deeply to decode\n"
+
+
 @pytest.mark.parametrize("body", ['{"chosen": ["a"]}', '{"chosen": 3}', '[1, 2]', '{"chosen": [true]}'])
 def test_exit_code_1_on_report_without_integer_choices(inst_file, tmp_path, capsys, body):
     sol = tmp_path / "r.json"
@@ -356,7 +364,7 @@ def test_generate_graph_family(tmp_path):
 
 
 def deep_document(tmp_path, m):
-    """m singleton sets with budget m: the exhaustive searches recurse m deep."""
+    """m singleton sets with budget m: every search goes m picks deep."""
     doc = tmp_path / f"deep{m}.mc"
     doc.write_text(f"p maxcover {m} {m} {m}\n" + "".join(f"s {e}\n" for e in range(1, m + 1)))
     return str(doc)
@@ -366,16 +374,17 @@ def deep_document(tmp_path, m):
     ("exact", 990), ("greedy-exact --x 0", 990), ("exact-greedy --x 0", 990), ("fpt --beta 0.5", 990),
     ("minnc --beta 1000000 --epsilon 0.5", 1200),
 ])
-def test_exit_code_2_on_a_budget_too_deep_for_the_search(tmp_path, capsys, alg, m):
-    assert run(["solve", "--alg", *alg.split(), "--in", deep_document(tmp_path, m)]) == 2
-    assert re.fullmatch(r"error: maximum recursion depth exceeded[^\n]*\n", capsys.readouterr().err)
+def test_a_budget_as_deep_as_the_family_is_solved(tmp_path, capsys, alg, m):
+    assert run(["solve", "--alg", *alg.split(), "--in", deep_document(tmp_path, m)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["covered"], report["chosen"]) == (m, list(range(1, m + 1)))
 
 
-def test_oracle_skips_a_budget_too_deep_for_the_search(tmp_path, capsys):
+def test_oracle_answers_a_budget_as_deep_as_the_family(tmp_path, capsys):
     assert run(["solve", "--alg", "greedy", "--with-opt", "--in", deep_document(tmp_path, 990)]) == 0
     out, err = capsys.readouterr()
-    assert json.loads(out)["opt"] is None
-    assert re.match(r"note: optimum skipped, maximum recursion depth exceeded[^\n]*\n", err)
+    assert json.loads(out)["opt"] == 990
+    assert "note:" not in err
 
 
 EDGE_DOCUMENTS = {

@@ -3,6 +3,7 @@ kernel's frequency bound."""
 
 import math
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -15,11 +16,14 @@ from maxcover import (
     TightGreedySpec,
     brute_force,
     coverage,
+    exact_then_greedy,
     fpt_approx,
     frequency_profile,
     gen_random,
     gen_tight_fpt,
     gen_tight_greedy,
+    greedy_then_exact,
+    randomized_min_noncovered,
     set_masks,
 )
 from maxcover.exact import best_fixed_size_subset
@@ -108,6 +112,41 @@ def test_search_memory_stays_within_a_few_row_copies():
         tracemalloc.stop()
     assert peak < 4 * rows_bytes
     assert left < rows_bytes // 8
+
+
+def singletons(m):
+    """m singleton sets with budget m: every search goes m picks deep."""
+    return Instance.of(m, [[e] for e in range(1, m + 1)], m)
+
+
+def test_searches_as_deep_as_the_family():
+    inst = singletons(990)
+    assert brute_force(inst).subsets_scanned == 1
+    assert greedy_then_exact(inst, 0).combos_scanned == 1
+    assert exact_then_greedy(inst, 0).combos_scanned == 1
+    run = randomized_min_noncovered(singletons(1200), 1, 1e6, 0.5, 0)
+    assert (run.repetitions, run.samples, run.best.uncovered) == (1, 1200, 0)
+
+
+def call_at_depth(frames, solve):
+    """``solve()`` called from ``frames`` more nested Python frames."""
+    return solve() if frames <= 0 else call_at_depth(frames - 1, solve)
+
+
+def test_solvers_give_the_same_answer_at_any_caller_stack_depth():
+    inst = singletons(300)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    solvers = [
+        lambda: brute_force(inst),
+        lambda: fpt_approx(inst, 1, 0.5),
+        lambda: greedy_then_exact(inst, 0),
+        lambda: exact_then_greedy(inst, 0),
+        lambda: randomized_min_noncovered(inst, 1, 1e6, 0.5, 0),
+    ]
+    for solve in solvers:
+        assert call_at_depth(sys.getrecursionlimit() - 150 - depth, solve) == solve()
 
 
 def test_never_beaten_by_random_subsets():
