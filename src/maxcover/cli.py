@@ -313,8 +313,9 @@ def run_verify(args) -> int:
     """Recount a report's coverage with plain set unions, independent of the
     solvers' bitmask kernel, and fail on any mismatch."""
     inst = load_instance_text(_read(args.infile))
+    text = _read(args.sol)
     try:
-        report = json.loads(_read(args.sol))
+        report = json.loads(text)
     except RuntimeError:  # the decoder's recursion limit, reached by deep nesting
         raise ParseError("report is nested too deeply to decode") from None
     chosen = report.get("chosen", []) if isinstance(report, dict) else None

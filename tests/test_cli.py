@@ -374,13 +374,13 @@ def deep_document(tmp_path, m):
     ("exact", 990), ("greedy-exact --x 0", 990), ("exact-greedy --x 0", 990), ("fpt --beta 0.5", 990),
     ("minnc --beta 1000000 --epsilon 0.5", 1200),
 ])
-def test_a_budget_as_deep_as_the_family_is_solved(tmp_path, capsys, alg, m):
+def test_deep_budget_is_solved(tmp_path, capsys, alg, m):
     assert run(["solve", "--alg", *alg.split(), "--in", deep_document(tmp_path, m)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["covered"], report["chosen"]) == (m, list(range(1, m + 1)))
 
 
-def test_oracle_answers_a_budget_as_deep_as_the_family(tmp_path, capsys):
+def test_oracle_answers_a_deep_budget(tmp_path, capsys):
     assert run(["solve", "--alg", "greedy", "--with-opt", "--in", deep_document(tmp_path, 990)]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["opt"] == 990
