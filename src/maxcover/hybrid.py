@@ -111,7 +111,7 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     best_chosen: tuple[int, ...] = ()
     best_covered = -1
     finished = 0
-    stack = [(0, (), 0)]  # (first index to branch on, prefix, its union)
+    stack = [(0, (), 0)]
     while stack:
         start, prefix, union = stack.pop()
         r = prefix_size - len(prefix)
