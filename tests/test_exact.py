@@ -1,6 +1,7 @@
 """Brute-force oracle: exactness, tie-breaking, determinism, refusal, and the
 kernel's frequency bound."""
 
+import json
 import math
 import random
 import sys
@@ -12,6 +13,7 @@ import pytest
 from maxcover import (
     EnumerationCeilingError,
     Instance,
+    Solution,
     TightFptSpec,
     TightGreedySpec,
     brute_force,
@@ -22,10 +24,13 @@ from maxcover import (
     gen_random,
     gen_tight_fpt,
     gen_tight_greedy,
+    graph_to_maxvertexcover,
     greedy_then_exact,
+    ptas_dispatch,
     randomized_min_noncovered,
     set_masks,
 )
+from maxcover.cli import main
 from maxcover.exact import best_fixed_size_subset
 from helpers import bounded_families, full_scan, random_instance, union_coverage
 
@@ -237,3 +242,38 @@ def test_frequency_bound_subtracts_only_two_over_p_of_the_pair_overlaps():
     masks = set_masks(inst)
     assert full_scan(masks, 3)[:2] == ((1, 2, 3), 11)
     assert best_fixed_size_subset(masks, 3, p=3)[:2] == ((1, 2, 3), 11)
+
+
+def complete_graph(n):
+    return [(u, v) for u, v in combinations(range(1, n + 1), 2)]
+
+
+def test_every_exhaustive_search_answers_complete_graph_reductions(tmp_path):
+    # Every element lies in exactly two sets and every pair of sets overlaps,
+    # so the frequency bound can cut at every node of every search here.
+    for n in range(5, 25):
+        for k in range(2, 7):
+            inst = graph_to_maxvertexcover(n, complete_graph(n), k)
+            want = full_scan(set_masks(inst), k)[:2]
+            exact = brute_force(inst)
+            assert (exact.solution.chosen, exact.opt) == want
+            for x in range(k + 1):
+                sol = greedy_then_exact(inst, x).solution
+                assert (sol.chosen, sol.covered) == want
+            sol, branch = ptas_dispatch(inst, 1 / n, 0.99)
+            assert (sol.chosen, sol.covered, branch) == (*want, "exact")
+    assert want == ((0, 1, 2, 3, 4, 5), 123)
+    doc = tmp_path / "k24.graph"
+    doc.write_text(f"p graph 24 276 6\n" + "".join(f"e {u} {v}\n" for u, v in complete_graph(24)))
+    out = tmp_path / "r.json"
+    assert main(["solve", "--alg", "greedy", "--with-opt", "--in", str(doc), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["opt"] == 123
+
+
+def test_fpt_answer_depends_on_the_frequency_bound_only_through_its_pool():
+    # p = 2 pools the 36 largest of the 40 sets; p = 3 and p = 4 pool all 40.
+    inst = gen_tight_fpt(TightFptSpec(p=2, k=4, beta=0.5))
+    runs = {p: fpt_approx(inst, p, 0.5) for p in (2, 3, 4)}
+    assert [runs[p][1].pool_size for p in (2, 3, 4)] == [36, 40, 40]
+    assert runs[2][0] == Solution((0, 1, 2, 3), 134, 636)
+    assert runs[3][0] == runs[4][0] == Solution((0, 36, 37, 38), 140, 630)
