@@ -321,6 +321,8 @@ def run_verify(args) -> int:
     chosen = report.get("chosen", []) if isinstance(report, dict) else None
     if not isinstance(chosen, list) or not all(type(i) is int for i in chosen):
         raise ParseError("report must be a JSON object whose 'chosen' is a list of integers")
+    if not all(type(report.get(key)) is int for key in ("covered", "uncovered")):
+        raise ParseError("report's 'covered' and 'uncovered' must be integers")
     picked: set[int] = set()
     union: set[int] = set()
     for one_based in chosen:

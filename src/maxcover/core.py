@@ -88,11 +88,6 @@ class Solution:
     covered: int
     uncovered: int
 
-    @classmethod
-    def evaluate(cls, inst: Instance, chosen: Iterable[int]) -> "Solution":
-        cov = coverage(inst, chosen)
-        return cls(tuple(sorted(chosen)), cov, inst.n - cov)
-
 
 @dataclass(frozen=True)
 class ApprovalElection:

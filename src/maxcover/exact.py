@@ -16,12 +16,35 @@ DEFAULT_CEILING = 10**8
 
 
 class EnumerationCeilingError(RuntimeError):
-    """The requested enumeration is larger than the configured ceiling."""
+    """The requested enumeration is larger than the configured ceiling.
+    ``count`` is None when it has more than 4 300 digits, too many for Python
+    to print, and the message then says it is more than 10**power."""
 
-    def __init__(self, count: int, ceiling: int, what: str = "subsets to scan"):
-        super().__init__(f"{count} {what} exceeds the ceiling of {ceiling}")
+    def __init__(self, count: int | None, ceiling: int, what: str = "subsets to scan", power: int = 0):
+        shown = f"more than 10^{power}" if count is None else count
+        super().__init__(f"{shown} {what} exceeds the ceiling of {ceiling}")
         self.count = count
         self.ceiling = ceiling
+
+
+def check_ceiling(m: int, size: int, ceiling: int) -> None:
+    """Refuse with :class:`EnumerationCeilingError` when comb(m, size), for
+    0 <= size <= m, exceeds ``ceiling``.
+
+    Step i of the running product comb(m - j + i, i), j = min(size, m - size),
+    at least doubles it, so a count past the ceiling is seen within
+    ceiling.bit_length() + 1 steps and never computed in full.
+    """
+    j = min(size, m - size)
+    count = 1
+    for i in range(1, j + 1):
+        if count > ceiling:
+            break
+        count = count * (m - j + i) // i
+    if count > ceiling:
+        digits = (math.lgamma(m + 1) - math.lgamma(size + 1) - math.lgamma(m - size + 1)) / math.log(10)
+        # Below 4 300 digits math.comb takes a few ms at most.
+        raise EnumerationCeilingError(math.comb(m, size) if digits < 4299 else None, ceiling, power=int(digits))
 
 
 @dataclass(frozen=True)
@@ -35,7 +58,7 @@ class ExactResult:
 
 
 def best_fixed_size_subset(
-    masks: Sequence[int], size: int, ceiling: int = DEFAULT_CEILING, p: int | None = None
+    masks: Sequence[int], size: int, ceiling: int = DEFAULT_CEILING
 ) -> tuple[tuple[int, ...], int, int]:
     """Branch-and-bound search of the ``size``-subsets of ``masks`` for the
     largest union.
@@ -70,9 +93,9 @@ def best_fixed_size_subset(
     stack holds one row per level, and with each scan's temporaries dropped
     the extra memory stays that of a few rows.
 
-    ``p``, when given, must bound how many of ``masks`` hold any one element.
-    An element outside ``u`` that t <= p of the r picks hold then counts t - 1
-    times too often in the summed gains and C(t, 2) times in the summed
+    The bound also uses p, the largest number of ``masks`` that hold one
+    element. An element outside ``u`` that t <= p of the r picks hold counts
+    t - 1 times too often in the summed gains and C(t, 2) times in the summed
     pairwise overlaps outside ``u``, and t - 1 >= (2/p) * C(t, 2). With delta
     the smallest such overlap among the later sets, the union is therefore at
     most the bound above minus ceil(r * (r - 1) * delta / p), and the node
@@ -80,13 +103,12 @@ def best_fixed_size_subset(
     delta is simply the smallest overlap of two later sets: at a node with
     nothing covered yet, and at every node when p <= 2, since an element two
     later sets share then lies in no picked set. One pass per search over the
-    rows finds those minima.
+    rows finds those minima, and p is counted over all the rows at the first
+    node where such a minimum is nonzero.
     """
     m = len(masks)
     size = min(size, m)
-    total = math.comb(m, size)
-    if total > ceiling:
-        raise EnumerationCeilingError(total, ceiling)
+    check_ceiling(m, size, ceiling)
     if size == 0:
         return (), 0, 1
     reachable = 0
@@ -108,7 +130,8 @@ def best_fixed_size_subset(
     # gate[j] is delta for a node starting at j where the term is used.
     # Elsewhere delta would take a pass over every pair of later sets at each
     # node, which costs more than the leaves it saves.
-    gate = _least_overlaps(rows) if p is not None else [0] * m
+    gate = _least_overlaps(rows)
+    p = 0  # counted where the gate first opens
     stack = [(0, 0, np.zeros(words, np.uint64), 0, math.inf)]
     while stack:
         pos, start, union, union_cov, bound = stack.pop()
@@ -137,8 +160,10 @@ def best_fixed_size_subset(
         # bound popcount(union) + (r largest gains from j on) is
         # bounds[j] - (r - 1) * popcount(union).
         excess = (r - 1) * union_cov
-        if gate[start] and (p <= 2 or not union_cov):
-            excess += -(-r * (r - 1) * gate[start] // p)
+        if gate[start]:
+            p = p or _most_holders(rows)
+            if p <= 2 or not union_cov:
+                excess += -(-r * (r - 1) * gate[start] // p)
         bounds = _suffix_top_sums(covs, r)
         kids = []
         for j in range(len(covs) - r + 1):
@@ -178,6 +203,17 @@ def _least_overlaps(rows: np.ndarray) -> list[int]:
             break
         out[a] = least
     return out
+
+
+def _most_holders(rows: np.ndarray) -> int:
+    """The largest number of ``rows`` that hold one bit. At most an eighth of
+    the rows, and at most 255, are unpacked to a byte per bit at a time, so a
+    block is no larger than the rows and its column sums fit a byte."""
+    counts = np.zeros(64 * rows.shape[1], np.min_scalar_type(len(rows)))
+    step = min(max(len(rows) // 8, 1), 255)
+    for a in range(0, len(rows), step):
+        counts += np.unpackbits(rows[a : a + step].view(np.uint8), axis=1).sum(axis=0, dtype=np.uint8)
+    return int(counts.max())
 
 
 def brute_force(inst: Instance, ceiling: int = DEFAULT_CEILING) -> ExactResult:

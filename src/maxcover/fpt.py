@@ -48,8 +48,8 @@ def fpt_approx(
     Requires every element to appear in at most p sets; the returned coverage
     is then at least beta times the optimum. Cardinality ties at the pool
     boundary go to the lowest index, and with the formula pool clamped to m
-    the search degenerates to plain exhaustive search. The search prunes with
-    p as a frequency bound, which leaves its answer unchanged.
+    the search degenerates to plain exhaustive search. Only the pool size
+    reads p; the search counts the pool's own frequency bound.
     """
     _check_beta(beta)
     check_frequency_bound(inst, p)
@@ -62,7 +62,7 @@ def fpt_approx(
     in_index_order = sorted(pool)
     masks = set_masks(inst)
     combo, covered, scanned = best_fixed_size_subset(
-        [masks[i] for i in in_index_order], budget, ceiling, p
+        [masks[i] for i in in_index_order], budget, ceiling
     )
     chosen = tuple(in_index_order[j] for j in combo)
     plan = PoolPlan(clamped, pool, math.comb(clamped, budget), scanned)

@@ -13,12 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Instance, Solution, frequency_profile, set_masks
-from .exact import (
-    DEFAULT_CEILING,
-    EnumerationCeilingError,
-    best_fixed_size_subset,
-    brute_force,
-)
+from .exact import DEFAULT_CEILING, best_fixed_size_subset, brute_force, check_ceiling
 from .greedy import extend_greedily, greedy_cover
 
 RATIO_METHODS = ("alg4", "alg5", "alg5_vertexcover", "croce_paschos")
@@ -77,9 +72,11 @@ def greedy_then_exact(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     picks, _, covered_mask = extend_greedily(masks, taken, 0, x_eff)
     remaining = [i for i in range(inst.m) if not taken[i]]
     scored = [masks[i] & ~covered_mask for i in remaining]
-    combo, _, scanned = best_fixed_size_subset(scored, k_eff - x_eff, ceiling)
-    chosen = sorted(picks + [remaining[j] for j in combo])
-    return HybridReport(x, Solution.evaluate(inst, chosen), _ratio_or_unit("alg4", x, inst.k), scanned)
+    combo, residual, scanned = best_fixed_size_subset(scored, k_eff - x_eff, ceiling)
+    chosen = tuple(sorted(picks + [remaining[j] for j in combo]))
+    covered = covered_mask.bit_count() + residual
+    solution = Solution(chosen, covered, inst.n - covered)
+    return HybridReport(x, solution, _ratio_or_unit("alg4", x, inst.k), scanned)
 
 
 def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) -> HybridReport:
@@ -105,9 +102,7 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     k_eff = inst.effective_budget
     x_eff = min(x, k_eff)
     prefix_size = k_eff - x_eff
-    total = math.comb(inst.m, prefix_size)
-    if total > ceiling:
-        raise EnumerationCeilingError(total, ceiling)
+    check_ceiling(inst.m, prefix_size, ceiling)
     best_chosen: tuple[int, ...] = ()
     best_covered = -1
     finished = 0

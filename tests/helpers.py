@@ -70,6 +70,12 @@ def full_scan(masks, size):
     return best, best_cov, scanned
 
 
+def most_holders(masks):
+    """The largest number of ``masks`` holding one element, at least 1."""
+    width = max(masks, default=0).bit_length()
+    return max([1] + [sum(mask >> e & 1 for mask in masks) for e in range(width)])
+
+
 def int_kernel(masks, size, p=None):
     """The exhaustive kernel as it was on Python ints: each node ORs its union
     into every later mask and counts each result with ``int.bit_count``; the

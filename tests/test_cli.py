@@ -153,6 +153,35 @@ def test_exit_code_1_on_report_without_integer_choices(inst_file, tmp_path, caps
     assert "'chosen' is a list of integers" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("body", [
+    '{"chosen": [1], "covered": 3, "uncovered": 1.0}',
+    '{"chosen": [1], "covered": 3.0, "uncovered": 1}',
+    '{"chosen": [3], "covered": true, "uncovered": 3}',
+    '{"chosen": [1], "covered": "3", "uncovered": 1}',
+    '{"chosen": [1], "covered": 3}',
+])
+def test_exit_code_1_on_report_without_integer_counts(inst_file, tmp_path, capsys, body):
+    sol = tmp_path / "r.json"
+    sol.write_text(body)
+    assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 1
+    assert capsys.readouterr().err == "error: report's 'covered' and 'uncovered' must be integers\n"
+
+
+def test_ceiling_refusal_of_a_count_too_long_to_print(tmp_path, capsys):
+    # comb(20000, 10000) has 6 019 digits, past Python's 4 300-digit limit
+    # for converting an int to text.
+    doc = tmp_path / "wide.mc"
+    doc.write_text("p maxcover 20000 20000 10000\n" + "".join(f"s {e}\n" for e in range(1, 20001)))
+    refusal = "more than 10^6018 subsets to scan exceeds the ceiling of 100000000"
+    for alg in (["exact"], ["exact-greedy", "--x", "1"], ["fpt", "--beta", "0.5"]):
+        assert run(["solve", "--alg", *alg, "--in", str(doc)]) == 2
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+    out = tmp_path / "r.json"
+    assert run(["solve", "--alg", "greedy", "--with-opt", "--in", str(doc), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["opt"] is None
+    assert f"note: optimum skipped, {refusal}\n" in capsys.readouterr().err
+
+
 ALL_ALGS = "('exact', 'greedy', 'fpt', 'minnc', 'greedy-exact', 'exact-greedy', 'ptas')"
 
 

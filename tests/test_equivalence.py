@@ -6,8 +6,8 @@ scan, list-rebuilding sampler, bit-by-bit mask build, full subset scan and
 prefix-by-prefix hybrid gave, on seeded batches of random instances, graph
 reductions and the adversarial families. The pruned searches may only do less
 work than the scans they replaced. The exhaustive kernel must also give what
-its Python-int form gave, leaf count included, with and without a frequency
-bound.
+its Python-int form gave, leaf count included, with the frequency bound it
+counts from its masks.
 
 The document load (record reader, ``Instance`` and ``ApprovalElection``
 checks, approval and graph reductions, frequency profile) must give what the
@@ -51,7 +51,14 @@ from maxcover import (
 from maxcover.core import _parse_header
 from maxcover.exact import best_fixed_size_subset
 from maxcover.greedy import extend_greedily
-from helpers import bounded_families, full_scan, int_kernel, random_graph, recursive_exact_then_greedy
+from helpers import (
+    bounded_families,
+    full_scan,
+    int_kernel,
+    most_holders,
+    random_graph,
+    recursive_exact_then_greedy,
+)
 
 
 def mask_of(ids) -> int:
@@ -270,12 +277,6 @@ def test_pruned_kernel_stops_at_the_first_full_cover():
     assert best_fixed_size_subset([0b01, 0b11, 0b11], 1) == ((1,), 2, 2)
 
 
-def most_holders(masks):
-    """The largest number of ``masks`` holding one element, at least 1."""
-    width = max(masks, default=0).bit_length()
-    return max([1] + [sum(mask >> e & 1 for mask in masks) for e in range(width)])
-
-
 def row_width_cases(rand):
     """Mask families at and around the 64-bit word boundaries: random masks,
     all-zero masks, a single non-empty mask, and masks far narrower than the
@@ -294,14 +295,13 @@ def row_width_cases(rand):
 
 def test_kernel_equals_the_int_kernel():
     rand = random.Random(10)
-    cases = [(set_masks(inst), inst.k, {p, most_holders(set_masks(inst))})
-             for inst, p, _ in bounded_families(10)]
-    cases += [(masks, 2, {most_holders(masks)}) for masks in row_width_cases(rand)]
-    for masks, k, bounds in cases:
+    families = [inst for inst, _, _ in bounded_families(10)] + tight_instances() + batch(4, 80)
+    cases = [(set_masks(inst), inst.k) for inst in families]
+    cases += [(masks, 2) for masks in row_width_cases(rand)]
+    for masks, k in cases:
         m = len(masks)
         for size in {1, 2, k, m - 1, m}:
-            for p in [None, *bounds]:
-                assert best_fixed_size_subset(masks, size, p=p) == int_kernel(masks, size, p)
+            assert best_fixed_size_subset(masks, size) == int_kernel(masks, size, most_holders(masks))
 
 
 def test_pruned_kernel_skips_most_subsets_of_a_random_instance():

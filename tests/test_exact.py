@@ -31,8 +31,15 @@ from maxcover import (
     set_masks,
 )
 from maxcover.cli import main
-from maxcover.exact import best_fixed_size_subset
-from helpers import bounded_families, full_scan, random_instance, union_coverage
+from maxcover.exact import best_fixed_size_subset, check_ceiling
+from helpers import (
+    bounded_families,
+    full_scan,
+    int_kernel,
+    most_holders,
+    random_instance,
+    union_coverage,
+)
 
 
 def test_scans_all_pairs_example():
@@ -88,6 +95,22 @@ def test_ceiling_refusal_reports_count():
         brute_force(inst, ceiling=1000)
     assert err.value.count == 184756
     assert err.value.ceiling == 1000
+
+
+def test_ceiling_check_names_the_count_while_it_can_be_printed():
+    assert check_ceiling(20, 10, 184756) is None
+    assert check_ceiling(20, 15, 15504) is None
+    assert check_ceiling(0, 0, 1) is None
+    with pytest.raises(EnumerationCeilingError) as err:
+        check_ceiling(20, 15, 15503)
+    assert (err.value.count, str(err.value)) == (15504, "15504 subsets to scan exceeds the ceiling of 15503")
+    with pytest.raises(EnumerationCeilingError) as err:
+        check_ceiling(14000, 7000, 10**8)  # 4 213 digits
+    assert err.value.count == math.comb(14000, 7000)
+    with pytest.raises(EnumerationCeilingError) as err:
+        check_ceiling(10**6, 5 * 10**5, 10**8)
+    assert err.value.count is None
+    assert str(err.value) == "more than 10^301026 subsets to scan exceeds the ceiling of 100000000"
 
 
 def test_tight_greedy_search():
@@ -197,13 +220,13 @@ def tight_pool(beta):
 
 
 def test_frequency_bound_keeps_the_full_scan_answer():
-    for inst, p, _ in bounded_families(9):
+    for inst, _, _ in bounded_families(9):
         masks = set_masks(inst)
         ref_chosen, ref_covered, ref_scanned = full_scan(masks, inst.k)
-        for bound in {p, max(frequency_profile(inst).p_max, 1)}:
-            chosen, covered, scanned = best_fixed_size_subset(masks, inst.k, p=bound)
-            assert (chosen, covered) == (ref_chosen, ref_covered)
-            assert 1 <= scanned <= ref_scanned
+        chosen, covered, scanned = best_fixed_size_subset(masks, inst.k)
+        assert (chosen, covered) == (ref_chosen, ref_covered)
+        assert 1 <= scanned <= ref_scanned
+        assert (chosen, covered, scanned) == int_kernel(masks, inst.k, most_holders(masks))
 
 
 @pytest.mark.parametrize("beta, pool, covered, unbounded, bounded",
@@ -211,20 +234,34 @@ def test_frequency_bound_keeps_the_full_scan_answer():
 def test_frequency_bound_leaf_counts_on_the_tight_pools(beta, pool, covered, unbounded, bounded):
     masks = tight_pool(beta)
     assert len(masks) == pool
-    plain = best_fixed_size_subset(masks, 4)
-    pruned = best_fixed_size_subset(masks, 4, p=2)
-    assert plain[2] == math.comb(pool, 4) == unbounded
-    assert pruned[2] == bounded
-    assert pruned[:2] == plain[:2] == ((0, 1, 2, 3), covered)
+    assert math.comb(pool, 4) == unbounded
+    result = best_fixed_size_subset(masks, 4)
+    assert result == int_kernel(masks, 4, most_holders(masks)) == ((0, 1, 2, 3), covered, bounded)
+
+
+def test_search_that_counts_its_frequency_bound_stays_within_a_few_row_copies():
+    # Every pair of the 68 pooled sets overlaps, so the search counts p over
+    # all the rows, a block of them at a time, at its root.
+    masks = tight_pool(0.75)
+    rows_bytes = len(masks) * -(-max(masks).bit_length() // 64) * 8
+    tracemalloc.start()
+    try:
+        scanned = best_fixed_size_subset(masks, 4)[2]
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scanned == 65
+    assert peak < 4 * rows_bytes
+    assert left < rows_bytes // 8
 
 
 def test_frequency_bound_is_off_where_two_sets_are_disjoint():
     inst = gen_random(2000, 40, 5, 2, 0)
     masks = set_masks(inst)
     assert any(not a & b for a, b in combinations(masks, 2))
-    plain = best_fixed_size_subset(masks, 5)
-    assert best_fixed_size_subset(masks, 5, p=2) == plain
-    assert plain[2] == 1075
+    result = best_fixed_size_subset(masks, 5)
+    assert result == int_kernel(masks, 5, most_holders(masks)) == int_kernel(masks, 5)
+    assert result[2] == 1075
 
 
 def test_frequency_bound_subtracts_only_two_over_p_of_the_pair_overlaps():
@@ -241,7 +278,9 @@ def test_frequency_bound_subtracts_only_two_over_p_of_the_pair_overlaps():
     assert frequency_profile(inst).p_max == 3
     masks = set_masks(inst)
     assert full_scan(masks, 3)[:2] == ((1, 2, 3), 11)
-    assert best_fixed_size_subset(masks, 3, p=3)[:2] == ((1, 2, 3), 11)
+    result = best_fixed_size_subset(masks, 3)
+    assert result == int_kernel(masks, 3, most_holders(masks))
+    assert result[:2] == ((1, 2, 3), 11)
 
 
 def complete_graph(n):
@@ -277,3 +316,10 @@ def test_fpt_answer_depends_on_the_frequency_bound_only_through_its_pool():
     assert [runs[p][1].pool_size for p in (2, 3, 4)] == [36, 40, 40]
     assert runs[2][0] == Solution((0, 1, 2, 3), 134, 636)
     assert runs[3][0] == runs[4][0] == Solution((0, 36, 37, 38), 140, 630)
+
+
+def test_frequency_bound_cuts_the_complete_graph_search():
+    inst = graph_to_maxvertexcover(24, complete_graph(24), 6)
+    result = brute_force(inst)
+    assert (result.opt, result.subsets_scanned) == (123, 19)
+    assert greedy_then_exact(inst, 1).combos_scanned == 19
