@@ -49,7 +49,7 @@ from maxcover import (
     set_masks,
 )
 from maxcover.core import _parse_header
-from maxcover.exact import best_fixed_size_subset
+from maxcover.exact import _most_holders, best_fixed_size_subset
 from maxcover.greedy import extend_greedily
 from helpers import (
     bounded_families,
@@ -302,6 +302,15 @@ def test_kernel_equals_the_int_kernel():
         m = len(masks)
         for size in {1, 2, k, m - 1, m}:
             assert best_fixed_size_subset(masks, size) == int_kernel(masks, size, most_holders(masks))
+
+
+def test_frequency_count_equals_the_bit_loop():
+    # Past 2 040 rows a block holds more rows than a byte counts.
+    rand = random.Random(12)
+    for m in (1, 2, 9, 255, 256, 2100):
+        masks = [rand.getrandbits(130) | 1 for _ in range(m)]
+        rows = np.frombuffer(b"".join(mask.to_bytes(24, "little") for mask in masks), "<u8").reshape(m, 3)
+        assert _most_holders(rows) == most_holders(masks)
 
 
 def test_pruned_kernel_skips_most_subsets_of_a_random_instance():
