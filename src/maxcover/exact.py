@@ -17,8 +17,8 @@ DEFAULT_CEILING = 10**8
 
 class EnumerationCeilingError(RuntimeError):
     """The requested enumeration is larger than the configured ceiling.
-    ``count`` is None when it has more than 4 300 digits, too many for Python
-    to print, and the message then says it is more than 10**power."""
+    ``count`` is None when it has 4 300 digits or more, near the most Python
+    will print, and the message then says it is more than 10**power."""
 
     def __init__(self, count: int | None, ceiling: int, what: str = "subsets to scan", power: int = 0):
         shown = f"more than 10^{power}" if count is None else count
@@ -43,7 +43,7 @@ def check_ceiling(m: int, size: int, ceiling: int) -> None:
         count = count * (m - j + i) // i
     if count > ceiling:
         digits = (math.lgamma(m + 1) - math.lgamma(size + 1) - math.lgamma(m - size + 1)) / math.log(10)
-        # Below 4 300 digits math.comb takes a few ms at most.
+        # Python prints ints of at most 4 300 digits; math.comb takes a few ms there.
         raise EnumerationCeilingError(math.comb(m, size) if digits < 4299 else None, ceiling, power=int(digits))
 
 
