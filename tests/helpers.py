@@ -3,6 +3,7 @@
 import heapq
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +37,19 @@ def union_coverage(inst: Instance, chosen) -> int:
     for i in chosen:
         union.update(inst.sets[i])
     return len(union)
+
+
+def peak_bytes(fn):
+    """(peak, still held) bytes that tracemalloc sees during one call ``fn()``,
+    counted from the start of the call; the result is dropped before the
+    second count."""
+    tracemalloc.start()
+    try:
+        fn()
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, left
 
 
 def unpacked_nth_uncovered(covered: int, n: int, r: int) -> int:

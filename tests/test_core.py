@@ -1,11 +1,15 @@
 """Data model, document formats, coverage kernels, and reductions."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import maxcover
 from maxcover import (
     ApprovalElection,
     Instance,
@@ -14,14 +18,18 @@ from maxcover import (
     coverage_inclusion_exclusion,
     document_kind,
     election_to_maxcover,
+    exact_then_greedy,
     fpt_approx,
     frequency_profile,
+    graph_to_maxvertexcover,
+    greedy_then_exact,
     pad_frequencies,
     parse_election,
     parse_graph,
     parse_instance,
     randomized_min_noncovered,
     serialize_instance,
+    set_masks,
 )
 from helpers import random_instance, union_coverage
 
@@ -203,6 +211,75 @@ def test_profile_mass_conservation():
         prof = frequency_profile(inst)
         assert sum(prof.freq) == sum(len(s) for s in inst.sets)
         assert prof.p_min <= prof.p_max
+
+
+# ---------------------------------------------------------------------------
+# Masks and profile built on first use
+# ---------------------------------------------------------------------------
+
+APPROVAL_EXAMPLE = "p approval 3 4 2\nv 1 2\nv\nv 3\nv 1 3\n"
+
+SOURCES = [
+    lambda: parse_instance("p maxcover 9 3 2\ns 9 1 2\ns 3 9\ns\n"),
+    lambda: election_to_maxcover(parse_election(APPROVAL_EXAMPLE)),
+    lambda: graph_to_maxvertexcover(3, [(1, 2), (2, 3)], 1),
+    lambda: Instance(9, ((1, 2, 9), (3, 9), ()), 2),
+    lambda: Instance.of(9, [[9, 2, 1, 1], [3, 9], []], 2),
+]
+
+
+@pytest.mark.parametrize("make", SOURCES)
+def test_built_masks_and_profile_are_invisible(make):
+    plain, inst = make(), make()
+    before = pickle.dumps(inst)
+    masks, profile = set_masks(inst), frequency_profile(inst)
+    coverage(inst, [0])
+    assert inst == plain and hash(inst) == hash(plain) and repr(inst) == repr(plain)
+    assert [f.name for f in dataclasses.fields(inst)] == ["n", "sets", "k"]
+    assert dataclasses.replace(inst) == plain
+    assert dataclasses.replace(inst, k=0) == dataclasses.replace(plain, k=0)
+    assert pickle.dumps(inst) == before == pickle.dumps(plain)
+    for twin in (pickle.loads(before), copy.copy(inst), copy.deepcopy(inst)):
+        assert twin == inst and pickle.dumps(twin) == before
+        assert set_masks(twin) == masks and frequency_profile(twin) == profile
+
+
+def test_reduced_election_is_unchanged():
+    plain, election = parse_election(APPROVAL_EXAMPLE), parse_election(APPROVAL_EXAMPLE)
+    before = pickle.dumps(election)
+    election_to_maxcover(election)
+    assert election == plain and hash(election) == hash(plain) and repr(election) == repr(plain)
+    assert pickle.dumps(election) == before == pickle.dumps(plain)
+    assert election_to_maxcover(election) == election_to_maxcover(plain)
+
+
+def test_mutating_the_returned_masks_changes_no_later_result():
+    inst = SOURCES[0]()
+    masks = set_masks(inst)
+    want = list(masks)
+    masks[0] = 0
+    masks.append(1)
+    masks.reverse()
+    assert set_masks(inst) == want
+    assert set_masks(inst) is not set_masks(inst)
+
+
+def test_solvers_read_masks_through_their_module_global(monkeypatch):
+    called = []
+    modules = [maxcover.greedy, maxcover.exact, maxcover.fpt, maxcover.hybrid, maxcover.minnoncovered]
+    for module in modules:
+        def spy(inst, name=module.__name__, real=module.set_masks):
+            called.append(name)
+            return real(inst)
+        monkeypatch.setattr(module, "set_masks", spy)
+    inst = SOURCES[0]()
+    maxcover.greedy_cover(inst)
+    maxcover.brute_force(inst)
+    fpt_approx(inst, 2, 0.5)
+    greedy_then_exact(inst, 1)
+    exact_then_greedy(inst, 1)
+    randomized_min_noncovered(inst, 2, 2.0, 0.5, 0)
+    assert sorted(set(called)) == sorted(module.__name__ for module in modules)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from maxcover import (
     gen_tight_greedy,
     graph_to_maxvertexcover,
     parse_election,
+    parse_graph,
     parse_instance,
     randomized_min_noncovered,
     serialize_instance,
@@ -733,6 +734,93 @@ def assert_rebuilds(value):
     assert rebuilt(value) == value
     rows = value.sets if isinstance(value, Instance) else value.approvals
     assert all(type(e) is int for row in rows for e in row)
+
+
+# ---------------------------------------------------------------------------
+# Masks and frequency profile against the bit loops, on every source of an
+# instance: the parser, the reductions and the public constructors.
+# ---------------------------------------------------------------------------
+
+def assert_masks_and_profile_equal_bit_loops(inst):
+    masks = [mask_of(s) for s in inst.sets]
+    profile = loop_frequency_profile(inst)
+    for _ in range(2):  # the second round reads what the first one built
+        assert set_masks(inst) == masks
+        got = frequency_profile(inst)
+        assert (got.freq, got.p_min, got.p_max) == profile
+    assert all(type(f) is int for f in got.freq + (got.p_min, got.p_max))
+
+
+EDGE_DOCUMENTS = [
+    "p maxcover 0 2 1\ns\ns\n",  # n = 0, empty sets
+    "p maxcover 5 0 1\n",  # m = 0
+    "p maxcover 65 4 2\ns 65 1 64\ns 65 65\ns\ns 8 9 7\n",  # unsorted and duplicate ids, id n
+    "p maxcover 9 3 1\ns 9 +3 007\ns 8 8 1\ns\t2 ３\n",  # lines the array pass hands to _read_ids
+    "p maxcover 63 2 1\ns 63 1\ns 62 63\n",
+    "p maxcover 64 2 1\ns 64\ns 1 64 2\n",
+    "p maxcover 129 3 3\ns 129 128 127\ns 1\ns 64 65 129\n",
+    "p maxcover 7 7 7\n" + "".join(f"s {e}\n" for e in range(7, 0, -1)),
+]
+
+
+def test_masks_and_profile_of_parsed_documents_equal_bit_loops():
+    rand = random.Random(13)
+    docs = EDGE_DOCUMENTS + [text for text, _, tag in long_documents() if tag == "s"]
+    for text, bound in maxcover_documents(rand, 40):
+        docs += [text] + [mutated(rand, text, "s", bound) for _ in range(4)]
+    parsed = 0
+    for doc in docs:
+        try:
+            inst = parse_instance(doc)
+        except ParseError:
+            continue
+        parsed += 1
+        assert_masks_and_profile_equal_bit_loops(inst)
+    assert parsed > len(docs) // 2
+
+
+def test_masks_and_profile_of_reductions_equal_bit_loops():
+    rand = random.Random(14)
+    texts = [text for text, _ in approval_documents(rand, 40)] + [
+        approval_text(rand, 5, 0, 1, 3), approval_text(rand, 3, 6, 1, 0), long_documents()[2][0],
+        "p approval 4 3 2\nv 1\nv\nv 3 1 3\n",  # a voter who approves nobody; candidates 2 and 4 have no supporter
+    ]
+    for text in texts:
+        inst = election_to_maxcover(parse_election(text))
+        assert inst == loop_election_to_maxcover(parse_election(text))
+        assert_masks_and_profile_equal_bit_loops(inst)
+    elections = [ApprovalElection(4, 3, ((1,), (), (1, 3)), 2), ApprovalElection(0, 2, ((), ()), 0),
+                 ApprovalElection(2, 0, (), 1), ApprovalElection(2, 1, ((np.int64(2),),), 1)]
+    for election in elections:
+        assert_masks_and_profile_equal_bit_loops(election_to_maxcover(election))
+    for _ in range(30):
+        vertices = rand.randint(2, 20)
+        edges = rand.randint(0, min(40, vertices * (vertices - 1) // 2))
+        assert_masks_and_profile_equal_bit_loops(random_graph(rand, vertices, edges, rand.randint(0, 4)))
+    assert_masks_and_profile_equal_bit_loops(graph_to_maxvertexcover(0, [], 0))
+    assert_masks_and_profile_equal_bit_loops(graph_to_maxvertexcover(3, [], 1))
+    g = parse_graph("p graph 4 3 2\ne 1 2\ne 2 3\ne 4 2\n")
+    assert_masks_and_profile_equal_bit_loops(graph_to_maxvertexcover(g.num_vertices, g.edges, g.k))
+
+
+def test_masks_and_profile_of_constructed_instances_equal_bit_loops():
+    rand = random.Random(15)
+    cases = [
+        Instance(0, (), 0), Instance(0, ((), ()), 1), Instance(5, ((),), 1),
+        Instance(9, ((1, 9), (8,), (), tuple(range(1, 10))), 2),
+        Instance(3, ((np.int64(1), np.int64(3)), (True, 2)), 1),
+        Instance(130, (tuple(range(1, 131)), (64, 65, 128, 130), (130,)), 2),
+        Instance.of(70, [[70, 1, 1], [64, 63, 64], [], [8, 16, 24]], 1),
+        Instance.of(12, [], 3),
+        gen_random(3000, 40, 5, 3, 7),
+        gen_tight_greedy(TightGreedySpec(p=4, k=3, m=9)),
+        gen_tight_fpt(TightFptSpec(p=2, k=2, beta=0.5)),
+    ]
+    for inst in batch(16, 20):
+        cases.append(Instance(inst.n, inst.sets, inst.k))
+        cases.append(Instance.of(inst.n, [rand.sample(s, len(s)) * 2 for s in inst.sets], inst.k))
+    for inst in cases:
+        assert_masks_and_profile_equal_bit_loops(inst)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

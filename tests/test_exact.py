@@ -5,7 +5,6 @@ import json
 import math
 import random
 import sys
-import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -37,6 +36,7 @@ from helpers import (
     full_scan,
     int_kernel,
     most_holders,
+    peak_bytes,
     random_instance,
     union_coverage,
 )
@@ -132,12 +132,7 @@ def test_search_memory_stays_within_a_few_row_copies():
     # freed when the search returns.
     masks = set_masks(gen_tight_greedy(TightGreedySpec(5, 6, 24)))
     rows_bytes = len(masks) * -(-18360 // 64) * 8
-    tracemalloc.start()
-    try:
-        best_fixed_size_subset(masks, 6)
-        left, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, left = peak_bytes(lambda: best_fixed_size_subset(masks, 6))
     assert peak < 4 * rows_bytes
     assert left < rows_bytes // 8
 
@@ -244,13 +239,8 @@ def test_search_that_counts_its_frequency_bound_stays_within_a_few_row_copies():
     # all the rows, a block of them at a time, at its root.
     masks = tight_pool(0.75)
     rows_bytes = len(masks) * -(-max(masks).bit_length() // 64) * 8
-    tracemalloc.start()
-    try:
-        scanned = best_fixed_size_subset(masks, 4)[2]
-        left, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert scanned == 65
+    peak, left = peak_bytes(lambda: best_fixed_size_subset(masks, 4))
+    assert best_fixed_size_subset(masks, 4)[2] == 65
     assert peak < 4 * rows_bytes
     assert left < rows_bytes // 8
 
