@@ -318,7 +318,7 @@ def run_verify(args) -> int:
         report = json.loads(text)
     except RuntimeError:  # the decoder's recursion limit, reached by deep nesting
         raise ParseError("report is nested too deeply to decode") from None
-    chosen = report.get("chosen", []) if isinstance(report, dict) else None
+    chosen = report.get("chosen") if isinstance(report, dict) else None
     if not isinstance(chosen, list) or not all(type(i) is int for i in chosen):
         raise ParseError("report must be a JSON object whose 'chosen' is a list of integers")
     if not all(type(report.get(key)) is int for key in ("covered", "uncovered")):

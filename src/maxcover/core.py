@@ -3,7 +3,8 @@
 Universe elements are numbered 1..n in documents and in ``Instance.sets``;
 set indices are 0-based in the API and 1-based in documents. Coverage
 counting runs on integer bitmasks where bit e-1 holds element e. All values
-here are immutable after construction and safe to share across threads.
+here are immutable after construction and safe to share across threads; the
+forms an instance derives from its fields are built once and never change.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -27,8 +28,29 @@ class ParseError(ValueError):
         self.line = line
 
 
+class _Derived:
+    """Base of the frozen values that keep forms derived from their fields.
+
+    A derived form (the id arrays, the masks, the frequency profile) is built
+    from the fields on first use and kept in the instance dict under a
+    private key, which the dataclass's ``==``, ``hash`` and ``repr`` never
+    read and ``__getstate__`` leaves out of pickles and copies. Every build
+    of a form gives the same value and only the first one stored is kept, so
+    threads that race to build one all read that one.
+    """
+
+    def __getstate__(self):
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+
+    def _derived(self, key: str, build):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            return self.__dict__.setdefault(key, build(self))
+
+
 @dataclass(frozen=True)
-class Instance:
+class Instance(_Derived):
     """A coverage instance: universe 1..n, m element sets, selection budget k.
 
     Each set is a strictly increasing tuple of element ids from [1, n].
@@ -90,7 +112,7 @@ class Solution:
 
 
 @dataclass(frozen=True)
-class ApprovalElection:
+class ApprovalElection(_Derived):
     """Approval ballots: every voter lists the candidates they find acceptable."""
 
     num_candidates: int
@@ -126,34 +148,107 @@ class Graph:
     k: int
 
 
-def _unchecked(cls, *values):
+def _unchecked(cls, *values, **derived):
     """``cls(*values)`` without running its check, for rows that the package
-    has itself checked, or built in range and strictly increasing."""
+    has itself checked, or built in range and strictly increasing; ``derived``
+    gives forms of the value already at hand, by their keys."""
     value = object.__new__(cls)
-    value.__dict__.update(zip(cls.__dataclass_fields__, values))
+    value.__dict__.update(zip(cls.__dataclass_fields__, values), **derived)
     return value
 
 
-def set_masks(inst: Instance) -> list[int]:
-    """One bitmask per set; bit e-1 represents element e."""
-    return _masks_of(inst.n, inst.sets)
+# Byte budget of the whole-array passes over id arrays (the mask build, the
+# counts, the approval transpose and its tuples): each pass takes the rows a
+# block at a time, with at most this many bytes of temporaries, or one row
+# when a row needs more, so that no temporary grows with the instance.
+_BLOCK_BYTES = 1 << 18
 
 
-def _masks_of(n: int, sets: Iterable[Sequence[int]]) -> list[int]:
-    """Bitmasks of sets over elements 1..n, in time linear in n per set.
+def _id_type(bound: int) -> np.dtype:
+    """Smallest unsigned type that holds every id in [1, bound]."""
+    return np.min_scalar_type(bound)
 
-    Each set's ids mark one reused row of n + 1 flags (slot 0 stays unused),
-    which is packed to little-endian bytes and read as one integer, so memory
-    beyond the masks themselves stays O(n).
+
+def _flatten(rows: Sequence[Sequence[int]], bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ids in [1, bound] as (ids, offsets): one array of every id in
+    row order, of ``_id_type(bound)``, and int64 offsets where row i holds
+    ids[offsets[i]:offsets[i + 1]]."""
+    offs = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=offs[1:])
+    return np.fromiter(chain.from_iterable(rows), _id_type(bound), int(offs[-1])), offs
+
+
+def _id_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The (ids, offsets) of an instance's sets: the arrays the parser or the
+    approval reduction made, or ``_flatten`` of the sets."""
+    return inst._derived("_ids", lambda inst: _flatten(inst.sets, inst.n))
+
+
+def _row_blocks(offs: np.ndarray, ids: int, rows: int | None = None) -> Iterator[tuple[int, int]]:
+    """Consecutive (lo, hi) row ranges over every row of ``offs``; each is
+    one row, or as many rows as hold at most ``ids`` ids, and at most
+    ``rows`` rows."""
+    lo, m = 0, len(offs) - 1
+    while lo < m:
+        hi = int(np.searchsorted(offs, offs[lo] + ids, "right")) - 1
+        if rows is not None:
+            hi = min(hi, lo + rows)
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _counts(ids: np.ndarray, size: int) -> np.ndarray:
+    """int64 count of each value 0..size in ``ids``. bincount reads a block at
+    a time, since it copies its input to int64, and a block is at least size
+    + 1 ids, so that its own output does not outweigh the block."""
+    counts = np.zeros(size + 1, np.int64)
+    step = max(_BLOCK_BYTES // 8, size + 1)
+    for a in range(0, len(ids), step):
+        counts += np.bincount(ids[a : a + step], minlength=size + 1)
+    return counts
+
+
+def _pack(n: int, ids: np.ndarray, offs: np.ndarray) -> list[int]:
+    """Bitmask of each row of distinct ids in [1, n], from (ids, offsets).
+
+    Rows are packed a block at a time into little-endian bytes, ceil(n / 8)
+    a row, and each row is read as one integer. A family whose ids fill at
+    least one in 64 of its row bits on average marks a block's bits in a
+    bool grid of the rows, which ``np.packbits`` packs; a sparser one ORs
+    each id's bit into its byte, which costs no grid of 8 bytes a byte.
     """
-    row = np.zeros(n + 1, np.bool_)
+    width = (n + 7) // 8
+    grid = 64 * len(ids) >= (len(offs) - 1) * n
     masks = []
-    for s in sets:
-        ids = np.fromiter(s, np.intp, len(s))
-        row[ids] = True
-        masks.append(int.from_bytes(np.packbits(row[1:], bitorder="little"), "little"))
-        row[ids] = False
+    # Half the budget for the 25 bytes of temporaries an id takes, half for
+    # the block's bytes, and its grid's.
+    row_bytes = 9 * width if grid else width
+    for lo, hi in _row_blocks(offs, _BLOCK_BYTES // 50, _BLOCK_BYTES // max(2 * row_bytes, 1)):
+        e = ids[offs[lo] : offs[hi]].astype(np.intp)
+        e -= 1
+        at = np.repeat(np.arange(hi - lo), np.diff(offs[lo : hi + 1]))
+        if grid:
+            bits = np.zeros((hi - lo, 8 * width), np.bool_)
+            bits[at, e] = True
+            block = np.packbits(bits, axis=1, bitorder="little")
+            del bits
+        else:
+            at *= width
+            at += e >> 3
+            e &= 7
+            block = np.zeros((hi - lo) * width, np.uint8)
+            np.bitwise_or.at(block, at, np.left_shift(1, e).astype(np.uint8))
+        del e, at
+        view = memoryview(block.reshape(-1))
+        masks += [int.from_bytes(view[i * width : (i + 1) * width], "little") for i in range(hi - lo)]
     return masks
+
+
+def set_masks(inst: Instance) -> list[int]:
+    """One bitmask per set; bit e-1 represents element e. The masks are
+    built once per instance; each call returns a new list of them."""
+    return list(inst._derived("_masks", lambda inst: tuple(_pack(inst.n, *_id_arrays(inst)))))
 
 
 def _check_indices(inst: Instance, chosen: Iterable[int]) -> list[int]:
@@ -170,9 +265,10 @@ def _check_indices(inst: Instance, chosen: Iterable[int]) -> list[int]:
 
 
 def coverage(inst: Instance, chosen: Iterable[int]) -> int:
-    """Number of elements in the union of the chosen sets."""
+    """Number of elements in the union of the chosen sets, from the masks of
+    those sets alone."""
     union = 0
-    for mask in _masks_of(inst.n, [inst.sets[i] for i in _check_indices(inst, chosen)]):
+    for mask in _pack(inst.n, *_flatten([inst.sets[i] for i in _check_indices(inst, chosen)], inst.n)):
         union |= mask
     return union.bit_count()
 
@@ -231,12 +327,13 @@ def check_frequency_bound(inst: Instance, p: int, word: str = "bound") -> None:
 
 
 def frequency_profile(inst: Instance) -> FrequencyProfile:
-    """Count, for every element, how many sets contain it."""
-    counts = [0] * (inst.n + 1)  # slot 0 stays unused
-    for s in inst.sets:
-        for e in s:
-            counts[e] += 1
-    freq = counts[1:]
+    """Count, for every element, how many sets contain it. The profile is
+    counted once per instance."""
+    return inst._derived("_profile", _count_profile)
+
+
+def _count_profile(inst: Instance) -> FrequencyProfile:
+    freq = _counts(_id_arrays(inst)[0], inst.n)[1:].tolist()
     if freq:
         return FrequencyProfile(tuple(freq), min(freq), max(freq))
     return FrequencyProfile((), 0, 0)
@@ -247,21 +344,51 @@ def election_to_maxcover(election: ApprovalElection) -> Instance:
 
     A committee leaving the fewest voters unrepresented is then exactly a set
     selection leaving the fewest elements uncovered.
+
+    The result keeps the transpose of the ballots' id arrays as its own. The
+    reduction takes the election's arrays from it, so that they are freed
+    before the supporters' tuples are built; reducing the same election
+    again flattens its ballots anew. The tuples take one int object per
+    voter, shared by all the candidates the voter approves.
     """
-    supporters: list = [[] for _ in range(election.num_candidates)]
-    adds = [s.append for s in supporters]
-    # Ballots in voter order keep every list strictly increasing; each voter's
-    # one int object is shared by all the candidates the voter approves.
-    for voter, ballot in enumerate(election.approvals, start=1):
-        for c in ballot:
-            adds[c - 1](voter)
-    # Each bound append holds its list, so they go first; replacing each list
-    # by its tuple then frees the list at once, and the two copies of the
-    # supporters never coexist.
-    del adds
-    for c, s in enumerate(supporters):
-        supporters[c] = tuple(s)
-    return _unchecked(Instance, election.num_voters, tuple(supporters), election.committee_size)
+    height = election.num_voters
+    ballots = election.__dict__.pop("_ids", None) or _flatten(election.approvals, election.num_candidates)
+    voters, set_offs = _transpose(*ballots, election.num_candidates, height)
+    del ballots
+    voter_ints = np.arange(height + 1).astype(object)
+    supporters = []
+    for lo, hi in _row_blocks(set_offs, _BLOCK_BYTES // 24):
+        run = voter_ints[voters[set_offs[lo] : set_offs[hi]]]
+        ends = (set_offs[lo : hi + 1] - set_offs[lo]).tolist()
+        supporters += [tuple(run[a:b].tolist()) for a, b in zip(ends, ends[1:])]
+    return _unchecked(
+        Instance, height, tuple(supporters), election.committee_size, _ids=(voters, set_offs)
+    )
+
+
+def _transpose(ids: np.ndarray, offs: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (ids, offsets) of the transpose of ``height`` rows of ids in [1,
+    width]: row c - 1 lists, in increasing order, the 1-based rows that hold c.
+
+    The rows are read a block at a time. A stable sort of a block's ids keeps
+    the rows that hold each id in order, and each id's run in the sorted
+    block goes to the next free slots of its transposed row, after the runs
+    of earlier blocks.
+    """
+    t_offs = np.cumsum(_counts(ids, width))  # id c's row is t_ids[t_offs[c - 1]:t_offs[c]]
+    t_ids = np.empty(len(ids), _id_type(height))
+    free = t_offs[:-1].copy()
+    # An id takes 32 bytes of temporaries, and each block counts every id
+    # value, so a block holds at least ``width`` ids.
+    for lo, hi in _row_blocks(offs, max(_BLOCK_BYTES // 32, width)):
+        c = ids[offs[lo] : offs[hi]]
+        order = np.argsort(c, kind="stable")
+        here = np.bincount(c, minlength=width + 1)[1:]
+        slots = np.repeat(free - np.cumsum(here) + here, here)
+        slots += np.arange(len(c))
+        t_ids[slots] = np.repeat(np.arange(lo + 1, hi + 1, dtype=t_ids.dtype), np.diff(offs[lo : hi + 1]))[order]
+        free += here
+    return t_ids, t_offs
 
 
 def pad_frequencies(inst: Instance, p: int) -> Instance:
@@ -339,30 +466,33 @@ def document_kind(text: str) -> str:
     raise ParseError("empty document", 1)
 
 
-def _read_records(text: str, kind: str, what: str, read_lines) -> tuple[int, int, tuple, int]:
-    """Header counts (a, b, k) and the b records after a 'p <kind>' header; no
-    content may follow the last.
+def _read_records(text: str, kind: str, what: str, read_lines) -> tuple[int, int, tuple, int, list]:
+    """Header counts (a, b, k), the b records after a 'p <kind>' header, and
+    what ``read_lines`` gave beside them, a batch at a time; no content may
+    follow the last record.
 
-    ``read_lines(batch, a)`` reads a batch of (line number, line) pairs, about
-    _CHUNK_BYTES of text or one longer line, into one record per line, in order.
+    ``read_lines(batch, a, records)`` reads a batch of (line number, line)
+    pairs, about _CHUNK_BYTES of text or one longer line, appends one record
+    per line to ``records``, in order, and returns anything else it read.
     """
     lines = _significant_lines(text)
     a, b, k = _parse_header(lines, kind)
     records: list = []
+    extras = []
     batch, size = [], 0
     for ln_line in islice(lines, b):
         batch.append(ln_line)
         size += len(ln_line[1])
         if size >= _CHUNK_BYTES:
-            records += read_lines(batch, a)
+            extras.append(read_lines(batch, a, records))
             batch, size = [], 0
     if batch:
-        records += read_lines(batch, a)
+        extras.append(read_lines(batch, a, records))
     if len(records) < b:
         raise ParseError(f"expected {b} {what} lines, found {len(records)}")
     for ln, line in lines:
         raise ParseError(f"unexpected content '{line}'", ln)
-    return a, b, tuple(records), k
+    return a, b, tuple(records), k, extras
 
 
 def _read_ids(tag: str, what: str, out_of_range, tokens: list[str], ln: int, bound: int) -> tuple[int, ...]:
@@ -387,8 +517,12 @@ def _read_ids(tag: str, what: str, out_of_range, tokens: list[str], ln: int, bou
 _MAX_ID_DIGITS = 9
 
 
-def _read_id_lines(tag: str, what: str, out_of_range, batch: list[tuple[int, str]], bound: int) -> list:
-    """``_read_ids`` of every line of a batch, in whole-array passes.
+def _read_id_lines(
+    tag: str, what: str, out_of_range, batch: list[tuple[int, str]], bound: int, records: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Appends ``_read_ids`` of every line of a batch to ``records``, read in
+    whole-array passes, and returns the batch's (ids, offsets) as ``_flatten``
+    gives them.
 
     A canonical line (the tag, then only ASCII digits and spaces, every id of
     at most _MAX_ID_DIGITS digits and in [1, bound]) is read from the batch's
@@ -421,12 +555,15 @@ def _read_id_lines(tag: str, what: str, out_of_range, batch: list[tuple[int, str
         key = np.sort(id_line << 30 | ids)
         key = key[np.concatenate(([True], key[1:] != key[:-1]))]
         ids, offs = key & (1 << 30) - 1, np.searchsorted(key >> 30, np.arange(len(batch) + 1))
-    ids, offs = ids.tolist(), offs.tolist()
-    records = [tuple(ids[lo:hi]) for lo, hi in zip(offs, offs[1:])]
-    for i in np.flatnonzero(bad).tolist():
+    flat, ends = ids.tolist(), offs.tolist()
+    rows = [tuple(flat[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+    del flat
+    bad = np.flatnonzero(bad).tolist()
+    for i in bad:
         ln, line = batch[i]
-        records[i] = _read_ids(tag, what, out_of_range, line.split(), ln, bound)
-    return records
+        rows[i] = _read_ids(tag, what, out_of_range, line.split(), ln, bound)
+    records += rows
+    return _flatten(rows, bound) if bad else (ids.astype(_id_type(bound)), offs)
 
 
 _read_sets = partial(
@@ -438,8 +575,7 @@ _read_ballots = partial(
 )
 
 
-def _read_edges(batch: list[tuple[int, str]], num_vertices: int) -> list[tuple[int, int]]:
-    edges = []
+def _read_edges(batch: list[tuple[int, str]], num_vertices: int, edges: list) -> None:
     for ln, line in batch:
         tokens = line.split()
         if tokens[0] != "e" or len(tokens) != 3:
@@ -449,7 +585,17 @@ def _read_edges(batch: list[tuple[int, str]], num_vertices: int) -> list[tuple[i
             if not 1 <= w <= num_vertices:
                 raise ParseError(f"vertex id {w} out of range [1, {num_vertices}]", ln)
         edges.append((u, v))
-    return edges
+
+
+def _joined(arrays: list[tuple[np.ndarray, np.ndarray]], bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """One (ids, offsets) pair of the batches' pairs, in batch order."""
+    if len(arrays) == 1:
+        return arrays[0]
+    if not arrays:
+        return _flatten((), bound)
+    starts = np.cumsum([len(ids) for ids, _ in arrays])  # batch i + 1 starts at starts[i]
+    offs = [arrays[0][1]] + [ends[1:] + start for (_, ends), start in zip(arrays[1:], starts)]
+    return np.concatenate([ids for ids, _ in arrays]), np.concatenate(offs)
 
 
 def parse_instance(text: str) -> Instance:
@@ -457,8 +603,8 @@ def parse_instance(text: str) -> Instance:
 
     Element lists are deduplicated and sorted on ingest; ids must lie in [1, n].
     """
-    n, _, sets, k = _read_records(text, "maxcover", "set", _read_sets)
-    return _unchecked(Instance, n, sets, k)
+    n, _, sets, k, arrays = _read_records(text, "maxcover", "set", _read_sets)
+    return _unchecked(Instance, n, sets, k, _ids=_joined(arrays, n))
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -471,10 +617,11 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_election(text: str) -> ApprovalElection:
     """Parse a 'p approval <candidates> <voters> <k>' document with 'v' ballot lines."""
-    return _unchecked(ApprovalElection, *_read_records(text, "approval", "ballot", _read_ballots))
+    a, b, ballots, k, arrays = _read_records(text, "approval", "ballot", _read_ballots)
+    return _unchecked(ApprovalElection, a, b, ballots, k, _ids=_joined(arrays, a))
 
 
 def parse_graph(text: str) -> Graph:
     """Parse a 'p graph <vertices> <edges> <k>' document with 'e <u> <v>' lines."""
-    num_vertices, _, edges, k = _read_records(text, "graph", "edge", _read_edges)
+    num_vertices, _, edges, k, _ = _read_records(text, "graph", "edge", _read_edges)
     return Graph(num_vertices, edges, k)

@@ -194,6 +194,43 @@ def recursive_exact_then_greedy(inst, x):
     return best_chosen, best_covered, finished
 
 
+def approval_document(rand: random.Random, voters: int, candidates: int, lo: int, hi: int, k: int) -> str:
+    """'p approval' text where each voter approves lo..hi random candidates."""
+    lines = [f"p approval {candidates} {voters} {k}"]
+    for _ in range(voters):
+        ballot = sorted(rand.sample(range(1, candidates + 1), rand.randint(lo, hi)))
+        lines.append("v " + " ".join(map(str, ballot)))
+    return "\n".join(lines) + "\n"
+
+
+def appended_election_to_maxcover(election):
+    """The supporter tuples of the approval reduction as it was: each voter's
+    int is appended to one list per approved candidate, and each list is then
+    replaced by its tuple."""
+    supporters = [[] for _ in range(election.num_candidates)]
+    adds = [s.append for s in supporters]
+    for voter, ballot in enumerate(election.approvals, start=1):
+        for c in ballot:
+            adds[c - 1](voter)
+    del adds
+    for c, s in enumerate(supporters):
+        supporters[c] = tuple(s)
+    return tuple(supporters)
+
+
+def flag_row_masks(n, sets):
+    """The mask build as it was: each set marks one reused row of n + 1 flags,
+    which is packed to bytes and read as one integer."""
+    row = np.zeros(n + 1, np.bool_)
+    masks = []
+    for s in sets:
+        ids = np.fromiter(s, np.intp, len(s))
+        row[ids] = True
+        masks.append(int.from_bytes(np.packbits(row[1:], bitorder="little"), "little"))
+        row[ids] = False
+    return masks
+
+
 def random_graph(rand: random.Random, vertices: int, edges: int, k: int) -> Instance:
     """Vertex-cover instance of a uniform simple graph with the given edge count."""
     seen = set()

@@ -144,13 +144,23 @@ def test_exit_code_1_on_a_report_nested_too_deeply(inst_file, tmp_path, capsys, 
     assert capsys.readouterr().err == "error: report is nested too deeply to decode\n"
 
 
-@pytest.mark.parametrize("body", ['{"chosen": ["a"]}', '{"chosen": 3}', '[1, 2]', '{"chosen": [true]}'])
+@pytest.mark.parametrize("body", ['{"chosen": ["a"]}', '{"chosen": 3}', '[1, 2]', '{"chosen": [true]}',
+                                  '{"covered": 0, "uncovered": 4}'])
 def test_exit_code_1_on_report_without_integer_choices(inst_file, tmp_path, capsys, body):
     sol = tmp_path / "r.json"
     sol.write_text(body)
     assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 1
     err = capsys.readouterr().err
     assert "'chosen' is a list of integers" in err and err.count("\n") == 1
+
+
+def test_verify_checks_an_empty_choice(inst_file, tmp_path, capsys):
+    sol = tmp_path / "r.json"
+    sol.write_text('{"chosen": [], "covered": 0, "uncovered": 4}')
+    assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 0
+    assert capsys.readouterr().out == "ok: 0 sets cover 0/4 elements\n"
+    sol.write_text('{"chosen": [], "covered": 1, "uncovered": 3}')
+    assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 2
 
 
 @pytest.mark.parametrize("body", [

@@ -49,14 +49,19 @@ from maxcover import (
     serialize_instance,
     set_masks,
 )
-from maxcover.core import _parse_header
+from maxcover.cli import load_instance_text
+from maxcover.core import _BLOCK_BYTES, _id_arrays, _parse_header
 from maxcover.exact import _most_holders, best_fixed_size_subset
 from maxcover.greedy import extend_greedily
 from helpers import (
+    appended_election_to_maxcover,
+    approval_document,
     bounded_families,
+    flag_row_masks,
     full_scan,
     int_kernel,
     most_holders,
+    peak_bytes,
     random_graph,
     recursive_exact_then_greedy,
 )
@@ -361,6 +366,33 @@ def test_pruned_hybrid_keeps_a_tying_prefix_with_a_smaller_tuple():
     assert (report.solution.chosen, report.solution.covered) == ((0, 1, 2), 3)
     assert every_prefix_then_greedy(inst, 2) == ((0, 1, 2), 3, 4)
     assert report.combos_scanned == 4
+
+
+def kept_bytes(inst):
+    return sum(a.nbytes for a in _id_arrays(inst))
+
+
+def test_approval_load_peak_stays_within_the_appending_reduction():
+    # Shaped like the benchmark's approval-12k document. The reference parses
+    # the same text, drops the id arrays with a public rebuild, and reduces
+    # as the appending loop did. The load may hold more than that only by the
+    # id arrays its instance keeps and one block of temporaries.
+    text = approval_document(random.Random(12), 12000, 100, 20, 40, 10)
+    reference, _ = peak_bytes(lambda: appended_election_to_maxcover(dataclasses.replace(parse_election(text))))
+    peak, _ = peak_bytes(lambda: load_instance_text(text))
+    assert peak <= reference + kept_bytes(load_instance_text(text)) + _BLOCK_BYTES
+
+
+def test_mask_build_peak_stays_within_the_flag_row_build():
+    # Shaped like the benchmark's rand-30k document, parsed, and generated,
+    # whose id arrays the build makes and keeps. Beyond the masks, the
+    # reference holds a row of n flags, and the build one block.
+    generated = gen_random(30000, 1200, 40, 3, 0)
+    for inst in (parse_instance(serialize_instance(generated)), generated):
+        reference, _ = peak_bytes(lambda: flag_row_masks(inst.n, inst.sets))
+        peak, _ = peak_bytes(lambda: set_masks(inst))
+        made = kept_bytes(inst) if inst is generated else 0
+        assert peak <= reference + made + 8 * inst.m + _BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
