@@ -36,7 +36,8 @@ class _Derived:
     private key, which the dataclass's ``==``, ``hash`` and ``repr`` never
     read and ``__getstate__`` leaves out of pickles and copies. Every build
     of a form gives the same value and only the first one stored is kept, so
-    threads that race to build one all read that one.
+    threads that race to build one all read that one. (The approval
+    reduction takes a parsed election's id arrays out of it instead.)
     """
 
     def __getstate__(self):
@@ -164,18 +165,13 @@ def _unchecked(cls, *values, **derived):
 _BLOCK_BYTES = 1 << 18
 
 
-def _id_type(bound: int) -> np.dtype:
-    """Smallest unsigned type that holds every id in [1, bound]."""
-    return np.min_scalar_type(bound)
-
-
 def _flatten(rows: Sequence[Sequence[int]], bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ids in [1, bound] as (ids, offsets): one array of every id in
-    row order, of ``_id_type(bound)``, and int64 offsets where row i holds
-    ids[offsets[i]:offsets[i + 1]]."""
+    row order, of the smallest unsigned type that holds bound, and int64
+    offsets where row i holds ids[offsets[i]:offsets[i + 1]]."""
     offs = np.zeros(len(rows) + 1, np.int64)
     np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=offs[1:])
-    return np.fromiter(chain.from_iterable(rows), _id_type(bound), int(offs[-1])), offs
+    return np.fromiter(chain.from_iterable(rows), np.min_scalar_type(bound), int(offs[-1])), offs
 
 
 def _id_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +206,7 @@ def _counts(ids: np.ndarray, size: int) -> np.ndarray:
 
 
 def _pack(n: int, ids: np.ndarray, offs: np.ndarray) -> list[int]:
-    """Bitmask of each row of distinct ids in [1, n], from (ids, offsets).
+    """Bitmask of each row of ids in [1, n], from (ids, offsets).
 
     Rows are packed a block at a time into little-endian bytes, ceil(n / 8)
     a row, and each row is read as one integer. A family whose ids fill at
@@ -376,7 +372,7 @@ def _transpose(ids: np.ndarray, offs: np.ndarray, width: int, height: int) -> tu
     of earlier blocks.
     """
     t_offs = np.cumsum(_counts(ids, width))  # id c's row is t_ids[t_offs[c - 1]:t_offs[c]]
-    t_ids = np.empty(len(ids), _id_type(height))
+    t_ids = np.empty(len(ids), np.min_scalar_type(height))
     free = t_offs[:-1].copy()
     # An id takes 32 bytes of temporaries, and each block counts every id
     # value, so a block holds at least ``width`` ids.
@@ -563,7 +559,7 @@ def _read_id_lines(
         ln, line = batch[i]
         rows[i] = _read_ids(tag, what, out_of_range, line.split(), ln, bound)
     records += rows
-    return _flatten(rows, bound) if bad else (ids.astype(_id_type(bound)), offs)
+    return _flatten(rows, bound) if bad else (ids.astype(np.min_scalar_type(bound)), offs)
 
 
 _read_sets = partial(

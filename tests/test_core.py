@@ -31,6 +31,7 @@ from maxcover import (
     serialize_instance,
     set_masks,
 )
+from maxcover.cli import main
 from helpers import random_instance, union_coverage
 
 
@@ -262,6 +263,21 @@ def test_mutating_the_returned_masks_changes_no_later_result():
     masks.reverse()
     assert set_masks(inst) == want
     assert set_masks(inst) is not set_masks(inst)
+
+
+def test_compare_builds_masks_and_profile_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    for name in ("_pack", "_count_profile"):
+        def counted(*args, name=name, real=getattr(maxcover.core, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(maxcover.core, name, counted)
+    doc = tmp_path / "inst.mc"
+    doc.write_text("p maxcover 4 3 2\ns 1 2 3\ns 3 4\ns 4\n")
+    argv = ["compare", "--algs", "greedy,ptas,exact,fpt,greedy-exact", "--alpha", "0.2", "--beta", "0.5",
+            "--x", "1", "--with-opt", "--in", str(doc)]
+    assert main(argv) == 0
+    assert sorted(calls) == ["_count_profile", "_pack"]
 
 
 def test_solvers_read_masks_through_their_module_global(monkeypatch):
