@@ -553,7 +553,6 @@ def _read_id_lines(
         ids, offs = key & (1 << 30) - 1, np.searchsorted(key >> 30, np.arange(len(batch) + 1))
     flat, ends = ids.tolist(), offs.tolist()
     rows = [tuple(flat[lo:hi]) for lo, hi in zip(ends, ends[1:])]
-    del flat
     bad = np.flatnonzero(bad).tolist()
     for i in bad:
         ln, line = batch[i]
