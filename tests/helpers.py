@@ -194,15 +194,6 @@ def recursive_exact_then_greedy(inst, x):
     return best_chosen, best_covered, finished
 
 
-def approval_document(rand: random.Random, voters: int, candidates: int, lo: int, hi: int, k: int) -> str:
-    """'p approval' text where each voter approves lo..hi random candidates."""
-    lines = [f"p approval {candidates} {voters} {k}"]
-    for _ in range(voters):
-        ballot = sorted(rand.sample(range(1, candidates + 1), rand.randint(lo, hi)))
-        lines.append("v " + " ".join(map(str, ballot)))
-    return "\n".join(lines) + "\n"
-
-
 def appended_election_to_maxcover(election):
     """The supporter tuples of the approval reduction as it was: each voter's
     int is appended to one list per approved candidate, and each list is then

@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -263,6 +265,29 @@ def test_mutating_the_returned_masks_changes_no_later_result():
     masks.reverse()
     assert set_masks(inst) == want
     assert set_masks(inst) is not set_masks(inst)
+
+
+def test_threads_racing_to_build_masks_and_profile_read_one_value():
+    plain = maxcover.gen_random(3000, 60, 5, 3, 1)
+    masks, profile = set_masks(plain), frequency_profile(plain)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            inst = Instance(plain.n, plain.sets, plain.k)  # nothing built yet
+            got = []
+            threads = [threading.Thread(target=lambda: got.append((set_masks(inst), frequency_profile(inst))))
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 8 and all(pair == (masks, profile) for pair in got)
+            # Every thread reads the one profile stored first.
+            assert len({id(p) for _, p in got}) == 1
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_compare_builds_masks_and_profile_once(tmp_path, monkeypatch, capsys):

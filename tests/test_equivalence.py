@@ -55,7 +55,6 @@ from maxcover.exact import _most_holders, best_fixed_size_subset
 from maxcover.greedy import extend_greedily
 from helpers import (
     appended_election_to_maxcover,
-    approval_document,
     bounded_families,
     flag_row_masks,
     full_scan,
@@ -377,7 +376,7 @@ def test_approval_load_peak_stays_within_the_appending_reduction():
     # the same text, drops the id arrays with a public rebuild, and reduces
     # as the appending loop did. The load may hold more than that only by the
     # id arrays its instance keeps and one block of temporaries.
-    text = approval_document(random.Random(12), 12000, 100, 20, 40, 10)
+    text = approval_text(random.Random(12), 100, 12000, 10, 40, lo=20)
     reference, _ = peak_bytes(lambda: appended_election_to_maxcover(dataclasses.replace(parse_election(text))))
     peak, _ = peak_bytes(lambda: load_instance_text(text))
     assert peak <= reference + kept_bytes(load_instance_text(text)) + _BLOCK_BYTES
@@ -602,10 +601,10 @@ def mutated(rand, text, tag, bound):
     return end.join(lines) + rand.choice([end, ""])
 
 
-def approval_text(rand, candidates, voters, k, hi):
+def approval_text(rand, candidates, voters, k, hi, lo=0):
     lines = [f"p approval {candidates} {voters} {k}"]
     for _ in range(voters):
-        size = rand.randint(0, min(hi, candidates))
+        size = rand.randint(lo, min(hi, candidates))
         lines.append(" ".join(["v", *map(str, sorted(rand.sample(range(1, candidates + 1), size)))]))
     return "\n".join(lines) + "\n"
 
