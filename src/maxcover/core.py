@@ -160,8 +160,10 @@ def _unchecked(cls, *values, **derived):
 
 # Byte budget of the whole-array passes over id arrays (the mask build, the
 # counts, the approval transpose and its tuples): each pass takes the rows a
-# block at a time, with at most this many bytes of temporaries, or one row
-# when a row needs more, so that no temporary grows with the instance.
+# block at a time, with at most this many bytes of temporaries, so that no
+# temporary grows with the instance. A block is larger only to hold one long
+# row, or, where a block's work includes one count per id value, as many
+# ids as there are values.
 _BLOCK_BYTES = 1 << 18
 
 
