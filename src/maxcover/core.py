@@ -214,7 +214,7 @@ def _pack(n: int, ids: np.ndarray, offs: np.ndarray) -> list[int]:
     a row, and each row is read as one integer. A family whose ids fill at
     least one in 64 of its row bits on average marks a block's bits in a
     bool grid of the rows, which ``np.packbits`` packs; a sparser one ORs
-    each id's bit into its byte, which costs no grid of 8 bytes a byte.
+    each id's bit into its byte, without a grid that takes a byte a bit.
     """
     width = (n + 7) // 8
     grid = 64 * len(ids) >= (len(offs) - 1) * n
