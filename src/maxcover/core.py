@@ -3,8 +3,10 @@
 Universe elements are numbered 1..n in documents and in ``Instance.sets``;
 set indices are 0-based in the API and 1-based in documents. Coverage
 counting runs on integer bitmasks where bit e-1 holds element e. All values
-here are immutable after construction and safe to share across threads; the
-forms an instance derives from its fields are built once and never change.
+here are immutable after construction and safe to share across threads: no
+field changes, and the forms a value derives from its fields are built once
+and never change. The one form that moves is a parsed election's id arrays,
+which its first reduction takes over (see ``election_to_maxcover``).
 """
 
 from __future__ import annotations
@@ -212,12 +214,14 @@ def _pack(n: int, ids: np.ndarray, offs: np.ndarray) -> list[int]:
 
     Rows are packed a block at a time into little-endian bytes, ceil(n / 8)
     a row, and each row is read as one integer. A family whose ids fill at
-    least one in 64 of its row bits on average marks a block's bits in a
+    least one in 48 of its row bits on average marks a block's bits in a
     bool grid of the rows, which ``np.packbits`` packs; a sparser one ORs
     each id's bit into its byte, without a grid that takes a byte a bit.
+    Near one in 48 the two take the same time; denser families pack faster
+    on the grid, sparser ones with the byte OR.
     """
     width = (n + 7) // 8
-    grid = 64 * len(ids) >= (len(offs) - 1) * n
+    grid = 48 * len(ids) >= (len(offs) - 1) * n
     masks = []
     # Half the budget for the 25 bytes of temporaries an id takes, half for
     # the block's bytes, and its grid's.
@@ -263,10 +267,16 @@ def _check_indices(inst: Instance, chosen: Iterable[int]) -> list[int]:
 
 
 def coverage(inst: Instance, chosen: Iterable[int]) -> int:
-    """Number of elements in the union of the chosen sets, from the masks of
-    those sets alone."""
+    """Number of elements in the union of the chosen sets: an OR of their
+    masks, the instance's own if they are built, else of those sets alone."""
+    chosen = _check_indices(inst, chosen)
+    kept = inst.__dict__.get("_masks")
+    if kept is None:
+        rows = _pack(inst.n, *_flatten([inst.sets[i] for i in chosen], inst.n))
+    else:
+        rows = [kept[i] for i in chosen]
     union = 0
-    for mask in _pack(inst.n, *_flatten([inst.sets[i] for i in _check_indices(inst, chosen)], inst.n)):
+    for mask in rows:
         union |= mask
     return union.bit_count()
 
@@ -343,11 +353,13 @@ def election_to_maxcover(election: ApprovalElection) -> Instance:
     A committee leaving the fewest voters unrepresented is then exactly a set
     selection leaving the fewest elements uncovered.
 
-    The result keeps the transpose of the ballots' id arrays as its own. The
-    reduction takes the election's arrays from it, so that they are freed
-    before the supporters' tuples are built; reducing the same election
-    again flattens its ballots anew. The tuples take one int object per
-    voter, shared by all the candidates the voter approves.
+    The result keeps the transpose of the ballots' id arrays as its own.
+    This takes the id arrays that ``parse_election`` kept out of the
+    election, so that they are freed before the supporters' tuples are
+    built: the election's fields do not change, but reducing it a second
+    time, or reducing an election built by a caller, first flattens its
+    ballots into new arrays. The tuples take one int object per voter,
+    shared by all the candidates the voter approves.
     """
     height = election.num_voters
     ballots = election.__dict__.pop("_ids", None) or _flatten(election.approvals, election.num_candidates)
