@@ -337,17 +337,22 @@ def test_coverage_examples():
 
 def test_coverage_validates_indices():
     inst = Instance.of(2, [[1]], 1)
-    with pytest.raises(ValueError, match="out of range"):
-        coverage(inst, [1])
-    with pytest.raises(ValueError, match="duplicate set index"):
-        coverage(inst, [0, 0])
+    for _ in range(2):  # with the masks kept the second time
+        with pytest.raises(ValueError, match="out of range"):
+            coverage(inst, [1])
+        with pytest.raises(ValueError, match="duplicate set index"):
+            coverage(inst, [0, 0])
+        set_masks(inst)
 
 
 def test_coverage_is_monotone_and_matches_set_union():
+    # ``built`` has its masks kept, which coverage then reads.
     rand = random.Random(13)
     for _ in range(40):
         inst = random_instance(rand, rand.randint(1, 10), rand.randint(1, 8),
                                2, p_max=rand.randint(1, 4), min_freq=0)
+        built = dataclasses.replace(inst)
+        set_masks(built)
         indices = list(range(inst.m))
         rand.shuffle(indices)
         chosen = []
@@ -356,7 +361,7 @@ def test_coverage_is_monotone_and_matches_set_union():
             chosen.append(i)
             cov = coverage(inst, chosen)
             assert cov >= prev
-            assert cov == union_coverage(inst, chosen)
+            assert cov == union_coverage(inst, chosen) == coverage(built, chosen)
             prev = cov
 
 
