@@ -9,6 +9,9 @@ work than the scans they replaced. The exhaustive kernel must also give what
 its Python-int form gave, leaf count included, with the frequency bound it
 counts from its masks.
 
+``verify`` must recount what plain set unions over the loop-built instance
+count, and reject a document as the loops do.
+
 The document load (record reader, ``Instance`` and ``ApprovalElection``
 checks, approval and graph reductions, frequency profile) must give what the
 per-token and per-element loops gave: the same value, or an error of the same
@@ -18,6 +21,7 @@ public constructor's check unchanged, with plain int ids.
 """
 
 import dataclasses
+import json
 import math
 import numbers
 import random
@@ -49,8 +53,8 @@ from maxcover import (
     serialize_instance,
     set_masks,
 )
-from maxcover import core
-from maxcover.cli import load_instance_text
+from maxcover import cli, core
+from maxcover.cli import load_instance_text, main
 from maxcover.core import _BLOCK_BYTES, _id_arrays, _parse_header
 from maxcover.exact import _most_holders, best_fixed_size_subset
 from maxcover.greedy import extend_greedily
@@ -64,6 +68,7 @@ from helpers import (
     peak_bytes,
     random_graph,
     recursive_exact_then_greedy,
+    union_coverage,
 )
 
 
@@ -670,6 +675,63 @@ def test_record_reader_equals_token_loop_past_chunk_boundaries():
         )
         for doc in [text] + [mutated(rand, text, tag, bound) for _ in range(6)]:
             assert outcome(lambda d: fields(parse(d)), doc) == outcome(loop, doc)
+
+
+def verify_outcome(monkeypatch, capsys, text, chosen, covered, uncovered):
+    """(exit code, stdout, stderr) of ``verify`` on the text and a report
+    naming the 0-based ``chosen`` sets."""
+    report = json.dumps({"chosen": [i + 1 for i in chosen], "covered": covered, "uncovered": uncovered})
+    monkeypatch.setattr(cli, "_read", {"document": text, "report": report}.__getitem__)
+    code = main(["verify", "--in", "document", "--sol", "report"])
+    return (code, *capsys.readouterr())
+
+
+VERIFY_DOCUMENTS = [
+    "p maxcover 0 2 1\ns\ns\n",  # n = 0, empty sets
+    "p maxcover 5 0 1\n",  # m = 0
+    "p maxcover 4 3 0\ns 1 2\ns\ns 4\n",  # k = 0
+    "p maxcover 9 3 2\ns 9 +3 007\ns\t8 8 1\ns 2 ３\n",  # lines the array pass hands to _read_ids
+    "p approval 0 3 0\nv\nv\nv\n",  # no candidates, k = 0
+    "p approval 3 0 2\n",  # no voters
+    "p approval 4 5 2\nv\nv 1 3\nv\nv 4\nv\n",  # voters who approve nothing, first and last; nobody approves 2
+    "p approval 5 4 3\nv +2 007\nv\t3 1\nv ４ 4\nv 5 5\n",
+]
+
+
+def loop_load(text):
+    """The CLI's instance of a maxcover or approval document, by the
+    per-token loops and the appending reduction."""
+    if text.split()[1] == "maxcover":
+        return Instance(*loop_parse_instance(text))
+    return loop_election_to_maxcover(ApprovalElection(*loop_parse_election(text)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_recount_equals_set_union(monkeypatch, capsys, seed):
+    rand = random.Random(20 + seed)
+    docs = list(VERIFY_DOCUMENTS)
+    cases = [(text, bound, "s") for text, bound in maxcover_documents(rand, 20)]
+    cases += [(text, bound, "v") for text, bound in approval_documents(rand, 20)]
+    for text, bound, tag in cases:
+        docs += [text] + [mutated(rand, text, tag, bound) for _ in range(2)]
+    recounted = 0
+    for text in docs:
+        try:
+            inst = loop_load(text)
+        except ParseError as err:
+            assert verify_outcome(monkeypatch, capsys, text, [], 0, 0) == (1, "", f"error: {err}\n")
+            continue
+        recounted += 1
+        budget = min(inst.k, inst.m)
+        for chosen in [[]] + [rand.sample(range(inst.m), rand.randint(0, budget)) for _ in range(3)]:
+            c, n = union_coverage(inst, chosen), inst.n
+            assert verify_outcome(monkeypatch, capsys, text, chosen, c, n - c) == \
+                (0, f"ok: {len(chosen)} sets cover {c}/{n} elements\n", "")
+            assert verify_outcome(monkeypatch, capsys, text, chosen, c, n - c + 1) == (2, "", (
+                f"mismatch: recounted covered={c} uncovered={n - c}, "
+                f"report says covered={c} uncovered={n - c + 1}\n"
+            ))
+    assert recounted > len(docs) // 2
 
 
 def mutated_sets(rand, sets, bound):

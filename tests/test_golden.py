@@ -3,11 +3,15 @@
 ``golden.json`` holds one small document per input format, a non-canonical
 twin of the maxcover and approval documents, the flags each solver runs with, and the digest of every ``solve`` report (solver x format),
 of one ``compare --with-opt`` CSV without its ``wall_time_s`` column, and of
-the ``solve --help`` and ``compare --help`` texts at 80 columns. A refactor
+the ``solve --help`` and ``compare --help`` texts at 80 columns. It also pins
+the exit code, standard output and standard error of ``verify`` on each
+format's document for five reports: one it accepts, and one that names a set
+out of range, lists a set twice, exceeds the budget, or miscounts. A refactor
 that keeps behaviour keeps every digest; a changed digest means a changed
 report, message or help text. Each twin spells its document with comments,
 blank lines, tabs, CRLF line ends, unsorted and duplicate ids, leading zeros,
-``+`` signs and a non-ASCII digit, and must give its document's report.
+``+`` signs and a non-ASCII digit, and must give its document's report and
+its document's ``verify`` outputs.
 """
 
 import hashlib
@@ -64,6 +68,21 @@ def test_twin_report_digest(monkeypatch, capsys, alg, fmt):
     monkeypatch.setattr(cli, "_read", lambda path: GOLDEN["twins"][fmt])
     assert main(["solve", "--alg", alg, *GOLDEN["flags"][alg], "--in", "twin"]) == 0
     assert sha256(capsys.readouterr().out) == GOLDEN["solve"][f"{fmt}/{alg}"]
+
+
+VERIFY_CASES = [
+    (source, fmt, case) for source in ("documents", "twins") for fmt in GOLDEN[source] for case in GOLDEN["verify"][fmt]
+]
+
+
+@pytest.mark.parametrize("source, fmt, case", VERIFY_CASES)
+def test_verify_outputs(monkeypatch, capsys, source, fmt, case):
+    # Both texts reach the parser as they are, as in the twin report test.
+    pin = GOLDEN["verify"][fmt][case]
+    files = {"document": GOLDEN[source][fmt], "report": json.dumps(pin["report"])}
+    monkeypatch.setattr(cli, "_read", files.__getitem__)
+    assert main(["verify", "--in", "document", "--sol", "report"]) == pin["exit"]
+    assert capsys.readouterr() == (pin["stdout"], pin["stderr"])
 
 
 def test_compare_csv_digest(tmp_path, capsys):
