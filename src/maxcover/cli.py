@@ -14,9 +14,16 @@ import sys
 import time
 from dataclasses import dataclass
 
+# election_to_maxcover and parse_election are not called here, but the
+# benchmark's tracer (perfbench/tracing.py) wraps them by their names in cli.
 from .core import (
     Instance,
     ParseError,
+    _id_arrays,
+    _read_id_document,
+    _reduce,
+    _rows_meeting,
+    _union_size,
     document_kind,
     election_to_maxcover,
     frequency_profile,
@@ -124,12 +131,14 @@ def run_curves(k: int, beta_a: float, grid: int, alg5_form: str = "vertexcover")
 
 
 def load_instance_text(text: str) -> Instance:
-    """Parse any supported document; approval and graph inputs are reduced."""
+    """Parse any supported document; approval and graph inputs are reduced.
+    An approval document's ballots go from the parser's id arrays straight
+    into the reduction, with no ``ApprovalElection`` and no ballot tuples."""
     kind = document_kind(text)
     if kind == "maxcover":
         return parse_instance(text)
     if kind == "approval":
-        return election_to_maxcover(parse_election(text))
+        return _reduce(*_read_id_document(text, "approval"))
     if kind == "graph":
         g = parse_graph(text)
         return graph_to_maxvertexcover(g.num_vertices, g.edges, g.k)
@@ -310,9 +319,22 @@ def run_curves_cmd(args) -> int:
 
 
 def run_verify(args) -> int:
-    """Recount a report's coverage with plain set unions, independent of the
-    solvers' bitmask kernel, and fail on any mismatch."""
-    inst = load_instance_text(_read(args.infile))
+    """Recount a report's coverage from the document's rows of ids,
+    independent of the solvers' bitmask kernel, and fail on any mismatch.
+
+    The recount is the number of distinct elements in the chosen sets, read
+    from a maxcover document's sets or a graph reduction's. An approval
+    document is not reduced: its recount is the number of ballots that
+    approve a chosen candidate.
+    """
+    doc = _read(args.infile)
+    kind = document_kind(doc)
+    if kind in ("maxcover", "approval"):
+        a, b, k, ids, offs = _read_id_document(doc, kind)
+        n, m = (b, a) if kind == "approval" else (a, b)
+    else:
+        inst = load_instance_text(doc)
+        n, m, k, (ids, offs) = inst.n, inst.m, inst.k, _id_arrays(inst)
     text = _read(args.sol)
     try:
         report = json.loads(text)
@@ -324,32 +346,28 @@ def run_verify(args) -> int:
     if not all(type(report.get(key)) is int for key in ("covered", "uncovered")):
         raise ParseError("report's 'covered' and 'uncovered' must be integers")
     picked: set[int] = set()
-    union: set[int] = set()
     for one_based in chosen:
         i = one_based - 1
-        if not 0 <= i < inst.m:
-            print(f"mismatch: solution names set {one_based}, instance has m={inst.m}", file=sys.stderr)
+        if not 0 <= i < m:
+            print(f"mismatch: solution names set {one_based}, instance has m={m}", file=sys.stderr)
             return 2
         if i in picked:
             print(f"mismatch: set {one_based} listed twice", file=sys.stderr)
             return 2
         picked.add(i)
-        union.update(inst.sets[i])
-    if len(picked) > min(inst.k, inst.m):
-        print(
-            f"mismatch: {len(picked)} sets chosen, budget allows {min(inst.k, inst.m)}",
-            file=sys.stderr,
-        )
+    if len(picked) > min(k, m):
+        print(f"mismatch: {len(picked)} sets chosen, budget allows {min(k, m)}", file=sys.stderr)
         return 2
-    covered = len(union)
-    if covered != report.get("covered") or inst.n - covered != report.get("uncovered"):
+    # An approval document's one-based set numbers are its candidate ids.
+    covered = _rows_meeting(ids, offs, m, chosen) if kind == "approval" else _union_size(ids, offs, picked)
+    if covered != report.get("covered") or n - covered != report.get("uncovered"):
         print(
-            f"mismatch: recounted covered={covered} uncovered={inst.n - covered}, "
+            f"mismatch: recounted covered={covered} uncovered={n - covered}, "
             f"report says covered={report.get('covered')} uncovered={report.get('uncovered')}",
             file=sys.stderr,
         )
         return 2
-    print(f"ok: {len(picked)} sets cover {covered}/{inst.n} elements")
+    print(f"ok: {len(picked)} sets cover {covered}/{n} elements")
     return 0
 
 

@@ -5,8 +5,7 @@ set indices are 0-based in the API and 1-based in documents. Coverage
 counting runs on integer bitmasks where bit e-1 holds element e. All values
 here are immutable after construction and safe to share across threads: no
 field changes, and the forms a value derives from its fields are built once
-and never change. The one form that moves is a parsed election's id arrays,
-which its first reduction takes over (see ``election_to_maxcover``).
+and never change.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ class _Derived:
     private key, which the dataclass's ``==``, ``hash`` and ``repr`` never
     read and ``__getstate__`` leaves out of pickles and copies. Every build
     of a form gives the same value and only the first one stored is kept, so
-    threads that race to build one all read that one. (The approval
-    reduction takes a parsed election's id arrays out of it instead.)
+    threads that race to build one all read that one.
     """
 
     def __getstate__(self):
@@ -178,6 +176,25 @@ def _flatten(rows: Sequence[Sequence[int]], bound: int) -> tuple[np.ndarray, np.
     return np.fromiter(chain.from_iterable(rows), np.min_scalar_type(bound), int(offs[-1])), offs
 
 
+def _tuples(ids: np.ndarray, offs: np.ndarray, bound: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of (ids, offsets), ids in [0, bound], as tuples of ints, built
+    a block of rows at a time.
+
+    Where the rows hold at least four ids a value, and the values reach past
+    256 (CPython shares the ints up to 256 already), each value is one int
+    object that every row holding it shares. Near two to three ids a value,
+    that table costs as much time as making an int for each id saves.
+    """
+    values = np.arange(bound + 1).astype(object) if 256 < bound and 4 * bound <= len(ids) else None
+    rows: list[tuple[int, ...]] = []
+    for lo, hi in _row_blocks(offs, _BLOCK_BYTES // 24):
+        run = ids[offs[lo] : offs[hi]]
+        run = (run if values is None else values[run]).tolist()
+        ends = (offs[lo : hi + 1] - offs[lo]).tolist()
+        rows += [tuple(run[a:b]) for a, b in zip(ends, ends[1:])]
+    return tuple(rows)
+
+
 def _id_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """The (ids, offsets) of an instance's sets: the arrays the parser or the
     approval reduction made, or ``_flatten`` of the sets."""
@@ -281,6 +298,26 @@ def coverage(inst: Instance, chosen: Iterable[int]) -> int:
     return union.bit_count()
 
 
+def _union_size(ids: np.ndarray, offs: np.ndarray, rows: Iterable[int]) -> int:
+    """Number of distinct ids in the given rows of (ids, offsets)."""
+    return len(np.unique(np.concatenate([ids[:0], *(ids[offs[i] : offs[i + 1]] for i in rows)])))
+
+
+def _rows_meeting(ids: np.ndarray, offs: np.ndarray, width: int, chosen: list[int]) -> int:
+    """Number of rows of (ids, offsets), ids in [1, width], that hold an id in
+    ``chosen``, read a block of rows at a time."""
+    member = np.zeros(width + 1, np.bool_)
+    member[chosen] = True
+    met = 0
+    for lo, hi in _row_blocks(offs, _BLOCK_BYTES // 2, _BLOCK_BYTES // 32):
+        ends = offs[lo : hi + 1] - offs[lo]
+        # The rows that hold ids; each one's ids run to the next one's start.
+        starts = ends[:-1][ends[:-1] < ends[1:]]
+        if len(starts):
+            met += int(np.count_nonzero(np.logical_or.reduceat(member[ids[offs[lo] : offs[hi]]], starts)))
+    return met
+
+
 def coverage_inclusion_exclusion(inst: Instance, chosen: Iterable[int], p: int) -> int:
     """Union size via inclusion-exclusion truncated at intersections of p sets.
 
@@ -353,32 +390,19 @@ def election_to_maxcover(election: ApprovalElection) -> Instance:
     A committee leaving the fewest voters unrepresented is then exactly a set
     selection leaving the fewest elements uncovered.
 
-    The result keeps the transpose of the ballots' id arrays as its own.
-    This takes the id arrays that ``parse_election`` kept out of the
-    election, so that they are freed before the supporters' tuples are
-    built: the election's fields do not change, but reducing it a second
-    time, or reducing an election built by a caller, first flattens its
-    ballots into new arrays. The tuples take one int object per voter,
-    shared by all the candidates the voter approves.
+    The reduction reads the election's ballots as id arrays: the arrays
+    ``parse_election`` kept, or, for an election built by a caller, arrays
+    flattened on the first reduction and kept from then on.
     """
-    height = election.num_voters
-    ballots = election.__dict__.pop("_ids", None) or _flatten(election.approvals, election.num_candidates)
-    voters, set_offs = _transpose(*ballots, election.num_candidates, height)
-    del ballots
-    voter_ints = np.arange(height + 1).astype(object)
-    supporters = []
-    for lo, hi in _row_blocks(set_offs, _BLOCK_BYTES // 24):
-        run = voter_ints[voters[set_offs[lo] : set_offs[hi]]]
-        ends = (set_offs[lo : hi + 1] - set_offs[lo]).tolist()
-        supporters += [tuple(run[a:b].tolist()) for a, b in zip(ends, ends[1:])]
-    return _unchecked(
-        Instance, height, tuple(supporters), election.committee_size, _ids=(voters, set_offs)
-    )
+    ballots = election._derived("_ids", lambda e: _flatten(e.approvals, e.num_candidates))
+    return _reduce(election.num_candidates, election.num_voters, election.committee_size, *ballots)
 
 
-def _transpose(ids: np.ndarray, offs: np.ndarray, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (ids, offsets) of the transpose of ``height`` rows of ids in [1,
-    width]: row c - 1 lists, in increasing order, the 1-based rows that hold c.
+def _reduce(width: int, height: int, k: int, ids: np.ndarray, offs: np.ndarray) -> Instance:
+    """The instance with budget k whose set c - 1 lists, in increasing order,
+    the 1-based rows of ``height`` rows of ids in [1, width] that hold c: the
+    approval reduction of ballots given as (ids, offsets). The instance keeps
+    the transposed arrays as its own.
 
     The rows are read a block at a time. A stable sort of a block's ids keeps
     the rows that hold each id in order, and each id's run in the sorted
@@ -398,7 +422,7 @@ def _transpose(ids: np.ndarray, offs: np.ndarray, width: int, height: int) -> tu
         slots += np.arange(len(c))
         t_ids[slots] = np.repeat(np.arange(lo + 1, hi + 1, dtype=t_ids.dtype), np.diff(offs[lo : hi + 1]))[order]
         free += here
-    return t_ids, t_offs
+    return _unchecked(Instance, height, _tuples(t_ids, t_offs, height), k, _ids=(t_ids, t_offs))
 
 
 def pad_frequencies(inst: Instance, p: int) -> Instance:
@@ -476,33 +500,30 @@ def document_kind(text: str) -> str:
     raise ParseError("empty document", 1)
 
 
-def _read_records(text: str, kind: str, what: str, read_lines) -> tuple[int, int, tuple, int, list]:
-    """Header counts (a, b, k), the b records after a 'p <kind>' header, and
-    what ``read_lines`` gave beside them, a batch at a time; no content may
-    follow the last record.
+def _read_records(text: str, kind: str, what: str, read_lines) -> tuple[int, int, int, list]:
+    """Header counts (a, b, k) of a 'p <kind>' document and what ``read_lines``
+    gave for its b records, a batch at a time; no content may follow the last
+    record.
 
-    ``read_lines(batch, a, records)`` reads a batch of (line number, line)
-    pairs, about _CHUNK_BYTES of text or one longer line, appends one record
-    per line to ``records``, in order, and returns anything else it read.
+    ``read_lines(batch, a)`` reads a batch of (line number, line) pairs, one
+    record a line: about _CHUNK_BYTES of text, or one longer line.
     """
     lines = _significant_lines(text)
     a, b, k = _parse_header(lines, kind)
-    records: list = []
-    extras = []
-    batch, size = [], 0
-    for ln_line in islice(lines, b):
+    batches, batch, size, found = [], [], 0, 0
+    for found, ln_line in enumerate(islice(lines, b), start=1):
         batch.append(ln_line)
         size += len(ln_line[1])
         if size >= _CHUNK_BYTES:
-            extras.append(read_lines(batch, a, records))
+            batches.append(read_lines(batch, a))
             batch, size = [], 0
     if batch:
-        extras.append(read_lines(batch, a, records))
-    if len(records) < b:
-        raise ParseError(f"expected {b} {what} lines, found {len(records)}")
+        batches.append(read_lines(batch, a))
+    if found < b:
+        raise ParseError(f"expected {b} {what} lines, found {found}")
     for ln, line in lines:
         raise ParseError(f"unexpected content '{line}'", ln)
-    return a, b, tuple(records), k, extras
+    return a, b, k, batches
 
 
 def _read_ids(tag: str, what: str, out_of_range, tokens: list[str], ln: int, bound: int) -> tuple[int, ...]:
@@ -528,11 +549,10 @@ _MAX_ID_DIGITS = 9
 
 
 def _read_id_lines(
-    tag: str, what: str, out_of_range, batch: list[tuple[int, str]], bound: int, records: list
+    tag: str, what: str, out_of_range, batch: list[tuple[int, str]], bound: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Appends ``_read_ids`` of every line of a batch to ``records``, read in
-    whole-array passes, and returns the batch's (ids, offsets) as ``_flatten``
-    gives them.
+    """The (ids, offsets) of ``_read_ids`` of every line of a batch, as
+    ``_flatten`` gives them, read in whole-array passes.
 
     A canonical line (the tag, then only ASCII digits and spaces, every id of
     at most _MAX_ID_DIGITS digits and in [1, bound]) is read from the batch's
@@ -565,14 +585,14 @@ def _read_id_lines(
         key = np.sort(id_line << 30 | ids)
         key = key[np.concatenate(([True], key[1:] != key[:-1]))]
         ids, offs = key & (1 << 30) - 1, np.searchsorted(key >> 30, np.arange(len(batch) + 1))
-    flat, ends = ids.tolist(), offs.tolist()
-    rows = [tuple(flat[lo:hi]) for lo, hi in zip(ends, ends[1:])]
     bad = np.flatnonzero(bad).tolist()
+    if not bad:
+        return ids.astype(np.min_scalar_type(bound)), offs
+    rows = np.split(ids, offs[1:-1])  # a view of each line's ids
     for i in bad:
         ln, line = batch[i]
         rows[i] = _read_ids(tag, what, out_of_range, line.split(), ln, bound)
-    records += rows
-    return _flatten(rows, bound) if bad else (ids.astype(np.min_scalar_type(bound)), offs)
+    return _flatten(rows, bound)
 
 
 _read_sets = partial(
@@ -584,7 +604,8 @@ _read_ballots = partial(
 )
 
 
-def _read_edges(batch: list[tuple[int, str]], num_vertices: int, edges: list) -> None:
+def _read_edges(batch: list[tuple[int, str]], num_vertices: int) -> list[tuple[int, int]]:
+    edges = []
     for ln, line in batch:
         tokens = line.split()
         if tokens[0] != "e" or len(tokens) != 3:
@@ -594,6 +615,7 @@ def _read_edges(batch: list[tuple[int, str]], num_vertices: int, edges: list) ->
             if not 1 <= w <= num_vertices:
                 raise ParseError(f"vertex id {w} out of range [1, {num_vertices}]", ln)
         edges.append((u, v))
+    return edges
 
 
 def _joined(arrays: list[tuple[np.ndarray, np.ndarray]], bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -607,13 +629,26 @@ def _joined(arrays: list[tuple[np.ndarray, np.ndarray]], bound: int) -> tuple[np
     return np.concatenate([ids for ids, _ in arrays]), np.concatenate(offs)
 
 
+# Record line reader and record name of each document kind that has id rows.
+_ID_DOCUMENTS = {"maxcover": (_read_sets, "set"), "approval": (_read_ballots, "ballot")}
+
+
+def _read_id_document(text: str, kind: str) -> tuple[int, int, int, np.ndarray, np.ndarray]:
+    """Header counts (a, b, k) and the (ids, offsets) of the b rows of a 'p
+    maxcover' or 'p approval' document, as ``_flatten`` gives them: each
+    row's ids sorted, distinct and in [1, a]. No row becomes a tuple."""
+    read_lines, what = _ID_DOCUMENTS[kind]
+    a, b, k, batches = _read_records(text, kind, what, read_lines)
+    return a, b, k, *_joined(batches, a)
+
+
 def parse_instance(text: str) -> Instance:
     """Parse a 'p maxcover <n> <m> <k>' document with m 's <e1> <e2> ...' lines.
 
     Element lists are deduplicated and sorted on ingest; ids must lie in [1, n].
     """
-    n, _, sets, k, arrays = _read_records(text, "maxcover", "set", _read_sets)
-    return _unchecked(Instance, n, sets, k, _ids=_joined(arrays, n))
+    n, _, k, ids, offs = _read_id_document(text, "maxcover")
+    return _unchecked(Instance, n, _tuples(ids, offs, n), k, _ids=(ids, offs))
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -626,11 +661,11 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_election(text: str) -> ApprovalElection:
     """Parse a 'p approval <candidates> <voters> <k>' document with 'v' ballot lines."""
-    a, b, ballots, k, arrays = _read_records(text, "approval", "ballot", _read_ballots)
-    return _unchecked(ApprovalElection, a, b, ballots, k, _ids=_joined(arrays, a))
+    a, b, k, ids, offs = _read_id_document(text, "approval")
+    return _unchecked(ApprovalElection, a, b, _tuples(ids, offs, a), k, _ids=(ids, offs))
 
 
 def parse_graph(text: str) -> Graph:
     """Parse a 'p graph <vertices> <edges> <k>' document with 'e <u> <v>' lines."""
-    num_vertices, _, edges, k, _ = _read_records(text, "graph", "edge", _read_edges)
-    return Graph(num_vertices, edges, k)
+    num_vertices, _, k, batches = _read_records(text, "graph", "edge", _read_edges)
+    return Graph(num_vertices, tuple(chain.from_iterable(batches)), k)

@@ -377,20 +377,38 @@ def kept_bytes(inst):
     return sum(a.nbytes for a in _id_arrays(inst))
 
 
-def test_approval_load_peak_stays_within_the_appending_reduction(monkeypatch):
+def test_approval_load_peak_stays_within_the_appending_reduction():
     # Shaped like the benchmark's approval-12k document. The reference parses
-    # the same text as the parser did before it kept id arrays, dropping each
-    # batch's arrays once its tuples are made and joining none, and reduces
-    # as the appending loop did. The load may hold more than that only by the
-    # id arrays its instance keeps and one block of temporaries.
+    # the same text with the per-token loop, which keeps no id arrays, and
+    # reduces as the appending loop did. The load may hold more than that
+    # only by the id arrays its instance keeps and one block of temporaries.
     text = approval_text(random.Random(12), 100, 12000, 10, 40, lo=20)
-    read_ballots = core._read_ballots
-    with monkeypatch.context() as patch:
-        patch.setattr(core, "_read_ballots", lambda *args: read_ballots(*args) and None)
-        patch.setattr(core, "_joined", lambda arrays, bound: None)
-        reference, _ = peak_bytes(lambda: appended_election_to_maxcover(parse_election(text)))
+    reference, _ = peak_bytes(lambda: appended_election_to_maxcover(ApprovalElection(*loop_parse_election(text))))
     peak, _ = peak_bytes(lambda: load_instance_text(text))
     assert peak <= reference + kept_bytes(load_instance_text(text)) + _BLOCK_BYTES
+
+
+def test_approval_load_peak_stays_within_parse_and_reduction():
+    # The load makes no ballot tuples, which the public route must keep.
+    text = approval_text(random.Random(12), 100, 12000, 10, 40, lo=20)
+    peak, _ = peak_bytes(lambda: load_instance_text(text))
+    public, _ = peak_bytes(lambda: election_to_maxcover(parse_election(text)))
+    assert peak <= public
+
+
+def test_cli_approval_load_builds_no_election(monkeypatch, tmp_path):
+    text = approval_text(random.Random(16), 30, 400, 4, 8)
+    expected = election_to_maxcover(parse_election(text))
+    doc, report = tmp_path / "election.txt", tmp_path / "report.json"
+    doc.write_text(text)
+    built = []
+    unchecked = core._unchecked
+    monkeypatch.setattr(core, "_unchecked", lambda cls, *a, **kw: built.append(cls) or unchecked(cls, *a, **kw))
+    monkeypatch.setattr(ApprovalElection, "__post_init__", lambda self: pytest.fail("built an election"))
+    assert load_instance_text(text) == expected
+    assert main(["solve", "--alg", "greedy", "--in", str(doc), "--out", str(report)]) == 0
+    assert main(["verify", "--in", str(doc), "--sol", str(report)]) == 0
+    assert built and ApprovalElection not in built
 
 
 def test_mask_build_peak_stays_within_the_flag_row_build():
