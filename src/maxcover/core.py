@@ -299,8 +299,9 @@ def coverage(inst: Instance, chosen: Iterable[int]) -> int:
 
 
 def _union_size(ids: np.ndarray, offs: np.ndarray, rows: Iterable[int]) -> int:
-    """Number of distinct ids in the given rows of (ids, offsets)."""
-    return len(np.unique(np.concatenate([ids[:0], *(ids[offs[i] : offs[i + 1]] for i in rows)])))
+    """Number of distinct ids in the given rows of (ids, offsets), by a set
+    union. (The first ``np.unique`` in a process costs 1.3 MB of memory.)"""
+    return len(set().union(*(ids[offs[i] : offs[i + 1]].tolist() for i in rows)))
 
 
 def _rows_meeting(ids: np.ndarray, offs: np.ndarray, width: int, chosen: list[int]) -> int:
