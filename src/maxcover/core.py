@@ -300,7 +300,8 @@ def coverage(inst: Instance, chosen: Iterable[int]) -> int:
 
 def _union_size(ids: np.ndarray, offs: np.ndarray, rows: Iterable[int]) -> int:
     """Number of distinct ids in the given rows of (ids, offsets), by a set
-    union. (The first ``np.unique`` in a process costs 1.3 MB of memory.)"""
+    union. (The first ``np.unique`` in a process takes 1.3 MB of resident
+    memory.)"""
     return len(set().union(*(ids[offs[i] : offs[i + 1]].tolist() for i in rows)))
 
 
@@ -312,7 +313,8 @@ def _rows_meeting(ids: np.ndarray, offs: np.ndarray, width: int, chosen: list[in
     met = 0
     for lo, hi in _row_blocks(offs, _BLOCK_BYTES // 2, _BLOCK_BYTES // 32):
         ends = offs[lo : hi + 1] - offs[lo]
-        # The rows that hold ids; each one's ids run to the next one's start.
+        # reduceat gives a row with no ids the id at its start, so only the
+        # rows that hold ids are reduced; each one's ids end where the next starts.
         starts = ends[:-1][ends[:-1] < ends[1:]]
         if len(starts):
             met += int(np.count_nonzero(np.logical_or.reduceat(member[ids[offs[lo] : offs[hi]]], starts)))

@@ -389,7 +389,8 @@ def test_approval_load_peak_stays_within_the_appending_reduction():
 
 
 def test_approval_load_peak_stays_within_parse_and_reduction():
-    # The load makes no ballot tuples, which the public route must keep.
+    # The public route keeps the ballot tuples on its election; the load
+    # makes none, so it may not peak higher.
     text = approval_text(random.Random(12), 100, 12000, 10, 40, lo=20)
     peak, _ = peak_bytes(lambda: load_instance_text(text))
     public, _ = peak_bytes(lambda: election_to_maxcover(parse_election(text)))
