@@ -338,8 +338,12 @@ def run_verify(args) -> int:
     text = _read(args.sol)
     try:
         report = json.loads(text)
+    except json.JSONDecodeError:
+        raise
     except RuntimeError:  # the decoder's recursion limit, reached by deep nesting
         raise ParseError("report is nested too deeply to decode") from None
+    except ValueError:  # int() refuses more than 4 300 digits
+        raise ParseError("report holds an integer too long to decode") from None
     chosen = report.get("chosen") if isinstance(report, dict) else None
     if not isinstance(chosen, list) or not all(type(i) is int for i in chosen):
         raise ParseError("report must be a JSON object whose 'chosen' is a list of integers")

@@ -1,9 +1,10 @@
 """Instance model, coverage evaluation, file formats, and problem reductions.
 
 Universe elements are numbered 1..n in documents and in ``Instance.sets``;
-set indices are 0-based in the API and 1-based in documents. Coverage
-counting runs on integer bitmasks where bit e-1 holds element e. All values
-here are immutable after construction and safe to share across threads: no
+set indices are 0-based in the API and 1-based in documents. The solvers
+count coverage on integer bitmasks where bit e-1 holds element e, and
+``coverage`` counts the distinct ids of the chosen rows. All values here
+are immutable after construction and safe to share across threads: no
 field changes, and the forms a value derives from its fields are built once
 and never change.
 """
@@ -284,18 +285,9 @@ def _check_indices(inst: Instance, chosen: Iterable[int]) -> list[int]:
 
 
 def coverage(inst: Instance, chosen: Iterable[int]) -> int:
-    """Number of elements in the union of the chosen sets: an OR of their
-    masks, the instance's own if they are built, else of those sets alone."""
-    chosen = _check_indices(inst, chosen)
-    kept = inst.__dict__.get("_masks")
-    if kept is None:
-        rows = _pack(inst.n, *_flatten([inst.sets[i] for i in chosen], inst.n))
-    else:
-        rows = [kept[i] for i in chosen]
-    union = 0
-    for mask in rows:
-        union |= mask
-    return union.bit_count()
+    """Number of distinct elements in the chosen sets, read from the
+    instance's rows of ids."""
+    return _union_size(*_id_arrays(inst), _check_indices(inst, chosen))
 
 
 def _union_size(ids: np.ndarray, offs: np.ndarray, rows: Iterable[int]) -> int:

@@ -69,42 +69,10 @@ def best_fixed_size_subset(
     union replaces the best, so ties keep the lexicographically smallest
     index tuple.
 
-    For ``size >= 2`` the masks are packed once into an (m, ceil(bits / 64))
-    array of little-endian uint64 rows. A node holding union ``u``, itself
-    such a row, with ``r`` picks left counts ``u | masks[i]`` for every later
-    set with one ``np.bitwise_count`` over the rows from its start, and hands
-    each child that count as the popcount of the child's union. A size-1
-    search is a single scan with no pruning and reads the ints, because
-    packing costs more than that scan.
-
-    Any subset whose next pick is j or later covers at most popcount(u) plus
-    the r largest gains from j on; that bound never grows with j, so a node's
-    children are cut from the first one whose bound cannot beat the best
-    union. Such a subset could at best tie, and a tie never replaces the best,
-    so the answer is that of a full scan. At the last level those counts are
-    the leaves' unions themselves, evaluated without descending further. The
+    For ``size >= 2`` this is :func:`_walk` to depth ``size - 1``, whose
+    counts there are the leaves' unions; a cut leaf could at best tie. The
     search stops at the first union covering every element some mask holds.
-
-    The tree is walked depth first on an explicit stack, so no budget is too
-    deep for it. A frame is an unvisited child: its depth, first later set,
-    parent's union row, own union's popcount and bound. Children are pushed
-    in reverse, so they pop in index order, and each is skipped if its bound
-    no longer beats the best. A child forms its union when it pops, so the
-    stack holds one row per level, and with each scan's temporaries dropped
-    the extra memory stays that of a few rows.
-
-    The bound also uses p, the largest number of ``masks`` that hold one
-    element. An element outside ``u`` that t <= p of the r picks hold counts
-    t - 1 times too often in the summed gains and C(t, 2) times in the summed
-    pairwise overlaps outside ``u``, and t - 1 >= (2/p) * C(t, 2). With delta
-    the smallest such overlap among the later sets, the union is therefore at
-    most the bound above minus ceil(r * (r - 1) * delta / p), and the node
-    still returns only when that cannot beat the best. The term is used where
-    delta is simply the smallest overlap of two later sets: at a node with
-    nothing covered yet, and at every node when p <= 2, since an element two
-    later sets share then lies in no picked set. One pass per search over the
-    rows finds those minima, and p is counted over all the rows at the first
-    node where such a minimum is nonzero.
+    A size-1 search is one scan of the ints, as packing costs more than it.
     """
     m = len(masks)
     size = min(size, m)
@@ -120,58 +88,104 @@ def best_fixed_size_subset(
         top = max(covs)
         j = covs.index(top)
         return (j,), top, j + 1 if top >= stop_at else m
-    words = -(-reachable.bit_length() // 64)
-    packed = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
-    rows = np.frombuffer(packed, "<u8").reshape(m, words)
     best: tuple[int, ...] = ()
-    best_cov = -1
-    scanned = 0
-    choice = [0] * size
-    # gate[j] is delta for a node starting at j where the term is used.
-    # Elsewhere delta would take a pass over every pair of later sets at each
-    # node, which costs more than the leaves it saves.
+    best_cov, scanned = -1, 0
+
+    def scan(choice, _union, covs, _most):
+        nonlocal best, best_cov, scanned
+        top = max(covs)
+        if top > best_cov:
+            j = covs.index(top)
+            best, best_cov = (*choice, choice[-1] + 1 + j), top
+            if top >= stop_at:  # evaluation in order stops at the first such leaf
+                scanned += j + 1
+                return None
+        scanned += len(covs)
+        return best_cov
+
+    _walk(masks, size, size - 1, scan)
+    return best, best_cov, scanned
+
+
+def _walk(masks: Sequence[int], picks: int, depth: int, leaf, free: int = 0) -> None:
+    """Depth-first branch and bound over the ``picks``-subsets of ``masks`` in
+    lexicographic order, handing each node ``depth`` picks deep to ``leaf``.
+
+    The masks are packed once into (m, ceil(bits / 64)) little-endian uint64
+    rows. A node whose union ``u`` is such a row counts ``u | row`` for each
+    later row with one ``np.bitwise_count``. At ``depth`` it calls
+    ``leaf(choice, u, covs, most)`` with its picks, union, counts, and
+    popcount(u) plus the ``free`` largest gains over all the rows; the hook
+    returns the floor, the largest bound to cut, or None to stop the search.
+
+    Above ``depth``, with r picks left, a subset whose next pick is j or later
+    covers at most popcount(u) plus the r largest gains from j on, plus the
+    ``free`` largest gains over all the rows for picks a caller makes outside
+    the walk, counted only when ``free`` is nonzero. That bound never grows
+    with j, so the children are cut from the first one at or below the floor.
+    A child with no pick after it (r = 1) is bounded by its own union.
+
+    With p the most masks that hold one element, an element outside ``u``
+    that t <= p of the r picks hold is counted t - 1 >= (2/p) * C(t, 2) times
+    too often in their summed gains, and C(t, 2) times in their summed
+    overlaps outside ``u``. So ceil(r * (r - 1) * delta / p) comes off the
+    bound, delta being the least overlap outside ``u`` of two later rows. It
+    is taken where that is their least overlap: with nothing covered yet, and
+    everywhere when p <= 2, as no picked row then holds an element two later
+    rows share. One pass finds those minima; p is counted at the first node
+    where one is nonzero.
+
+    A frame of the explicit stack is an unvisited child: its depth, first
+    later row, parent's union row, own union's popcount and bound. Children
+    pop in index order, skipped once their bound no longer beats the floor,
+    and form their unions as they pop: the memory is a few rows at any depth.
+    """
+    words = -(-max(masks, default=0).bit_length() // 64)
+    packed = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+    rows = np.frombuffer(packed, "<u8").reshape(len(masks), words)
+    choice = [0] * depth
+    # gate[j] is delta for a node starting at j where the term is used; a pass
+    # over every pair of later rows at each node costs more than it saves.
     gate = _least_overlaps(rows)
     p = 0  # counted where the gate first opens
+    floor = -1
     stack = [(0, 0, np.zeros(words, np.uint64), 0, math.inf)]
     while stack:
         pos, start, union, union_cov, bound = stack.pop()
-        if bound <= best_cov:
+        if bound <= floor:
             continue
         if pos:  # the root picks nothing
             choice[pos - 1] = start - 1
             union = union | rows[start - 1]
-        covs = np.bitwise_count(rows[start:] | union).sum(axis=1).tolist()
-        if pos == size - 1:
-            top = max(covs)
-            if top <= best_cov:
-                scanned += len(covs)
-                continue
-            # Evaluation in order stops at the first leaf covering stop_at.
-            j = covs.index(top)
-            scanned += j + 1 if top >= stop_at else len(covs)
-            best_cov = top
-            choice[pos] = start + j
-            best = tuple(choice)
-            if top >= stop_at:
-                break
+        if free:
+            counts = np.bitwise_count(rows | union).sum(axis=1)
+            extra = int(np.partition(counts, -free)[-free:].sum()) - free * union_cov
+            covs = counts[start:].tolist()
+        else:
+            extra = 0
+            covs = np.bitwise_count(rows[start:] | union).sum(axis=1).tolist()
+        if pos == depth:
+            floor = leaf(choice, union, covs, union_cov + extra)
+            if floor is None:
+                return
             continue
-        r = size - pos
-        # covs[j] is popcount(union) plus the gain of set start + j, so the
-        # bound popcount(union) + (r largest gains from j on) is
-        # bounds[j] - (r - 1) * popcount(union).
-        excess = (r - 1) * union_cov
+        r = picks - pos
+        # covs[j] is popcount(union) plus the gain of row start + j, so the
+        # bound popcount(union) + (r largest gains from j on) + extra is
+        # bounds[j] - excess.
+        excess = (r - 1) * union_cov - extra
         if gate[start]:
             p = p or _most_holders(rows)
             if p <= 2 or not union_cov:
                 excess += -(-r * (r - 1) * gate[start] // p)
         bounds = _suffix_top_sums(covs, r)
+        own = covs if r == 1 else bounds
         kids = []
         for j in range(len(covs) - r + 1):
-            if bounds[j] - excess <= best_cov:
+            if bounds[j] - excess <= floor:
                 break
-            kids.append((pos + 1, start + j + 1, union, covs[j], bounds[j] - excess))
+            kids.append((pos + 1, start + j + 1, union, covs[j], own[j] - excess))
         stack += reversed(kids)
-    return best, best_cov, scanned
 
 
 def _suffix_top_sums(values: Sequence[int], r: int) -> list[int]:

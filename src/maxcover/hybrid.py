@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Instance, Solution, frequency_profile, set_masks
-from .exact import DEFAULT_CEILING, best_fixed_size_subset, brute_force, check_ceiling
+from .exact import DEFAULT_CEILING, _walk, best_fixed_size_subset, brute_force, check_ceiling
 from .greedy import extend_greedily, greedy_cover
 
 RATIO_METHODS = ("alg4", "alg5", "alg5_vertexcover", "croce_paschos")
@@ -87,15 +87,13 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     prefix win when it leaves better ground for the greedy stage. Ties on
     coverage keep the lexicographically smallest completed index tuple.
 
-    Prefixes grow as a tree in lexicographic order, walked depth first on an
-    explicit stack of (next index, prefix, union) frames, so no budget is too
-    deep for it. Children are pushed in reverse, so they pop in order. A
-    prefix with union ``u`` and ``r`` picks left completes with r + x more
-    sets outside it, so no completion below it covers more than popcount(u)
-    plus the r + x largest gains among those sets; when it pops, its subtree
-    is skipped if that bound is below the best coverage so far. A completion
-    that only ties may still win on its index tuple, so a tying bound is
-    searched. ``combos_scanned`` counts the prefixes finished greedily.
+    The prefixes are the leaves of the kernel's walk to depth k - x, whose
+    bounds add the x largest gains over all the sets for the greedy picks. A
+    prefix with union ``u`` is finished greedily unless popcount(u) plus its
+    own x largest gains is below the best coverage so far, since a tying
+    completion may still win on its index tuple. A cut above a prefix fails
+    that prefix's own check too. ``combos_scanned`` counts the prefixes
+    finished greedily.
     """
     _check_split(inst, x)
     masks = set_masks(inst)
@@ -104,31 +102,23 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     prefix_size = k_eff - x_eff
     check_ceiling(inst.m, prefix_size, ceiling)
     best_chosen: tuple[int, ...] = ()
-    best_covered = -1
-    finished = 0
-    stack = [(0, (), 0)]
-    while stack:
-        start, prefix, union = stack.pop()
-        r = prefix_size - len(prefix)
-        base = union.bit_count()
-        # A prefix set gains 0, and at least r + x_eff other sets remain, so
-        # the prefix sets do not change the sum of the r + x_eff largest gains.
-        gains = sorted([(union | mask).bit_count() - base for mask in masks], reverse=True)
-        if base + sum(gains[: r + x_eff]) < best_covered:
-            continue
-        if r == 0:
+    best_covered, finished = -1, 0
+
+    def finish(prefix, union, _covs, most):
+        nonlocal best_chosen, best_covered, finished
+        if most >= best_covered:
             finished += 1
             taken = [False] * inst.m
             for i in prefix:
                 taken[i] = True
-            picks, _, covered = extend_greedily(masks, taken, union, x_eff)
-            chosen = tuple(sorted(prefix + tuple(picks)))
+            picks, _, covered = extend_greedily(masks, taken, int.from_bytes(union.tobytes(), "little"), x_eff)
+            chosen = tuple(sorted(prefix + picks))
             cov = covered.bit_count()
             if cov > best_covered or (cov == best_covered and chosen < best_chosen):
-                best_covered = cov
-                best_chosen = chosen
-            continue
-        stack += [(i + 1, prefix + (i,), union | masks[i]) for i in range(inst.m - r, start - 1, -1)]
+                best_covered, best_chosen = cov, chosen
+        return best_covered - 1  # a tie is not cut
+
+    _walk(masks, prefix_size, prefix_size, finish, x_eff)
     solution = Solution(best_chosen, best_covered, inst.n - best_covered)
     return HybridReport(x, solution, _ratio_or_unit("alg5", x, inst.k), finished)
 

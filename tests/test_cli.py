@@ -144,6 +144,23 @@ def test_exit_code_1_on_a_report_nested_too_deeply(inst_file, tmp_path, capsys, 
     assert capsys.readouterr().err == "error: report is nested too deeply to decode\n"
 
 
+@pytest.mark.parametrize("body", ['{"chosen": [' + "9" * 5000 + '], "covered": 4, "uncovered": 0}',
+                                  '{"chosen": [1], "covered": 4, "uncovered": 0, "params": {"x": 1' + "0" * 4300 + '}}'],
+                         ids=["chosen", "params"])
+def test_exit_code_1_on_a_report_holding_an_integer_too_long_to_decode(inst_file, tmp_path, capsys, body):
+    sol = tmp_path / "r.json"
+    sol.write_text(body)
+    assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 1
+    assert capsys.readouterr().err == "error: report holds an integer too long to decode\n"
+
+
+def test_a_report_that_is_not_json_keeps_the_decoder_message(inst_file, tmp_path, capsys):
+    sol = tmp_path / "r.json"
+    sol.write_text('{"chosen": [1,')
+    assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 1
+    assert capsys.readouterr().err == "error: Expecting value: line 1 column 15 (char 14)\n"
+
+
 @pytest.mark.parametrize("body", ['{"chosen": ["a"]}', '{"chosen": 3}', '[1, 2]', '{"chosen": [true]}',
                                   '{"covered": 0, "uncovered": 4}'])
 def test_exit_code_1_on_report_without_integer_choices(inst_file, tmp_path, capsys, body):

@@ -346,7 +346,7 @@ def test_coverage_validates_indices():
 
 
 def test_coverage_is_monotone_and_matches_set_union():
-    # ``built`` has its masks kept, which coverage then reads.
+    # ``built`` has its masks kept; coverage reads the rows of ids either way.
     rand = random.Random(13)
     for _ in range(40):
         inst = random_instance(rand, rand.randint(1, 10), rand.randint(1, 8),

@@ -137,6 +137,20 @@ def test_search_memory_stays_within_a_few_row_copies():
     assert left < rows_bytes // 8
 
 
+@pytest.mark.parametrize("x", [0, 2, 4])
+def test_hybrid_search_memory_stays_within_a_few_row_copies(x):
+    # exact_then_greedy walks the kernel's stack over the same 24 rows, and
+    # the greedy finish reads the instance's masks, which the warm-up call
+    # builds. A prefix tree whose frames each held their own union, pushed
+    # for every child at once, peaked at about five row copies at x = 0.
+    inst = gen_tight_greedy(TightGreedySpec(5, 6, 24))
+    exact_then_greedy(inst, x)
+    rows_bytes = inst.m * -(-18360 // 64) * 8
+    peak, left = peak_bytes(lambda: exact_then_greedy(inst, x))
+    assert peak < 4 * rows_bytes
+    assert left < rows_bytes // 8
+
+
 def singletons(m):
     """m singleton sets with budget m: every search goes m picks deep."""
     return Instance.of(m, [[e] for e in range(1, m + 1)], m)
