@@ -141,8 +141,8 @@ def test_search_memory_stays_within_a_few_row_copies():
 def test_hybrid_search_memory_stays_within_a_few_row_copies(x):
     # exact_then_greedy walks the kernel's stack over the same 24 rows, and
     # the greedy finish reads the instance's masks, which the warm-up call
-    # builds. A prefix tree whose frames each held their own union, pushed
-    # for every child at once, peaked at about five row copies at x = 0.
+    # builds. Frames that each held their own union, pushed for every child
+    # at once, would peak at about five row copies at x = 0.
     inst = gen_tight_greedy(TightGreedySpec(5, 6, 24))
     exact_then_greedy(inst, x)
     rows_bytes = inst.m * -(-18360 // 64) * 8
