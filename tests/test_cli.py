@@ -133,7 +133,7 @@ def test_exit_code_1_on_malformed_report_json(inst_file, tmp_path, capsys):
     sol = tmp_path / "r.json"
     sol.write_text('{"chosen": [1, 2')
     assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: Expecting ',' delimiter: line 1 column 17 (char 16)\n"
 
 
 @pytest.mark.parametrize("body", ["[" * 10**5 + "]" * 10**5, '{"chosen": [1], "params": ' + "[" * 10**5])
@@ -152,13 +152,6 @@ def test_exit_code_1_on_a_report_holding_an_integer_too_long_to_decode(inst_file
     sol.write_text(body)
     assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 1
     assert capsys.readouterr().err == "error: report holds an integer too long to decode\n"
-
-
-def test_a_report_that_is_not_json_keeps_the_decoder_message(inst_file, tmp_path, capsys):
-    sol = tmp_path / "r.json"
-    sol.write_text('{"chosen": [1,')
-    assert run(["verify", "--in", inst_file, "--sol", str(sol)]) == 1
-    assert capsys.readouterr().err == "error: Expecting value: line 1 column 15 (char 14)\n"
 
 
 @pytest.mark.parametrize("body", ['{"chosen": ["a"]}', '{"chosen": 3}', '[1, 2]', '{"chosen": [true]}',

@@ -352,8 +352,8 @@ def test_pruned_hybrid_equals_every_prefix_scan():
 
 def test_hybrid_equals_its_recursive_form():
     # The exhaustive-small rand-m40 and rand-m60 documents of seeds 0 and 11,
-    # and its tight-fpt documents, whose narrow rows reach the children with
-    # one pick left (bounded by their own unions) at every split.
+    # and its tight-fpt documents, whose narrow rows reach children with one
+    # pick left, which are bounded by their own unions.
     shapes = [gen_random(2000, 40, 5, 2, s) for s in (0, 11000)]
     shapes += [gen_random(2000, 60, 4, 3, s) for s in (1, 11001)]
     shapes += [gen_tight_fpt(TightFptSpec(p=2, k=4, beta=beta)) for beta in (0.5, 0.75)]
