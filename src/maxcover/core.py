@@ -197,8 +197,9 @@ def _tuples(ids: np.ndarray, offs: np.ndarray, bound: int) -> tuple[tuple[int, .
 
 
 def _id_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """The (ids, offsets) of an instance's sets: the arrays the parser or the
-    approval reduction made, or ``_flatten`` of the sets."""
+    """The (ids, offsets) of an instance's sets: the arrays that the parser,
+    a reduction or a generator made, or, for an instance built by a caller,
+    ``_flatten`` of the sets on first use."""
     return inst._derived("_ids", lambda inst: _flatten(inst.sets, inst.n))
 
 
@@ -325,29 +326,9 @@ def coverage_inclusion_exclusion(inst: Instance, chosen: Iterable[int], p: int) 
     total = 0
     for size in range(1, min(p, len(order)) + 1):
         sign = 1 if size % 2 == 1 else -1
-        for group in combinations(order, size):
-            inter: Sequence[int] = inst.sets[group[0]]
-            for i in group[1:]:
-                inter = _intersect_sorted(inter, inst.sets[i])
-                if not inter:
-                    break
-            total += sign * len(inter)
+        for first, *rest in combinations(order, size):
+            total += sign * len(set(inst.sets[first]).intersection(*(inst.sets[i] for i in rest)))
     return total
-
-
-def _intersect_sorted(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        if a[ia] == b[ib]:
-            out.append(a[ia])
-            ia += 1
-            ib += 1
-        elif a[ia] < b[ib]:
-            ia += 1
-        else:
-            ib += 1
-    return out
 
 
 def check_frequency_bound(inst: Instance, p: int, word: str = "bound") -> None:
@@ -395,8 +376,10 @@ def election_to_maxcover(election: ApprovalElection) -> Instance:
 
 def _reduce(width: int, height: int, k: int, ids: np.ndarray, offs: np.ndarray) -> Instance:
     """The instance with budget k whose set c - 1 lists, in increasing order,
-    the 1-based rows of ``height`` rows of ids in [1, width] that hold c: the
-    approval reduction of ballots given as (ids, offsets). The instance keeps
+    the 1-based rows of ``height`` rows of distinct ids in [1, width], given
+    as (ids, offsets), that hold c. The rows may be ballots (the approval
+    reduction), or each element's sets, as the generators and the graph
+    reduction give them; a row's ids need not be sorted. The instance keeps
     the transposed arrays as its own.
 
     The rows are read a block at a time. A stable sort of a block's ids keeps
@@ -448,18 +431,25 @@ def pad_frequencies(inst: Instance, p: int) -> Instance:
 # to these counts, so a larger header is a ParseError before any allocation.
 MAX_HEADER_COUNT = 10**7
 
-# Byte budget of the record reader: lines are read in batches of about this
-# many bytes of text (or one line, when that is longer), so that no temporary
-# of the array pass grows with the document.
+# Byte budget of the record reader: the text is split into lines about this
+# many bytes at a time, each piece ending just after a newline, and lines are
+# read in batches of about this many bytes of text (or one line, when that is
+# longer), so that no temporary grows with the document, and a reader that
+# stops early splits no more than it reads.
 _CHUNK_BYTES = 1 << 15
 
 
 def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c "):
-            continue
-        yield ln, line
+    ln = start = 0
+    while start < len(text):
+        # A piece ends after a newline, which ends a line (alone or in
+        # "\r\n"), so its lines are those of the whole text.
+        end = text.find("\n", start + _CHUNK_BYTES) + 1 or len(text)
+        for ln, raw in enumerate(text[start:end].splitlines(), start=ln + 1):
+            line = raw.strip()
+            if line and line != "c" and not line.startswith("c "):
+                yield ln, line
+        start = end
 
 
 def _int_token(token: str, ln: int) -> int:

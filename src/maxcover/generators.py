@@ -1,8 +1,10 @@
 """Instance builders: adversarial families for the greedy picker and the pool
 search, seeded random instances with capped frequencies, and the graph adapter.
 
-Combination bijections are realized by colexicographic ranking/unranking, so
-every construction is reproducible across platforms.
+Each builder lists, element by element, the 1-based ids of the sets holding
+the element, and ``core._reduce`` turns these rows into the sets. Combination
+bijections are realized by colexicographic ranking/unranking, so every
+construction is reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -10,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_HEADER_COUNT, Instance, _unchecked
+from .core import MAX_HEADER_COUNT, Instance, _reduce
 
 # Most incidences the tight constructions build; a larger spec is refused
 # before anything is allocated.
@@ -110,10 +114,10 @@ def gen_tight_greedy(spec: TightGreedySpec) -> Instance:
     """Blocks of identically spread elements baiting greedy away from the
     disjoint optimal blocks.
 
-    The universe is k blocks of comb(m-k, p-1) elements. The first m-k sets
-    (the spread family) receive, per block, the elements whose colex-unranked
-    (p-1)-subset contains the set's index; the last k sets are the blocks
-    themselves. Every element then lies in exactly p sets, the blocks form an
+    The universe is k blocks of comb(m-k, p-1) elements. The r-th element of
+    every block lies in the spread sets (the first m-k) named by the
+    colex-unranked (p-1)-subset of rank r, and in its block's set (one of the
+    last k). Every element then lies in exactly p sets, the blocks form an
     optimal full cover, and greedy, preferring lower indices on ties, picks
     spread sets only, leaving comb(m-2k, p-1) elements per block uncovered.
     """
@@ -122,20 +126,15 @@ def gen_tight_greedy(spec: TightGreedySpec) -> Instance:
     n = spec.k * block
     if n * spec.p > DEFAULT_SIZE_CEILING:
         raise ValueError(f"construction needs {n * spec.p} incidences, above the ceiling {DEFAULT_SIZE_CEILING}")
-    spread: list[list[int]] = [[] for _ in range(q)]
-    blocks: list[tuple[int, ...]] = []
-    for b in range(spec.k):
-        base = b * block
-        blocks.append(tuple(range(base + 1, base + block + 1)))
-        for r in range(block):
-            eid = base + r + 1
-            for j in unrank_colex(r, spec.p - 1):
-                spread[j].append(eid)
+    rows = np.empty((spec.k, block, spec.p), np.min_scalar_type(spec.m))
+    spread = chain.from_iterable(unrank_colex(r, spec.p - 1) for r in range(block))
+    rows[..., :-1] = np.fromiter(spread, rows.dtype).reshape(block, spec.p - 1) + 1  # the same in every block
+    rows[..., -1] = np.arange(q + 1, spec.m + 1)[:, None]
+    inst = _reduce(spec.m, n, spec.k, rows.reshape(-1), np.arange(0, rows.size + 1, spec.p))
     # The bijection fixes each spread set's size at k * comb(m-k-1, p-2).
     expected = spec.k * math.comb(q - 1, spec.p - 2)
-    for s in spread:
-        assert len(s) == expected
-    return _unchecked(Instance, n, tuple(tuple(s) for s in spread) + tuple(blocks), spec.k)
+    assert all(len(s) == expected for s in inst.sets[:q])
+    return inst
 
 
 def gen_tight_fpt(spec: TightFptSpec) -> Instance:
@@ -152,20 +151,15 @@ def gen_tight_fpt(spec: TightFptSpec) -> Instance:
     n1 = math.comb(x, spec.p)
     per_set = math.comb(x - 1, spec.p - 1)
     n2 = spec.k * per_set
-    n = n1 + n2
     if n1 * spec.p + n2 > DEFAULT_SIZE_CEILING:
         raise ValueError(f"construction needs {n1 * spec.p + n2} incidences, above the ceiling {DEFAULT_SIZE_CEILING}")
-    overlapping: list[list[int]] = [[] for _ in range(x)]
-    for r in range(n1):
-        for j in unrank_colex(r, spec.p):
-            overlapping[j].append(r + 1)
-    decoys: list[tuple[int, ...]] = []
-    for b in range(spec.k):
-        base = n1 + b * per_set
-        decoys.append(tuple(range(base + 1, base + per_set + 1)))
-    for s in overlapping:
-        assert len(s) == per_set
-    return _unchecked(Instance, n, tuple(tuple(s) for s in overlapping) + tuple(decoys), spec.k)
+    # Element r + 1 <= n1 lies in the sets of the p-subset of rank r, and each later one in one decoy.
+    decoys = np.repeat(np.arange(x + 1, x + spec.k + 1, dtype=np.min_scalar_type(x + spec.k)), per_set)
+    overlap = chain.from_iterable(unrank_colex(r, spec.p) for r in range(n1))
+    ids = np.concatenate((np.fromiter(overlap, decoys.dtype) + 1, decoys))
+    inst = _reduce(x + spec.k, n1 + n2, spec.k, ids, np.r_[0 : n1 * spec.p : spec.p, n1 * spec.p : len(ids) + 1])
+    assert all(len(s) == per_set for s in inst.sets[:x])
+    return inst
 
 
 def gen_random(n: int, m: int, k: int, p_max: int, seed: int) -> Instance:
@@ -183,14 +177,14 @@ def gen_random(n: int, m: int, k: int, p_max: int, seed: int) -> Instance:
     if k < 0:
         raise ValueError(f"budget must be nonnegative, got {k}")
     rng = np.random.default_rng(seed)
-    sets: list[list[int]] = [[] for _ in range(m)]
-    for e in range(1, n + 1):
+    ids = np.empty(n * p_max, np.min_scalar_type(m))
+    offs = np.zeros(n + 1, np.int64)
+    for e in range(n):
         size = int(rng.integers(1, p_max + 1))
-        for i in rng.choice(m, size=size, replace=False):
-            sets[int(i)].append(e)
-    # Each element joins distinct sets in increasing order, so every row is
-    # already strictly increasing and in range.
-    return _unchecked(Instance, n, tuple(map(tuple, sets)), k)
+        offs[e + 1] = offs[e] + size
+        ids[offs[e] : offs[e + 1]] = rng.choice(m, size=size, replace=False)
+    ids = ids[: offs[-1]] + 1
+    return _reduce(m, n, k, ids, offs)
 
 
 def graph_to_maxvertexcover(
@@ -206,7 +200,7 @@ def graph_to_maxvertexcover(
         raise ValueError(f"vertex count must be nonnegative, got {num_vertices}")
     if k < 0:
         raise ValueError(f"budget must be nonnegative, got {k}")
-    incident: list[list[int]] = [[] for _ in range(num_vertices)]
+    ends: list[int] = []
     seen: set[tuple[int, int]] = set()
     eid = 0
     for u, v in edges:
@@ -220,6 +214,7 @@ def graph_to_maxvertexcover(
         if key in seen:
             raise ValueError(f"duplicate edge {key} at position {eid}")
         seen.add(key)
-        incident[u - 1].append(eid)
-        incident[v - 1].append(eid)
-    return _unchecked(Instance, eid, tuple(map(tuple, incident)), k)
+        ends += index(u), index(v)  # refuses an endpoint that the array would truncate
+    ids = np.array(ends, np.min_scalar_type(num_vertices))
+    del seen, ends
+    return _reduce(num_vertices, eid, k, ids, np.arange(0, len(ids) + 1, 2))

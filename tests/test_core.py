@@ -16,6 +16,8 @@ from maxcover import (
     ApprovalElection,
     Instance,
     ParseError,
+    TightFptSpec,
+    TightGreedySpec,
     coverage,
     coverage_inclusion_exclusion,
     document_kind,
@@ -23,6 +25,8 @@ from maxcover import (
     exact_then_greedy,
     fpt_approx,
     frequency_profile,
+    gen_tight_fpt,
+    gen_tight_greedy,
     graph_to_maxvertexcover,
     greedy_then_exact,
     pad_frequencies,
@@ -228,6 +232,8 @@ SOURCES = [
     lambda: graph_to_maxvertexcover(3, [(1, 2), (2, 3)], 1),
     lambda: Instance(9, ((1, 2, 9), (3, 9), ()), 2),
     lambda: Instance.of(9, [[9, 2, 1, 1], [3, 9], []], 2),
+    lambda: gen_tight_greedy(TightGreedySpec(p=2, k=2, m=3)),
+    lambda: gen_tight_fpt(TightFptSpec(p=1, k=1, beta=0.5)),
 ]
 
 

@@ -17,7 +17,10 @@ checks, approval and graph reductions, frequency profile) must give what the
 per-token and per-element loops gave: the same value, or an error of the same
 type with the same message, on seeded documents and on mutated record lines.
 Every value the parsers, reductions and generators build must pass the
-public constructor's check unchanged, with plain int ids.
+public constructor's check unchanged, with plain int ids. The generators
+must give what the appending builders gave, and keep the arrays they
+transposed, and the line split a piece at a time must give the lines of the
+whole text.
 """
 
 import dataclasses
@@ -52,6 +55,7 @@ from maxcover import (
     randomized_min_noncovered,
     serialize_instance,
     set_masks,
+    unrank_colex,
 )
 from maxcover import cli, core
 from maxcover.cli import load_instance_text, main
@@ -840,6 +844,7 @@ def test_graph_reduction_equals_sorting_build():
             incident[v - 1].append(eid)
         k = rand.randint(0, 4)
         assert graph_to_maxvertexcover(vertices, edges, k) == Instance.of(len(edges), incident, k)
+        assert graph_to_maxvertexcover(vertices, iter(edges), k) == Instance.of(len(edges), incident, k)
 
 
 # ---------------------------------------------------------------------------
@@ -972,3 +977,116 @@ def test_package_built_values_pass_the_public_check(seed):
         p_max = 1 + t % 3
         m = rand.randint(p_max, 40)
         assert_rebuilds(gen_random(rand.randint(1, 300), m, rand.randint(0, 6), p_max, rand.randrange(2**32)))
+
+
+# ---------------------------------------------------------------------------
+# Generators against the appending builders they replaced.
+# ---------------------------------------------------------------------------
+
+def loop_gen_random(n, m, k, p_max, seed):
+    rng = np.random.default_rng(seed)
+    sets = [[] for _ in range(m)]
+    for e in range(1, n + 1):
+        size = int(rng.integers(1, p_max + 1))
+        for i in rng.choice(m, size=size, replace=False):
+            sets[int(i)].append(e)
+    return Instance(n, tuple(map(tuple, sets)), k)
+
+
+def loop_tight_greedy(spec):
+    q = spec.m - spec.k
+    block = math.comb(q, spec.p - 1)
+    spread = [[] for _ in range(q)]
+    blocks = []
+    for b in range(spec.k):
+        base = b * block
+        blocks.append(tuple(range(base + 1, base + block + 1)))
+        for r in range(block):
+            for j in unrank_colex(r, spec.p - 1):
+                spread[j].append(base + r + 1)
+    return Instance(spec.k * block, tuple(map(tuple, spread)) + tuple(blocks), spec.k)
+
+
+def loop_tight_fpt(spec):
+    x = spec.x
+    n1 = math.comb(x, spec.p)
+    per_set = math.comb(x - 1, spec.p - 1)
+    overlapping = [[] for _ in range(x)]
+    for r in range(n1):
+        for j in unrank_colex(r, spec.p):
+            overlapping[j].append(r + 1)
+    decoys = [tuple(range(n1 + b * per_set + 1, n1 + (b + 1) * per_set + 1)) for b in range(spec.k)]
+    return Instance(n1 + spec.k * per_set, tuple(map(tuple, overlapping)) + tuple(decoys), spec.k)
+
+
+# The benchmark's families first, then the smallest and the dtype edges.
+TIGHT_GREEDY_SPECS = [TightGreedySpec(5, 6, 24), TightGreedySpec(2, 2, 3), TightGreedySpec(4, 3, 9),
+                      TightGreedySpec(8, 3, 12), TightGreedySpec(2, 5, 9), TightGreedySpec(2, 129, 256)]
+TIGHT_FPT_SPECS = [TightFptSpec(2, 4, 0.5), TightFptSpec(2, 4, 0.75), TightFptSpec(1, 1, 0.5),
+                   TightFptSpec(3, 3, 0.5), TightFptSpec(1, 2, 0.875), TightFptSpec(1, 64, 0.5)]
+RANDOM_PARAMS = [(2000, 40, 5, 2), (2000, 60, 4, 3), (1000, 150, 5, 3), (2000, 300, 5, 2)]
+
+
+def test_generators_equal_appending_builders():
+    for spec in TIGHT_GREEDY_SPECS:
+        assert gen_tight_greedy(spec) == loop_tight_greedy(spec), spec
+    for spec in TIGHT_FPT_SPECS:
+        assert gen_tight_fpt(spec) == loop_tight_fpt(spec), spec
+    cases = [(*params, seed) for params in RANDOM_PARAMS for seed in (0, 1, 11000, 11001)]
+    cases += [(1, 1, 0, 1, 0), (3, 1, 2, 1, 5), (5, 7, 1, 7, 3), (300, 255, 2, 255, 4), (256, 256, 3, 2, 6)]
+    rand = random.Random(17)
+    for t in range(40):
+        p_max = 1 + t % 4
+        cases.append((rand.randint(1, 300), rand.randint(p_max, 50), rand.randint(0, 6), p_max, rand.randrange(2**32)))
+    for args in cases:
+        assert gen_random(*args) == loop_gen_random(*args), args
+
+
+def test_built_families_keep_their_id_arrays():
+    edges = [(1, 2), (3, 1), (2, 4), (4, 3)]
+    built = [gen_tight_greedy(spec) for spec in TIGHT_GREEDY_SPECS[:3]]
+    built += [gen_tight_fpt(spec) for spec in TIGHT_FPT_SPECS[:3]]
+    built += [gen_random(2000, 40, 5, 2, 0), gen_random(300, 255, 2, 255, 4), gen_random(1, 1, 0, 1, 0)]
+    built += [graph_to_maxvertexcover(5, edges, 2), graph_to_maxvertexcover(3, [], 1), graph_to_maxvertexcover(0, [], 0)]
+    for inst in built:
+        ids, offs = inst.__dict__["_ids"]  # kept by the builder, before any solver reads them
+        want_ids, want_offs = core._flatten(inst.sets, inst.n)
+        assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+        assert offs.dtype == want_offs.dtype and np.array_equal(offs, want_offs)
+
+
+# ---------------------------------------------------------------------------
+# The line split, a piece at a time, against the split of the whole text.
+# ---------------------------------------------------------------------------
+
+def loop_document_kind(text):
+    for ln, line in loop_significant_lines(text):
+        tokens = line.split()
+        if tokens[0] != "p" or len(tokens) < 2:
+            raise ParseError("malformed header", ln)
+        return tokens[1]
+    raise ParseError("empty document", 1)
+
+
+# Every line boundary of ``str.splitlines``.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_line_split_in_pieces_equals_whole_split(monkeypatch):
+    rand = random.Random(18)
+    texts = ["", "\n", "\r\n", "\r", "\r\r\n\n", "\n\r", "s 1\r\n", "s 1\r"]
+    for _ in range(300):
+        parts = [rand.choice(["", "s 1", "c", "c 2", " x ", "p maxcover 3 2 1", "s\t2 3", "cc"])
+                 for _ in range(rand.randint(1, 12))]
+        texts.append("".join(part + rand.choice(LINE_BREAKS) for part in parts)[: rand.randint(0, 200)])
+    docs = ["p maxcover 3 2 1" + br + "s 1 2" + br + "c" + br + br + "s 3" + tail
+            for br in LINE_BREAKS for tail in ("", br, br + "s 2", br + "x")]
+    docs += ["p maxcover 3 2 1\r\ns 1 2\r\r\ns 3\r\n", "p maxcover 3 2 1\n\rs 1 2\ns 3\n", "\r\n\r\np maxcover 3 1 1\r\ns 4\r\n"]
+    for size in range(1, 9):
+        monkeypatch.setattr(core, "_CHUNK_BYTES", size)
+        for text in texts + docs:
+            assert list(core._significant_lines(text)) == list(loop_significant_lines(text)), (size, text)
+        for doc in docs:
+            got = outcome(lambda d: instance_fields(parse_instance(d)), doc)
+            assert got == outcome(loop_parse_instance, doc), (size, doc)
+            assert outcome(core.document_kind, doc) == outcome(loop_document_kind, doc), (size, doc)

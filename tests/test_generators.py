@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from maxcover import (
@@ -215,6 +216,16 @@ def test_graph_rejects_self_loops_and_duplicates():
         graph_to_maxvertexcover(3, [(1, 2), (2, 1)], 1)
     with pytest.raises(ValueError, match="out of range"):
         graph_to_maxvertexcover(3, [(1, 4)], 1)
+
+
+def test_graph_refuses_non_integer_endpoints():
+    # An endpoint in range that is not an integer is refused, never truncated
+    # to a vertex; the edge's own checks come first.
+    with pytest.raises(TypeError):
+        graph_to_maxvertexcover(3, [(1, 2), (2.5, 3)], 1)
+    with pytest.raises(ValueError, match="self-loop"):
+        graph_to_maxvertexcover(3, [(1.5, 1.5)], 1)
+    assert graph_to_maxvertexcover(3, [(True, np.int64(3))], 1) == graph_to_maxvertexcover(3, [(1, 3)], 1)
 
 
 def test_isolated_vertices_become_empty_sets():
