@@ -1,12 +1,13 @@
 """Instance model, coverage evaluation, file formats, and problem reductions.
 
 Universe elements are numbered 1..n in documents and in ``Instance.sets``;
-set indices are 0-based in the API and 1-based in documents. The solvers
-count coverage on integer bitmasks where bit e-1 holds element e, and
-``coverage`` counts the distinct ids of the chosen rows. All values here
-are immutable after construction and safe to share across threads: no
-field changes, and the forms a value derives from its fields are built once
-and never change.
+set indices are 0-based in the API and 1-based in documents. The greedy
+counts its gains on the instance's rows of ids, set by set and element by
+element; the exhaustive searches count coverage on integer bitmasks where
+bit e-1 holds element e; ``coverage`` counts the distinct ids of the chosen
+rows. All values here are immutable after construction and safe to share
+across threads: no field changes, and the forms a value derives from its
+fields are built once and never change.
 """
 
 from __future__ import annotations
@@ -33,16 +34,19 @@ class ParseError(ValueError):
 class _Derived:
     """Base of the frozen values that keep forms derived from their fields.
 
-    A derived form (the id arrays, the masks, the frequency profile) is built
-    from the fields on first use and kept in the instance dict under a
-    private key, which the dataclass's ``==``, ``hash`` and ``repr`` never
-    read and ``__getstate__`` leaves out of pickles and copies. Every build
-    of a form gives the same value and only the first one stored is kept, so
-    threads that race to build one all read that one.
+    A derived form (the id arrays, the element rows, the masks, the frequency
+    profile) is built from the fields on first use and kept in the instance
+    dict under a private key, which the dataclass's ``==``, ``hash`` and
+    ``repr`` never read and ``__getstate__`` leaves out of pickles and copies.
+    Every build of a form gives the same value and only the first one stored
+    is kept, so threads that race to build one all read that one. A field
+    that a value derives from its arrays (an instance's ``sets``) is kept the
+    same way, under its own name, and ``__getstate__`` reads it as an
+    attribute.
     """
 
     def __getstate__(self):
-        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def _derived(self, key: str, build):
         try:
@@ -57,6 +61,9 @@ class Instance(_Derived):
 
     Each set is a strictly increasing tuple of element ids from [1, n].
     ``k`` may exceed ``m``; solvers clamp the effective budget to min(k, m).
+    An instance that the package builds from id arrays (a parsed document, a
+    reduction, a generated family) makes its ``sets`` tuples from them when
+    they are first read.
     """
 
     n: int
@@ -86,13 +93,22 @@ class Instance(_Derived):
         """Build an instance, sorting and deduplicating each set."""
         return cls(n, tuple(tuple(sorted(set(s))) for s in sets), k)
 
+    def __getattr__(self, name):
+        # Reached only for a name not in the instance dict: ``sets``, before
+        # it is first read, or a name the instance lacks.
+        if name == "sets" and "_ids" in self.__dict__:
+            return self._derived("sets", lambda inst: _tuples(*inst.__dict__["_ids"], inst.n))
+        raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'")
+
     @property
     def m(self) -> int:
+        if "_ids" in self.__dict__:
+            return len(self.__dict__["_ids"][1]) - 1
         return len(self.sets)
 
     @property
     def effective_budget(self) -> int:
-        return min(self.k, len(self.sets))
+        return min(self.k, self.m)
 
 
 @dataclass(frozen=True)
@@ -150,21 +166,22 @@ class Graph:
     k: int
 
 
-def _unchecked(cls, *values, **derived):
-    """``cls(*values)`` without running its check, for rows that the package
-    has itself checked, or built in range and strictly increasing; ``derived``
-    gives forms of the value already at hand, by their keys."""
+def _unchecked(cls, **values):
+    """A ``cls`` of the given fields without running its check, for rows that
+    the package has itself checked, or built in range and strictly
+    increasing; the other keys give forms of the value already at hand. A
+    field left out is one the value derives when it is first read."""
     value = object.__new__(cls)
-    value.__dict__.update(zip(cls.__dataclass_fields__, values), **derived)
+    value.__dict__.update(values)
     return value
 
 
 # Byte budget of the whole-array passes over id arrays (the mask build, the
-# counts, the approval transpose and its tuples): each pass takes the rows a
-# block at a time, with at most this many bytes of temporaries, so that no
-# temporary grows with the instance. A block is larger only to hold one long
-# row, or, where a block's work includes one count per id value, as many
-# ids as there are values.
+# counts, the transpose, the tuples and the greedy's gain updates): each pass
+# takes the rows a block at a time, with at most this many bytes of
+# temporaries, so that no temporary grows with the instance. A block is
+# larger only to hold one long row, or, where a block's work includes one
+# count per id value, as many ids as there are values.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -187,13 +204,17 @@ def _tuples(ids: np.ndarray, offs: np.ndarray, bound: int) -> tuple[tuple[int, .
     that table costs as much time as making an int for each id saves.
     """
     values = np.arange(bound + 1).astype(object) if 256 < bound and 4 * bound <= len(ids) else None
-    rows: list[tuple[int, ...]] = []
-    for lo, hi in _row_blocks(offs, _BLOCK_BYTES // 24):
+    return tuple(map(tuple, _row_lists(ids, offs, _BLOCK_BYTES // 24, values)))
+
+
+def _row_lists(ids: np.ndarray, offs: np.ndarray, block: int, values: np.ndarray | None = None) -> Iterator[list]:
+    """Each row of (ids, offsets) as a list of ints, or of ``values[id]``,
+    read a block of about ``block`` ids at a time."""
+    for lo, hi in _row_blocks(offs, block):
         run = ids[offs[lo] : offs[hi]]
         run = (run if values is None else values[run]).tolist()
         ends = (offs[lo : hi + 1] - offs[lo]).tolist()
-        rows += [tuple(run[a:b]) for a, b in zip(ends, ends[1:])]
-    return tuple(rows)
+        yield from (run[a:b] for a, b in zip(ends, ends[1:]))
 
 
 def _id_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -201,6 +222,14 @@ def _id_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     a reduction or a generator made, or, for an instance built by a caller,
     ``_flatten`` of the sets on first use."""
     return inst._derived("_ids", lambda inst: _flatten(inst.sets, inst.n))
+
+
+def _element_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The (ids, offsets) of an instance's elements: row e - 1 lists the
+    1-based sets that hold element e, in any order. These are the rows that a
+    reduction or a generator transposed into the sets; a parsed or
+    caller-built instance transposes its sets once, on first use."""
+    return inst._derived("_elements", lambda inst: _transpose(inst.n, inst.m, *_id_arrays(inst)))
 
 
 def _row_blocks(offs: np.ndarray, ids: int, rows: int | None = None) -> Iterator[tuple[int, int]]:
@@ -380,7 +409,15 @@ def _reduce(width: int, height: int, k: int, ids: np.ndarray, offs: np.ndarray) 
     as (ids, offsets), that hold c. The rows may be ballots (the approval
     reduction), or each element's sets, as the generators and the graph
     reduction give them; a row's ids need not be sorted. The instance keeps
-    the transposed arrays as its own.
+    the transposed arrays as its sets' ids, and the given ones as its element
+    rows; it makes its ``sets`` tuples when they are first read."""
+    return _unchecked(Instance, n=height, k=k, _ids=_transpose(width, height, ids, offs), _elements=(ids, offs))
+
+
+def _transpose(width: int, height: int, ids: np.ndarray, offs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (ids, offsets) of ``width`` rows, where row c - 1 lists, in
+    increasing order, the 1-based rows of ``height`` rows of distinct ids in
+    [1, width], given as (ids, offsets), that hold c.
 
     The rows are read a block at a time. A stable sort of a block's ids keeps
     the rows that hold each id in order, and each id's run in the sorted
@@ -400,7 +437,7 @@ def _reduce(width: int, height: int, k: int, ids: np.ndarray, offs: np.ndarray) 
         slots += np.arange(len(c))
         t_ids[slots] = np.repeat(np.arange(lo + 1, hi + 1, dtype=t_ids.dtype), np.diff(offs[lo : hi + 1]))[order]
         free += here
-    return _unchecked(Instance, height, _tuples(t_ids, t_offs, height), k, _ids=(t_ids, t_offs))
+    return t_ids, t_offs
 
 
 def pad_frequencies(inst: Instance, p: int) -> Instance:
@@ -633,21 +670,25 @@ def parse_instance(text: str) -> Instance:
     Element lists are deduplicated and sorted on ingest; ids must lie in [1, n].
     """
     n, _, k, ids, offs = _read_id_document(text, "maxcover")
-    return _unchecked(Instance, n, _tuples(ids, offs, n), k, _ids=(ids, offs))
+    return _unchecked(Instance, n=n, k=k, _ids=(ids, offs))
 
 
 def serialize_instance(inst: Instance) -> str:
-    """Canonical document for an instance; ``parse_instance`` inverts it."""
+    """Canonical document for an instance; ``parse_instance`` inverts it.
+    The lines are written from the id arrays a block of rows at a time, and
+    no set becomes a tuple."""
     lines = [f"p maxcover {inst.n} {inst.m} {inst.k}"]
-    for s in inst.sets:
-        lines.append("s" + "".join(f" {e}" for e in s))
+    lines += [" ".join(["s", *map(str, row)]) for row in _row_lists(*_id_arrays(inst), _BLOCK_BYTES // 32)]
     return "\n".join(lines) + "\n"
 
 
 def parse_election(text: str) -> ApprovalElection:
     """Parse a 'p approval <candidates> <voters> <k>' document with 'v' ballot lines."""
     a, b, k, ids, offs = _read_id_document(text, "approval")
-    return _unchecked(ApprovalElection, a, b, _tuples(ids, offs, a), k, _ids=(ids, offs))
+    return _unchecked(
+        ApprovalElection, num_candidates=a, num_voters=b, approvals=_tuples(ids, offs, a), committee_size=k,
+        _ids=(ids, offs),
+    )
 
 
 def parse_graph(text: str) -> Graph:

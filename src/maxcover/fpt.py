@@ -7,7 +7,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, Solution, check_frequency_bound, set_masks
+import numpy as np
+
+from .core import Instance, Solution, _id_arrays, check_frequency_bound, set_masks
 from .exact import DEFAULT_CEILING, best_fixed_size_subset
 
 
@@ -56,8 +58,9 @@ def fpt_approx(
     if inst.effective_budget == 0:
         return Solution((), 0, inst.n), PoolPlan(0, (), 1, 1)
     clamped = min(pool_size(p, inst.k, beta), inst.m)
-    by_cardinality = sorted(range(inst.m), key=lambda i: (-len(inst.sets[i]), i))
-    pool = tuple(by_cardinality[:clamped])
+    # A stable sort of the negated row lengths orders the sets by (-size, index).
+    by_cardinality = np.argsort(-np.diff(_id_arrays(inst)[1]), kind="stable")
+    pool = tuple(by_cardinality[:clamped].tolist())
     budget = min(inst.k, clamped)
     in_index_order = sorted(pool)
     masks = set_masks(inst)

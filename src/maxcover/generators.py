@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_HEADER_COUNT, Instance, _reduce
+from .core import MAX_HEADER_COUNT, Instance, _id_arrays, _reduce
 
 # Most incidences the tight constructions build; a larger spec is refused
 # before anything is allocated.
@@ -133,7 +133,7 @@ def gen_tight_greedy(spec: TightGreedySpec) -> Instance:
     inst = _reduce(spec.m, n, spec.k, rows.reshape(-1), np.arange(0, rows.size + 1, spec.p))
     # The bijection fixes each spread set's size at k * comb(m-k-1, p-2).
     expected = spec.k * math.comb(q - 1, spec.p - 2)
-    assert all(len(s) == expected for s in inst.sets[:q])
+    assert (np.diff(_id_arrays(inst)[1][: q + 1]) == expected).all()
     return inst
 
 
@@ -158,7 +158,7 @@ def gen_tight_fpt(spec: TightFptSpec) -> Instance:
     overlap = chain.from_iterable(unrank_colex(r, spec.p) for r in range(n1))
     ids = np.concatenate((np.fromiter(overlap, decoys.dtype) + 1, decoys))
     inst = _reduce(x + spec.k, n1 + n2, spec.k, ids, np.r_[0 : n1 * spec.p : spec.p, n1 * spec.p : len(ids) + 1])
-    assert all(len(s) == per_set for s in inst.sets[:x])
+    assert (np.diff(_id_arrays(inst)[1][: x + 1]) == per_set).all()
     return inst
 
 

@@ -1,4 +1,8 @@
-"""Iterative best-marginal-gain selection with a full per-step trace."""
+"""Iterative best-marginal-gain selection with a full per-step trace.
+
+``greedy_cover`` counts its gains on the instance's rows of ids; the greedy
+finish of a search that already holds the set masks runs on those masks.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Instance, Solution, set_masks
+import numpy as np
+
+from .core import _BLOCK_BYTES, Instance, Solution, _element_rows, _id_arrays, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -54,18 +60,66 @@ def extend_greedily(
     return picks, gains, covered
 
 
+def greedy_rows(inst: Instance, steps: int) -> tuple[list[int], list[int], np.ndarray]:
+    """``steps`` <= m greedy picks from nothing covered, counted on the
+    instance's rows of ids: (picks, gains, the gain of each set after them),
+    where a picked set's gain reads -1.
+
+    Every set's gain starts at its row length. A pick marks the ids of its
+    row that are not yet covered, and takes one off the gain of every set
+    that holds one of them, read from the instance's element rows a block at
+    a time, so the gains stay exact. The pick is the first largest gain, as
+    ``extend_greedily``'s: ties go to the lowest set index. Once no set
+    gains anything, the picks left are the lowest-index sets not taken.
+    """
+    ids, offs = _id_arrays(inst)
+    gain = np.diff(offs)
+    covered = np.zeros(inst.n + 1, np.bool_)  # by element id; 0 is no element
+    picks: list[int] = []
+    gains: list[int] = []
+    while len(picks) < steps:
+        i = int(gain.argmax())
+        if gain[i] == 0:
+            rest = np.flatnonzero(gain == 0)[: steps - len(picks)]
+            gain[rest] = -1
+            picks += rest.tolist()
+            gains += [0] * len(rest)
+            break
+        row = ids[offs[i] : offs[i + 1]]
+        new = row[~covered[row]]
+        covered[new] = True
+        _discount(gain, *_element_rows(inst), new)
+        picks.append(i)
+        gains.append(len(new))
+        gain[i] = -1
+    return picks, gains, gain
+
+
+def _discount(gain: np.ndarray, owners: np.ndarray, starts: np.ndarray, new: np.ndarray) -> None:
+    """Take one off ``gain[j - 1]`` for each element id in ``new`` that set j
+    holds, with element e's sets at owners[starts[e - 1]:starts[e]]. The
+    owners are gathered and counted a block of at least as many owners as
+    there are sets at a time; an owner takes 32 bytes of temporaries."""
+    first = starts[new - 1]
+    lens = starts[new] - first
+    ends = np.zeros(len(new) + 1, np.int64)
+    np.cumsum(lens, out=ends[1:])
+    for lo, hi in _row_blocks(ends, max(_BLOCK_BYTES // 32, len(gain) + 1)):
+        at = np.repeat(first[lo:hi] - ends[lo:hi], lens[lo:hi])
+        at += np.arange(ends[lo], ends[hi])
+        gain -= np.bincount(owners[at], minlength=len(gain) + 1)[1:]
+
+
 def greedy_cover(inst: Instance) -> tuple[Solution, GreedyTrace]:
     """Run min(k, m) greedy steps and report the per-step trace alongside."""
-    masks = set_masks(inst)
-    taken = [False] * inst.m
-    picks, gains, covered_mask = extend_greedily(masks, taken, 0, inst.effective_budget)
+    picks, gains, _ = greedy_rows(inst, inst.effective_budget)
     uncovered_after = []
     uncovered = inst.n
     for g in gains:
         uncovered -= g
         uncovered_after.append(uncovered)
-    covered = covered_mask.bit_count()
-    solution = Solution(tuple(sorted(picks)), covered, inst.n - covered)
+    covered = inst.n - uncovered
+    solution = Solution(tuple(sorted(picks)), covered, uncovered)
     return solution, GreedyTrace(tuple(picks), tuple(gains), tuple(uncovered_after))
 
 

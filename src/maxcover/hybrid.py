@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Instance, Solution, frequency_profile, set_masks
+import numpy as np
+
+from .core import Instance, Solution, _element_rows, frequency_profile, set_masks
 from .exact import DEFAULT_CEILING, _walk, best_fixed_size_subset, brute_force, check_ceiling
-from .greedy import extend_greedily, greedy_cover
+from .greedy import extend_greedily, greedy_cover, greedy_rows
 
 RATIO_METHODS = ("alg4", "alg5", "alg5_vertexcover", "croce_paschos")
 
@@ -63,19 +65,39 @@ def greedy_then_exact(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     The exhaustive pass works on the leftover sets restricted to the still
     uncovered elements, exactly as if solving the residual instance. With
     x = 0 this is plain exhaustive search, with x = k plain greedy.
+
+    A residual search of two or more picks runs on the kernel, and the greedy
+    picks on the masks it reads. Otherwise the greedy runs on the id rows,
+    and the residual search, a scan of the leftover sets' gains, reads their
+    gains from it: it counts the leaves ``best_fixed_size_subset`` would.
     """
     _check_split(inst, x)
-    masks = set_masks(inst)
     k_eff = inst.effective_budget
     x_eff = min(x, k_eff)
-    taken = [False] * inst.m
-    picks, _, covered_mask = extend_greedily(masks, taken, 0, x_eff)
-    remaining = [i for i in range(inst.m) if not taken[i]]
-    scored = [masks[i] & ~covered_mask for i in remaining]
-    combo, residual, scanned = best_fixed_size_subset(scored, k_eff - x_eff, ceiling)
-    chosen = tuple(sorted(picks + [remaining[j] for j in combo]))
-    covered = covered_mask.bit_count() + residual
-    solution = Solution(chosen, covered, inst.n - covered)
+    size = k_eff - x_eff
+    if size >= 2:
+        masks = set_masks(inst)
+        taken = [False] * inst.m
+        picks, gains, covered_mask = extend_greedily(masks, taken, 0, x_eff)
+        remaining = [i for i in range(inst.m) if not taken[i]]
+        scored = [masks[i] & ~covered_mask for i in remaining]
+        combo, residual, scanned = best_fixed_size_subset(scored, size, ceiling)
+        picks += [remaining[j] for j in combo]
+    else:
+        picks, gains, gain = greedy_rows(inst, x_eff)
+        check_ceiling(inst.m - x_eff, size, ceiling)
+        residual, scanned = 0, 1
+        if size:
+            i = int(gain.argmax())
+            residual = int(gain[i])
+            # The scan stops after the first leftover set that covers every
+            # uncovered element some set holds, and reads them all otherwise.
+            starts = _element_rows(inst)[1]
+            reachable = int(np.count_nonzero(starts[1:] != starts[:-1])) - sum(gains)
+            scanned = i + 1 - sum(j < i for j in picks) if residual >= reachable else inst.m - x_eff
+            picks.append(i)
+    covered = sum(gains) + residual
+    solution = Solution(tuple(sorted(picks)), covered, inst.n - covered)
     return HybridReport(x, solution, _ratio_or_unit("alg4", x, inst.k), scanned)
 
 

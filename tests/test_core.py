@@ -37,7 +37,7 @@ from maxcover import (
     serialize_instance,
     set_masks,
 )
-from maxcover.cli import main
+from maxcover.cli import load_instance_text, main
 from helpers import random_instance, union_coverage
 
 
@@ -253,6 +253,52 @@ def test_built_masks_and_profile_are_invisible(make):
         assert set_masks(twin) == masks and frequency_profile(twin) == profile
 
 
+# What a value shows of itself, read from a fresh value each time.
+VIEWS = [
+    repr,
+    hash,
+    pickle.dumps,
+    lambda inst: pickle.dumps(copy.copy(inst)),
+    lambda inst: pickle.dumps(copy.deepcopy(inst)),
+    lambda inst: pickle.loads(pickle.dumps(inst)) == Instance(inst.n, inst.sets, inst.k),
+    lambda inst: [f.name for f in dataclasses.fields(inst)],
+    lambda inst: repr(dataclasses.replace(inst, k=inst.k + 1)),
+    lambda inst: (inst.m, inst.effective_budget),
+]
+
+# Every builder of SOURCES, and the CLI's approval load, which reduces the
+# parser's arrays.
+LAZY_SOURCES = SOURCES + [lambda: load_instance_text(APPROVAL_EXAMPLE)]
+
+
+@pytest.mark.parametrize("make", LAZY_SOURCES)
+def test_sets_read_first_or_later_give_the_same_value(make):
+    def read_first():
+        inst = make()
+        inst.sets
+        return inst
+
+    plain = read_first()
+    assert make() == plain and plain == make()
+    for view in VIEWS:
+        assert view(make()) == view(read_first())
+    assert set(copy.copy(make()).__dict__) == {"n", "sets", "k"}
+
+
+def test_sets_are_built_on_first_read_only_for_arrays():
+    # A caller-built instance holds its sets from the start; every other one
+    # holds id arrays, and makes its tuples when they are first read.
+    for make in LAZY_SOURCES:
+        inst = make()
+        caller_built = "_ids" not in inst.__dict__
+        assert ("sets" in inst.__dict__) == caller_built
+        inst.m, inst.effective_budget, set_masks(inst), frequency_profile(inst)
+        assert ("sets" in inst.__dict__) == caller_built
+        assert inst.sets is inst.sets
+    with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+        SOURCES[0]().missing
+
+
 def test_reduced_election_is_unchanged():
     plain, election = parse_election(APPROVAL_EXAMPLE), parse_election(APPROVAL_EXAMPLE)
     before = pickle.dumps(election)
@@ -275,23 +321,26 @@ def test_mutating_the_returned_masks_changes_no_later_result():
 
 def test_threads_racing_to_build_masks_and_profile_read_one_value():
     plain = maxcover.gen_random(3000, 60, 5, 3, 1)
-    masks, profile = set_masks(plain), frequency_profile(plain)
+    want = (set_masks(plain), frequency_profile(plain), plain.sets)
+    text = serialize_instance(plain)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(30):
-            inst = Instance(plain.n, plain.sets, plain.k)  # nothing built yet
+        # Nothing built yet: a caller-built instance has no arrays, and a
+        # parsed one no tuples.
+        for make in [lambda: Instance(plain.n, plain.sets, plain.k), lambda: parse_instance(text)] * 15:
+            inst = make()
             got = []
-            threads = [threading.Thread(target=lambda: got.append((set_masks(inst), frequency_profile(inst))))
+            threads = [threading.Thread(target=lambda: got.append((set_masks(inst), frequency_profile(inst), inst.sets)))
                        for _ in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert len(got) == 8 and all(pair == (masks, profile) for pair in got)
-            # Every thread reads the one profile stored first.
-            assert len({id(p) for _, p in got}) == 1
+            assert len(got) == 8 and all(forms == want for forms in got)
+            # Every thread reads the one profile, and the one tuple of sets, stored first.
+            assert len({id(p) for _, p, _ in got}) == 1 and len({id(sets) for *_, sets in got}) == 1
     finally:
         sys.setswitchinterval(old)
 
@@ -312,8 +361,11 @@ def test_compare_builds_masks_and_profile_once(tmp_path, monkeypatch, capsys):
 
 
 def test_solvers_read_masks_through_their_module_global(monkeypatch):
+    # greedy_cover counts on the id rows and reads no masks. The greedy
+    # module's mask path, extend_greedily, runs in exact_then_greedy's finish
+    # on the masks that hybrid reads.
     called = []
-    modules = [maxcover.greedy, maxcover.exact, maxcover.fpt, maxcover.hybrid, maxcover.minnoncovered]
+    modules = [maxcover.exact, maxcover.fpt, maxcover.hybrid, maxcover.minnoncovered]
     for module in modules:
         def spy(inst, name=module.__name__, real=module.set_masks):
             called.append(name)
@@ -321,6 +373,7 @@ def test_solvers_read_masks_through_their_module_global(monkeypatch):
         monkeypatch.setattr(module, "set_masks", spy)
     inst = SOURCES[0]()
     maxcover.greedy_cover(inst)
+    assert called == []
     maxcover.brute_force(inst)
     fpt_approx(inst, 2, 0.5)
     greedy_then_exact(inst, 1)

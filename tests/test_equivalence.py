@@ -1,5 +1,10 @@
 """The fast hot paths against test-local copies of the loops they replaced.
 
+The greedy on the id rows must give the picks, gains and residual scan
+counts of the greedy on the masks, within one block of owner temporaries,
+and a greedy solve must build no tuples and no masks. The document written
+from the id arrays must be the one the per-set loop wrote.
+
 Lazy greedy, select-based minnc sampling, the packed mask build and the
 bound-pruned exhaustive searches must give exactly what the earlier eager
 scan, list-rebuilding sampler, bit-by-bit mask build, full subset scan and
@@ -44,6 +49,8 @@ from maxcover import (
     election_to_maxcover,
     exact_then_greedy,
     fpt_approx,
+    greedy_cover,
+    greedy_then_exact,
     frequency_profile,
     gen_random,
     gen_tight_fpt,
@@ -57,10 +64,10 @@ from maxcover import (
     set_masks,
     unrank_colex,
 )
-from maxcover import cli, core
+from maxcover import cli, core, greedy
 from maxcover.cli import load_instance_text, main
 from maxcover.core import _BLOCK_BYTES, _id_arrays, _parse_header
-from maxcover.exact import _most_holders, best_fixed_size_subset
+from maxcover.exact import EnumerationCeilingError, _most_holders, best_fixed_size_subset
 from maxcover.greedy import extend_greedily
 from helpers import (
     appended_election_to_maxcover,
@@ -74,6 +81,7 @@ from helpers import (
     recursive_exact_then_greedy,
     union_coverage,
 )
+from test_core import SOURCES
 
 
 def mask_of(ids) -> int:
@@ -220,6 +228,118 @@ def test_lazy_greedy_ties_and_zero_gains():
     picks, gains, covered = extend_greedily(masks, [False] * 5, 0, 5)
     assert (picks, gains, covered) == eager_extend(masks, [False] * 5, 0, 5)
     assert picks == [0, 1, 2, 3, 4] and gains == [2, 1, 0, 0, 0]
+
+
+def mask_greedy_cover(inst):
+    """(picks, gains, uncovered after each pick) of the greedy on the masks."""
+    picks, gains, _ = extend_greedily(set_masks(inst), [False] * inst.m, 0, inst.effective_budget)
+    return tuple(picks), tuple(gains), tuple(inst.n - sum(gains[: i + 1]) for i in range(len(gains)))
+
+
+def mask_greedy_then_exact(inst, x, ceiling):
+    """(chosen, covered, leaves scanned) of greedy_then_exact with its greedy
+    on the masks and its residual search on the kernel, at every size."""
+    masks = set_masks(inst)
+    x_eff = min(x, inst.effective_budget)
+    taken = [False] * inst.m
+    picks, _, covered = extend_greedily(masks, taken, 0, x_eff)
+    remaining = [i for i in range(inst.m) if not taken[i]]
+    scored = [masks[i] & ~covered for i in remaining]
+    combo, residual, scanned = best_fixed_size_subset(scored, inst.effective_budget - x_eff, ceiling)
+    return tuple(sorted(picks + [remaining[j] for j in combo])), covered.bit_count() + residual, scanned
+
+
+def greedy_edge_cases():
+    """n = 0, m = 0, k > m, duplicate sets, zero-gain tails, and every
+    builder's instance."""
+    return [make() for make in SOURCES] + [
+        Instance(0, ((), ()), 1),
+        Instance(3, (), 2),
+        parse_instance("p maxcover 3 0 2\n"),
+        Instance.of(4, [[1, 2], [3]], 5),
+        Instance.of(4, [[1, 2], [1, 2], [3], [3], [1, 2], [4]], 5),
+        Instance.of(3, [[1], [1], [], [2], [1, 2], []], 6),
+        Instance.of(5, [[], [], [1, 2, 3, 4, 5], [1]], 3),
+    ]
+
+
+def test_row_greedy_equals_the_mask_greedy(monkeypatch):
+    # Approval-shaped: the first pick newly covers about 3 600 voters, whose
+    # owners take many blocks; the small budgets cut blocks at every size.
+    approval = load_instance_text(approval_text(random.Random(12), 100, 12000, 10, 40, lo=20))
+    cases = greedy_edge_cases() + batch(9, 60) + tight_instances() + [approval, gen_random(3000, 200, 60, 3, 5)]
+    for budget in (_BLOCK_BYTES, 32, 1):
+        monkeypatch.setattr(greedy, "_BLOCK_BYTES", budget)
+        for inst in cases:
+            picks, gains, after = mask_greedy_cover(inst)
+            sol, trace = greedy_cover(inst)
+            assert (trace.picks, trace.marginal_gains, trace.uncovered_after) == (picks, gains, after)
+            assert (sol.chosen, sol.covered, sol.uncovered) == (tuple(sorted(picks)), sum(gains), inst.n - sum(gains))
+
+
+def test_greedy_then_exact_keeps_its_residual_scan_counts():
+    cases = greedy_edge_cases() + batch(10, 60) + tight_instances()
+    cases.append(load_instance_text(approval_text(random.Random(13), 40, 3000, 3, 12)))
+    sizes = set()
+    for inst in cases:
+        for x in range(inst.k + 1):
+            sizes.add(inst.effective_budget - min(x, inst.effective_budget))
+            for ceiling in (10**8, inst.m - 1, 0):
+                try:
+                    want = mask_greedy_then_exact(inst, x, ceiling)
+                except EnumerationCeilingError as err:
+                    with pytest.raises(EnumerationCeilingError, match=f"^{err}$"):
+                        greedy_then_exact(inst, x, ceiling)
+                    continue
+                report = greedy_then_exact(inst, x, ceiling)
+                assert (report.solution.chosen, report.solution.covered, report.combos_scanned) == want
+                assert report.solution.uncovered == inst.n - want[1]
+    assert {0, 1, 2} <= sizes
+
+
+def test_greedy_solves_build_no_tuples_and_no_masks(monkeypatch, tmp_path):
+    maxcover_doc = serialize_instance(gen_random(300, 40, 6, 3, 2))
+    for text in (maxcover_doc, approval_text(random.Random(17), 30, 400, 4, 8)):
+        doc, report = tmp_path / "doc.txt", tmp_path / "report.json"
+        doc.write_text(text)
+        k = load_instance_text(text).k
+        for name in ("_tuples", "_pack"):
+            monkeypatch.setattr(core, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+        for alg in (["greedy"], ["greedy-exact", "--x", str(k - 1)]):
+            assert main(["solve", "--alg", *alg, "--in", str(doc), "--out", str(report)]) == 0
+            assert main(["verify", "--in", str(doc), "--sol", str(report)]) == 0
+        monkeypatch.undo()
+        assert json.loads(report.read_text())["chosen"]
+
+
+def test_row_greedy_stays_within_one_block_of_owners():
+    # Beyond one block of owner temporaries, the greedy holds the covered
+    # flags, the gains, and a few int64 arrays as long as the longest row.
+    approval = load_instance_text(approval_text(random.Random(12), 100, 12000, 10, 40, lo=20))
+    parsed = parse_instance(serialize_instance(gen_random(30000, 1200, 40, 3, 0)))
+    for inst in (approval, parsed):
+        greedy_cover(inst)  # the parsed instance transposes its element rows once
+        longest = int(np.diff(_id_arrays(inst)[1]).max())
+        peak, _ = peak_bytes(lambda: greedy_cover(inst))
+        assert peak <= _BLOCK_BYTES + 32 * longest + inst.n + 16 * inst.m
+
+
+def loop_serialize_instance(inst):
+    lines = [f"p maxcover {inst.n} {inst.m} {inst.k}"]
+    lines += ["s" + "".join(f" {e}" for e in s) for s in inst.sets]
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_equals_the_per_set_loop(monkeypatch):
+    # Small budgets cut the blocks of rows at every size.
+    cases = greedy_edge_cases() + batch(11, 40) + tight_instances() + [gen_random(3000, 200, 6, 3, 5)]
+    for budget in (_BLOCK_BYTES, 256, 1):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", budget)
+        for inst in cases:
+            assert serialize_instance(inst) == loop_serialize_instance(inst)
+    parsed = SOURCES[0]()
+    serialize_instance(parsed)
+    assert "sets" not in parsed.__dict__  # written from the arrays, with no tuples
 
 
 def mostly_covered(k):
@@ -420,15 +540,16 @@ def test_cli_approval_load_builds_no_election(monkeypatch, tmp_path):
 
 
 def test_mask_build_peak_stays_within_the_flag_row_build():
-    # Shaped like the benchmark's rand-30k document, parsed, and generated,
-    # whose id arrays the build makes and keeps. Beyond the masks, the
-    # reference holds a row of n flags, and the build one block.
+    # Shaped like the benchmark's rand-30k document, parsed, and generated;
+    # both keep their id arrays from the start, and the sets are read before
+    # the reference runs. Beyond the masks, the reference holds a row of n
+    # flags, and the build one block.
     generated = gen_random(30000, 1200, 40, 3, 0)
     for inst in (parse_instance(serialize_instance(generated)), generated):
+        inst.sets
         reference, _ = peak_bytes(lambda: flag_row_masks(inst.n, inst.sets))
         peak, _ = peak_bytes(lambda: set_masks(inst))
-        made = kept_bytes(inst) if inst is generated else 0
-        assert peak <= reference + made + 8 * inst.m + _BLOCK_BYTES
+        assert peak <= reference + 8 * inst.m + _BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------
