@@ -13,17 +13,13 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
-# election_to_maxcover and parse_election are not called here, but the
-# benchmark's tracer (perfbench/tracing.py) wraps them by their names in cli.
 from .core import (
     Instance,
     ParseError,
-    _id_arrays,
-    _read_id_document,
-    _reduce,
-    _rows_meeting,
-    _union_size,
+    _voters_covered,
+    coverage,
     document_kind,
     election_to_maxcover,
     frequency_profile,
@@ -48,22 +44,6 @@ from .minnoncovered import randomized_min_noncovered
 
 # Largest --grid of the curves command: each point is a row of the CSV.
 MAX_CURVE_GRID = 10**6
-
-
-@dataclass(frozen=True)
-class RatioPoint:
-    """One guarantee-curve sample at exact-work fraction t = (k - x)/k."""
-
-    t: float
-    ratio_alg5: float
-    ratio_cp: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {self.t}")
-        for ratio in (self.ratio_alg5, self.ratio_cp):
-            if not 0.0 < ratio <= 1.0:
-                raise ValueError(f"ratios must lie in (0, 1], got {ratio}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +76,9 @@ class SolverReport:
         return json.dumps(body, indent=2) + "\n"
 
 
-def curve_points(k: int, beta_a: float, grid: int, alg5_form: str = "vertexcover") -> list[RatioPoint]:
-    """Sample both guarantee curves on a grid of t = (k - x)/k values.
+def curve_points(k: int, beta_a: float, grid: int, alg5_form: str = "vertexcover") -> list[tuple[float, float, float]]:
+    """Sample both guarantee curves on a grid of t = (k - x)/k values, as
+    (t, alg5 ratio, Croce-Paschos ratio) triples.
 
     t = 0 is all-greedy (all-approximate) work and t = 1 all-exact; the split
     x runs from k down to 0 for the greedy-finishing method while the
@@ -118,27 +99,28 @@ def curve_points(k: int, beta_a: float, grid: int, alg5_form: str = "vertexcover
         t = i / (grid - 1)
         alg5 = hybrid_ratio(method, (1.0 - t) * k, k)
         cp = hybrid_ratio("croce_paschos", t * k, k, beta_a)
-        points.append(RatioPoint(t, alg5, cp))
+        points.append((t, alg5, cp))
     return points
 
 
 def run_curves(k: int, beta_a: float, grid: int, alg5_form: str = "vertexcover") -> str:
     """CSV document 't,alg5,croce_paschos' comparing the two guarantee curves."""
     rows = ["t,alg5,croce_paschos"]
-    for pt in curve_points(k, beta_a, grid, alg5_form):
-        rows.append(f"{pt.t!r},{pt.ratio_alg5!r},{pt.ratio_cp!r}")
+    for t, alg5, cp in curve_points(k, beta_a, grid, alg5_form):
+        rows.append(f"{t!r},{alg5!r},{cp!r}")
     return "\n".join(rows) + "\n"
 
 
 def load_instance_text(text: str) -> Instance:
     """Parse any supported document; approval and graph inputs are reduced.
-    An approval document's ballots go from the parser's id arrays straight
-    into the reduction, with no ``ApprovalElection`` and no ballot tuples."""
+    An approval document goes through ``parse_election`` and
+    ``election_to_maxcover``, which reduce the parser's id arrays and make no
+    ballot tuples."""
     kind = document_kind(text)
     if kind == "maxcover":
         return parse_instance(text)
     if kind == "approval":
-        return _reduce(*_read_id_document(text, "approval"))
+        return election_to_maxcover(parse_election(text))
     if kind == "graph":
         g = parse_graph(text)
         return graph_to_maxvertexcover(g.num_vertices, g.edges, g.k)
@@ -322,19 +304,20 @@ def run_verify(args) -> int:
     """Recount a report's coverage from the document's rows of ids,
     independent of the solvers' bitmask kernel, and fail on any mismatch.
 
-    The recount is the number of distinct elements in the chosen sets, read
-    from a maxcover document's sets or a graph reduction's. An approval
-    document is not reduced: its recount is the number of ballots that
-    approve a chosen candidate.
+    The recount is ``coverage`` of the chosen sets, read from a maxcover
+    document's sets or a graph reduction's, as ``load_instance_text`` gives
+    them. An approval document is read by ``parse_election`` and not
+    reduced: its recount is the number of ballots that approve a chosen
+    candidate.
     """
     doc = _read(args.infile)
-    kind = document_kind(doc)
-    if kind in ("maxcover", "approval"):
-        a, b, k, ids, offs = _read_id_document(doc, kind)
-        n, m = (b, a) if kind == "approval" else (a, b)
+    if document_kind(doc) == "approval":
+        election = parse_election(doc)
+        n, m, k = election.num_voters, election.num_candidates, election.committee_size
+        recount = partial(_voters_covered, election)
     else:
         inst = load_instance_text(doc)
-        n, m, k, (ids, offs) = inst.n, inst.m, inst.k, _id_arrays(inst)
+        n, m, k, recount = inst.n, inst.m, inst.k, partial(coverage, inst)
     text = _read(args.sol)
     try:
         report = json.loads(text)
@@ -362,8 +345,7 @@ def run_verify(args) -> int:
     if len(picked) > min(k, m):
         print(f"mismatch: {len(picked)} sets chosen, budget allows {min(k, m)}", file=sys.stderr)
         return 2
-    # An approval document's one-based set numbers are its candidate ids.
-    covered = _rows_meeting(ids, offs, m, chosen) if kind == "approval" else _union_size(ids, offs, picked)
+    covered = recount(picked)
     if covered != report.get("covered") or n - covered != report.get("uncovered"):
         print(
             f"mismatch: recounted covered={covered} uncovered={n - covered}, "

@@ -39,14 +39,25 @@ class _Derived:
     dict under a private key, which the dataclass's ``==``, ``hash`` and
     ``repr`` never read and ``__getstate__`` leaves out of pickles and copies.
     Every build of a form gives the same value and only the first one stored
-    is kept, so threads that race to build one all read that one. A field
-    that a value derives from its arrays (an instance's ``sets``) is kept the
-    same way, under its own name, and ``__getstate__`` reads it as an
-    attribute.
+    is kept, so threads that race to build one all read that one.
+
+    ``_lazy`` names the tuple field that a value the package built from id
+    arrays (an instance's ``sets``, an election's ``approvals``) makes from
+    them, and the field that bounds its ids. That field is made when it is
+    first read and kept the same way, under its own name, and
+    ``__getstate__`` reads it as an attribute.
     """
 
     def __getstate__(self):
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    def __getattr__(self, name):
+        # Reached only for a name not in the instance dict: the lazy field,
+        # before it is first read, or a name the value lacks.
+        field, bound = self._lazy
+        if name == field and "_ids" in self.__dict__:
+            return self._derived(field, lambda v: _tuples(*v.__dict__["_ids"], getattr(v, bound)))
+        raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'")
 
     def _derived(self, key: str, build):
         try:
@@ -70,6 +81,8 @@ class Instance(_Derived):
     sets: tuple[tuple[int, ...], ...]
     k: int
 
+    _lazy = ("sets", "n")
+
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"universe size must be nonnegative, got {self.n}")
@@ -92,13 +105,6 @@ class Instance(_Derived):
     def of(cls, n: int, sets: Iterable[Iterable[int]], k: int) -> "Instance":
         """Build an instance, sorting and deduplicating each set."""
         return cls(n, tuple(tuple(sorted(set(s))) for s in sets), k)
-
-    def __getattr__(self, name):
-        # Reached only for a name not in the instance dict: ``sets``, before
-        # it is first read, or a name the instance lacks.
-        if name == "sets" and "_ids" in self.__dict__:
-            return self._derived("sets", lambda inst: _tuples(*inst.__dict__["_ids"], inst.n))
-        raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'")
 
     @property
     def m(self) -> int:
@@ -137,6 +143,8 @@ class ApprovalElection(_Derived):
     num_voters: int
     approvals: tuple[tuple[int, ...], ...]
     committee_size: int
+
+    _lazy = ("approvals", "num_candidates")
 
     def __post_init__(self):
         if min(self.num_candidates, self.num_voters, self.committee_size) < 0:
@@ -198,12 +206,13 @@ def _tuples(ids: np.ndarray, offs: np.ndarray, bound: int) -> tuple[tuple[int, .
     """The rows of (ids, offsets), ids in [0, bound], as tuples of ints, built
     a block of rows at a time.
 
-    Where the rows hold at least four ids a value, and the values reach past
-    256 (CPython shares the ints up to 256 already), each value is one int
-    object that every row holding it shares. Near two to three ids a value,
-    that table costs as much time as making an int for each id saves.
+    Where the rows hold at least as many ids as there are values, and the
+    values reach past 256 (CPython shares the ints up to 256 already), each
+    value is one int object that every row holding it shares, so the tuples
+    keep one int a value, not one an id (below four ids a value, at a little
+    more time than making an int for each id).
     """
-    values = np.arange(bound + 1).astype(object) if 256 < bound and 4 * bound <= len(ids) else None
+    values = np.arange(bound + 1).astype(object) if 256 < bound <= len(ids) else None
     return tuple(map(tuple, _row_lists(ids, offs, _BLOCK_BYTES // 24, values)))
 
 
@@ -217,11 +226,12 @@ def _row_lists(ids: np.ndarray, offs: np.ndarray, block: int, values: np.ndarray
         yield from (run[a:b] for a, b in zip(ends, ends[1:]))
 
 
-def _id_arrays(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """The (ids, offsets) of an instance's sets: the arrays that the parser,
-    a reduction or a generator made, or, for an instance built by a caller,
-    ``_flatten`` of the sets on first use."""
-    return inst._derived("_ids", lambda inst: _flatten(inst.sets, inst.n))
+def _id_arrays(value: _Derived) -> tuple[np.ndarray, np.ndarray]:
+    """The (ids, offsets) of an instance's sets or an election's ballots: the
+    arrays that the parser, a reduction or a generator made, or, for a value
+    built by a caller, ``_flatten`` of its rows on first use."""
+    field, bound = value._lazy
+    return value._derived("_ids", lambda v: _flatten(getattr(v, field), getattr(v, bound)))
 
 
 def _element_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -316,22 +326,20 @@ def _check_indices(inst: Instance, chosen: Iterable[int]) -> list[int]:
 
 def coverage(inst: Instance, chosen: Iterable[int]) -> int:
     """Number of distinct elements in the chosen sets, read from the
-    instance's rows of ids."""
-    return _union_size(*_id_arrays(inst), _check_indices(inst, chosen))
+    instance's rows of ids by a set union. (The first ``np.unique`` in a
+    process takes 1.3 MB of resident memory.)"""
+    ids, offs = _id_arrays(inst)
+    return len(set().union(*(ids[offs[i] : offs[i + 1]].tolist() for i in _check_indices(inst, chosen))))
 
 
-def _union_size(ids: np.ndarray, offs: np.ndarray, rows: Iterable[int]) -> int:
-    """Number of distinct ids in the given rows of (ids, offsets), by a set
-    union. (The first ``np.unique`` in a process takes 1.3 MB of resident
-    memory.)"""
-    return len(set().union(*(ids[offs[i] : offs[i + 1]].tolist() for i in rows)))
-
-
-def _rows_meeting(ids: np.ndarray, offs: np.ndarray, width: int, chosen: list[int]) -> int:
-    """Number of rows of (ids, offsets), ids in [1, width], that hold an id in
-    ``chosen``, read a block of rows at a time."""
-    member = np.zeros(width + 1, np.bool_)
-    member[chosen] = True
+def _voters_covered(election: ApprovalElection, committee: Iterable[int]) -> int:
+    """Number of voters that a committee, given as 0-based candidate indices,
+    covers: the ballots that approve one of its candidates, read from the
+    election's id arrays a block of ballots at a time. It equals ``coverage``
+    of the same indices in ``election_to_maxcover(election)``."""
+    ids, offs = _id_arrays(election)
+    member = np.zeros(election.num_candidates + 1, np.bool_)
+    member[1:][list(committee)] = True
     met = 0
     for lo, hi in _row_blocks(offs, _BLOCK_BYTES // 2, _BLOCK_BYTES // 32):
         ends = offs[lo : hi + 1] - offs[lo]
@@ -397,10 +405,10 @@ def election_to_maxcover(election: ApprovalElection) -> Instance:
 
     The reduction reads the election's ballots as id arrays: the arrays
     ``parse_election`` kept, or, for an election built by a caller, arrays
-    flattened on the first reduction and kept from then on.
+    flattened on the first reduction and kept from then on. It makes no
+    ballot tuples.
     """
-    ballots = election._derived("_ids", lambda e: _flatten(e.approvals, e.num_candidates))
-    return _reduce(election.num_candidates, election.num_voters, election.committee_size, *ballots)
+    return _reduce(election.num_candidates, election.num_voters, election.committee_size, *_id_arrays(election))
 
 
 def _reduce(width: int, height: int, k: int, ids: np.ndarray, offs: np.ndarray) -> Instance:
@@ -683,12 +691,11 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def parse_election(text: str) -> ApprovalElection:
-    """Parse a 'p approval <candidates> <voters> <k>' document with 'v' ballot lines."""
+    """Parse a 'p approval <candidates> <voters> <k>' document with 'v' ballot
+    lines. The election keeps the ballots' id arrays, and makes its
+    ``approvals`` tuples from them when they are first read."""
     a, b, k, ids, offs = _read_id_document(text, "approval")
-    return _unchecked(
-        ApprovalElection, num_candidates=a, num_voters=b, approvals=_tuples(ids, offs, a), committee_size=k,
-        _ids=(ids, offs),
-    )
+    return _unchecked(ApprovalElection, num_candidates=a, num_voters=b, committee_size=k, _ids=(ids, offs))
 
 
 def parse_graph(text: str) -> Graph:

@@ -20,8 +20,9 @@ import numpy as np
 
 from .core import MAX_HEADER_COUNT, Instance, _id_arrays, _reduce
 
-# Most incidences the tight constructions build; a larger spec is refused
-# before anything is allocated.
+# Most incidences the tight constructions build, and that ``gen_random`` sizes
+# its draw for (n * p_max, since each element joins up to p_max sets); a
+# larger spec is refused before anything is allocated.
 DEFAULT_SIZE_CEILING = 5_000_000
 
 
@@ -167,7 +168,7 @@ def gen_random(n: int, m: int, k: int, p_max: int, seed: int) -> Instance:
     of sets, its size drawn uniformly from [1, p_max]. Deterministic per seed.
 
     n and m may not exceed ``MAX_HEADER_COUNT``, the largest counts a
-    document header may declare."""
+    document header may declare, nor n * p_max ``DEFAULT_SIZE_CEILING``."""
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if max(n, m) > MAX_HEADER_COUNT:
@@ -176,6 +177,8 @@ def gen_random(n: int, m: int, k: int, p_max: int, seed: int) -> Instance:
         raise ValueError(f"p_max must lie in [1, {m}], got {p_max}")
     if k < 0:
         raise ValueError(f"budget must be nonnegative, got {k}")
+    if n * p_max > DEFAULT_SIZE_CEILING:
+        raise ValueError(f"construction needs up to {n * p_max} incidences, above the ceiling {DEFAULT_SIZE_CEILING}")
     rng = np.random.default_rng(seed)
     ids = np.empty(n * p_max, np.min_scalar_type(m))
     offs = np.zeros(n + 1, np.int64)

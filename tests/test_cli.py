@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import maxcover.minnoncovered
-from maxcover import ParseError, brute_force, parse_instance
+from maxcover import ParseError, brute_force, cli, parse_instance
 from maxcover.core import MAX_HEADER_COUNT
 from maxcover.cli import MAX_CURVE_GRID, SOLVERS, curve_points, load_instance_text, main, run_curves
 
@@ -383,6 +383,31 @@ def test_generate_tight_families(tmp_path):
     assert run(["generate", "--family", "tight-fpt", "--p", "2", "--k", "2",
                 "--beta", "0.5", "--out", str(fpt_out)]) == 0
     assert parse_instance(fpt_out.read_text()).m == 20
+
+
+@pytest.mark.parametrize("n", [10**7, 10**5])
+def test_generate_random_refuses_a_draw_above_the_size_ceiling(tmp_path, capsys, n):
+    out = tmp_path / "gen.mc"
+    assert run(["generate", "--family", "random", "--n", str(n), "--m", str(10**7),
+                "--k", "1", "--p-max", str(10**7), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: construction needs up to {n * 10**7} incidences, above the ceiling 5000000\n"
+    )
+    assert not out.exists()
+
+
+def test_approval_documents_load_and_verify_through_the_public_parsers(monkeypatch, tmp_path, capsys):
+    doc, report = tmp_path / "vote.ap", tmp_path / "r.json"
+    doc.write_text("p approval 2 3 1\nv 1\nv 1 2\nv 2\n")
+    calls = []
+    for name in ("parse_election", "election_to_maxcover"):
+        monkeypatch.setattr(cli, name, lambda *a, fn=getattr(cli, name), name=name: calls.append(name) or fn(*a))
+    assert run(["solve", "--alg", "greedy", "--in", str(doc), "--out", str(report)]) == 0
+    assert calls == ["parse_election", "election_to_maxcover"]
+    calls.clear()
+    assert run(["verify", "--in", str(doc), "--sol", str(report)]) == 0
+    assert calls == ["parse_election"]
+    assert capsys.readouterr().out == "ok: 1 sets cover 2/3 elements\n"
 
 
 def test_approval_document_is_reduced(tmp_path, capsys):

@@ -253,36 +253,65 @@ def test_built_masks_and_profile_are_invisible(make):
         assert set_masks(twin) == masks and frequency_profile(twin) == profile
 
 
+def checked_twin(value):
+    """The value that the public constructor builds from the fields."""
+    return type(value)(*(getattr(value, f.name) for f in dataclasses.fields(value)))
+
+
+def budget_raised(value):
+    """``replace`` of the last field, the budget (``k``, ``committee_size``)."""
+    budget = dataclasses.fields(value)[-1].name
+    return dataclasses.replace(value, **{budget: getattr(value, budget) + 1})
+
+
 # What a value shows of itself, read from a fresh value each time.
 VIEWS = [
     repr,
     hash,
     pickle.dumps,
-    lambda inst: pickle.dumps(copy.copy(inst)),
-    lambda inst: pickle.dumps(copy.deepcopy(inst)),
-    lambda inst: pickle.loads(pickle.dumps(inst)) == Instance(inst.n, inst.sets, inst.k),
-    lambda inst: [f.name for f in dataclasses.fields(inst)],
-    lambda inst: repr(dataclasses.replace(inst, k=inst.k + 1)),
-    lambda inst: (inst.m, inst.effective_budget),
+    lambda value: pickle.dumps(copy.copy(value)),
+    lambda value: pickle.dumps(copy.deepcopy(value)),
+    lambda value: pickle.loads(pickle.dumps(value)) == checked_twin(value),
+    lambda value: [f.name for f in dataclasses.fields(value)],
+    lambda value: repr(budget_raised(value)),
 ]
 
 # Every builder of SOURCES, and the CLI's approval load, which reduces the
 # parser's arrays.
 LAZY_SOURCES = SOURCES + [lambda: load_instance_text(APPROVAL_EXAMPLE)]
 
+# A parsed election, one whose ballots share their ints (more ids than
+# candidates, and candidates past 256), and a caller-built one.
+ELECTION_SOURCES = [
+    lambda: parse_election(APPROVAL_EXAMPLE),
+    lambda: parse_election(f"p approval 300 3 2\nv {' '.join(map(str, range(1, 301)))}\nv 300 299\nv\n"),
+    lambda: ApprovalElection(3, 4, ((1, 2), (), (3,), (1, 3)), 2),
+]
 
-@pytest.mark.parametrize("make", LAZY_SOURCES)
-def test_sets_read_first_or_later_give_the_same_value(make):
+
+def assert_read_first_or_later_give_the_same_value(make, field, views):
     def read_first():
-        inst = make()
-        inst.sets
-        return inst
+        value = make()
+        getattr(value, field)
+        return value
 
     plain = read_first()
     assert make() == plain and plain == make()
-    for view in VIEWS:
+    for view in views:
         assert view(make()) == view(read_first())
-    assert set(copy.copy(make()).__dict__) == {"n", "sets", "k"}
+    assert set(copy.copy(make()).__dict__) == {f.name for f in dataclasses.fields(plain)}
+
+
+@pytest.mark.parametrize("make", LAZY_SOURCES)
+def test_sets_read_first_or_later_give_the_same_value(make):
+    views = VIEWS + [lambda inst: (inst.m, inst.effective_budget)]
+    assert_read_first_or_later_give_the_same_value(make, "sets", views)
+
+
+@pytest.mark.parametrize("make", ELECTION_SOURCES)
+def test_approvals_read_first_or_later_give_the_same_value(make):
+    views = VIEWS + [lambda election: election_to_maxcover(election)]
+    assert_read_first_or_later_give_the_same_value(make, "approvals", views)
 
 
 def test_sets_are_built_on_first_read_only_for_arrays():
@@ -297,6 +326,21 @@ def test_sets_are_built_on_first_read_only_for_arrays():
         assert inst.sets is inst.sets
     with pytest.raises(AttributeError, match="has no attribute 'missing'"):
         SOURCES[0]().missing
+
+
+def test_approvals_are_built_on_first_read_only_for_arrays():
+    # The parser's election holds its ballots' id arrays, and neither the
+    # reduction nor a look at its counts makes the tuples.
+    for make in ELECTION_SOURCES:
+        election = make()
+        caller_built = "_ids" not in election.__dict__
+        assert ("approvals" in election.__dict__) == caller_built
+        election_to_maxcover(election), election.num_voters, election.committee_size
+        assert ("approvals" in election.__dict__) == caller_built
+        assert election.approvals is election.approvals
+    assert parse_election(APPROVAL_EXAMPLE).approvals == ((1, 2), (), (3,), (1, 3))
+    with pytest.raises(AttributeError, match="'ApprovalElection' object has no attribute 'sets'"):
+        parse_election(APPROVAL_EXAMPLE).sets
 
 
 def test_reduced_election_is_unchanged():

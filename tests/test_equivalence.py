@@ -516,27 +516,32 @@ def test_approval_load_peak_stays_within_the_appending_reduction():
 
 
 def test_approval_load_peak_stays_within_parse_and_reduction():
-    # The public route keeps the ballot tuples on its election; the load
-    # makes none, so it may not peak higher.
+    # The reference is the route the load replaced: the reader's arrays
+    # reduced with no election. The load may hold more than that only by its
+    # election object and the election's dict.
     text = approval_text(random.Random(12), 100, 12000, 10, 40, lo=20)
+    reference, _ = peak_bytes(lambda: core._reduce(*core._read_id_document(text, "approval")))
     peak, _ = peak_bytes(lambda: load_instance_text(text))
-    public, _ = peak_bytes(lambda: election_to_maxcover(parse_election(text)))
-    assert peak <= public
+    assert peak <= reference + 4096
 
 
-def test_cli_approval_load_builds_no_election(monkeypatch, tmp_path):
+def test_cli_approval_load_builds_no_ballot_tuples(monkeypatch, tmp_path):
     text = approval_text(random.Random(16), 30, 400, 4, 8)
-    expected = election_to_maxcover(parse_election(text))
+    election = ApprovalElection(*loop_parse_election(text))
+    expected = Instance(election.num_voters, appended_election_to_maxcover(election), election.committee_size)
     doc, report = tmp_path / "election.txt", tmp_path / "report.json"
     doc.write_text(text)
     built = []
     unchecked = core._unchecked
     monkeypatch.setattr(core, "_unchecked", lambda cls, *a, **kw: built.append(cls) or unchecked(cls, *a, **kw))
-    monkeypatch.setattr(ApprovalElection, "__post_init__", lambda self: pytest.fail("built an election"))
-    assert load_instance_text(text) == expected
+    monkeypatch.setattr(ApprovalElection, "__post_init__", lambda self: pytest.fail("checked an election"))
+    monkeypatch.setattr(core, "_tuples", lambda *a: pytest.fail("built ballot tuples"))
+    inst = load_instance_text(text)
     assert main(["solve", "--alg", "greedy", "--in", str(doc), "--out", str(report)]) == 0
     assert main(["verify", "--in", str(doc), "--sol", str(report)]) == 0
-    assert built and ApprovalElection not in built
+    assert ApprovalElection in built
+    monkeypatch.undo()
+    assert inst == expected
 
 
 def test_mask_build_peak_stays_within_the_flag_row_build():

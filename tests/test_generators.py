@@ -186,6 +186,9 @@ def test_gen_random_validation():
         gen_random(n=5, m=3, k=1, p_max=4, seed=0)
     with pytest.raises(ValueError, match="positive"):
         gen_random(n=0, m=3, k=1, p_max=1, seed=0)
+    # Refused before the draw's n * p_max ids are allocated.
+    with pytest.raises(ValueError, match="^construction needs up to 5000001 incidences, above the ceiling 5000000$"):
+        gen_random(n=5000001, m=3, k=1, p_max=1, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,3 +22,18 @@ def test_all_names_resolve_and_match_the_imports():
     for name in maxcover.__all__:
         assert hasattr(maxcover, name), name
     assert set(maxcover.__all__) == imported_public_names()
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    for path in sorted(Path(maxcover.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # imports its names to export them
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - read, (path.name, sorted(imported - read))
