@@ -191,7 +191,10 @@ def _hybrid(report, args) -> tuple:
 
 # Solver id -> (required flags, checked in order as args.<flag minus "--">;
 # runner), in --help order. Runners look the solvers up as module globals when
-# called, so a caller that patches those names, as the benchmark's tracer does, sees them.
+# called, and ``main`` looks up each command's handler (``run_solve``,
+# ``run_verify``, ...) the same way, by the name its parser stores; so a caller
+# that patches those names, as the benchmark's tracer does, sees them although
+# the parser is built once a process.
 SOLVERS = {
     "exact": ((), lambda inst, args: (brute_force(inst, args.ceiling).solution, 1.0, {})),
     "greedy": ((), _run_greedy),
@@ -269,6 +272,8 @@ def run_generate(args) -> int:
 def run_compare(args) -> int:
     inst = load_instance_text(_read(args.infile))
     algs = [a.strip() for a in args.algs.split(",") if a.strip()]
+    if not algs:
+        raise ValueError(f"--algs names no algorithm, expected one of {tuple(SOLVERS)}")
     for alg in algs:
         if alg not in SOLVERS:
             raise ValueError(f"unknown algorithm '{alg}', expected one of {tuple(SOLVERS)}")
@@ -380,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--in", dest="infile", required=True, help="instance, approval, or graph document")
     solve.add_argument("--out", help="report path (default: stdout)")
     _add_solver_flags(solve)
-    solve.set_defaults(func=run_solve)
+    solve.set_defaults(handler="run_solve")
 
     generate = sub.add_parser("generate", help="write an instance document")
     generate.add_argument("--family", required=True, choices=("random", "tight-greedy", "tight-fpt", "graph"))
@@ -393,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--in", dest="infile", help="graph document (family graph)")
     generate.add_argument("--out", help="output path (default: stdout)")
-    generate.set_defaults(func=run_generate)
+    generate.set_defaults(handler="run_generate")
 
     compare = sub.add_parser("compare", help="run several algorithms on one instance, emit CSV")
     compare.add_argument("--algs", required=True, help="comma separated algorithm list")
     compare.add_argument("--in", dest="infile", required=True)
     compare.add_argument("--out", help="CSV path (default: stdout)")
     _add_solver_flags(compare)
-    compare.set_defaults(func=run_compare)
+    compare.set_defaults(handler="run_compare")
 
     curves = sub.add_parser("curves", help="emit the guarantee-curve comparison CSV")
     curves.add_argument("--k", type=int, default=1, help="budget; the curves depend only on x/k")
@@ -408,21 +413,28 @@ def build_parser() -> argparse.ArgumentParser:
     curves.add_argument("--grid", type=int, default=101)
     curves.add_argument("--alg5-form", dest="alg5_form", choices=("maxcover", "vertexcover"), default="vertexcover")
     curves.add_argument("--out", help="CSV path (default: stdout)")
-    curves.set_defaults(func=run_curves_cmd)
+    curves.set_defaults(handler="run_curves_cmd")
 
     verify = sub.add_parser("verify", help="recount a report against an instance")
     verify.add_argument("--in", dest="infile", required=True)
     verify.add_argument("--sol", required=True, help="JSON report to check")
-    verify.set_defaults(func=run_verify)
+    verify.set_defaults(handler="run_verify")
 
     return parser
 
 
+# The parser ``main`` builds on its first call and reuses: building one takes
+# about ten times as long as a parse.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (ParseError, UnicodeDecodeError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -307,7 +307,12 @@ def _pack(n: int, ids: np.ndarray, offs: np.ndarray) -> list[int]:
 
 def set_masks(inst: Instance) -> list[int]:
     """One bitmask per set; bit e-1 represents element e. The masks are
-    built once per instance; each call returns a new list of them."""
+    built once per instance; each call returns a new list of them. Refuses
+    with ValueError, before it allocates, a family whose masks would take
+    more than ``MAX_MASK_BYTES``."""
+    size = inst.m * ((inst.n + 7) // 8)
+    if size > MAX_MASK_BYTES:
+        raise ValueError(f"masks need {size} bytes, above the ceiling {MAX_MASK_BYTES}")
     return list(inst._derived("_masks", lambda inst: tuple(_pack(inst.n, *_id_arrays(inst)))))
 
 
@@ -475,6 +480,11 @@ def pad_frequencies(inst: Instance, p: int) -> Instance:
 # mask build, the frequency profile and the reductions allocate in proportion
 # to these counts, so a larger header is a ParseError before any allocation.
 MAX_HEADER_COUNT = 10**7
+
+# Largest mask build, m * ceil(n / 8) bytes, that ``set_masks`` accepts. A
+# header within the counts above may still declare a family whose masks take
+# gigabytes: 10**4 one-element sets at n = 10**7 need 1.25 * 10**10 bytes.
+MAX_MASK_BYTES = 1 << 30
 
 # Byte budget of the record reader: the text is split into lines about this
 # many bytes at a time, each piece ending just after a newline, and lines are

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -66,6 +67,49 @@ def _nth_uncovered(covered: int, count: int, r: int) -> int:
     return lo
 
 
+def _bounded_draws(bitgen: np.random.PCG64):
+    """A function ``draw(bound)`` returning, call for call, the values that
+    ``np.random.Generator(bitgen).integers(bound)`` would, read from the
+    stream's raw words by numpy's own rule.
+
+    A bound of 1 gives 0 and draws nothing. A bound up to 2**32 runs Lemire's
+    method on 32-bit draws: as PCG64's ``next_uint32`` does, a draw takes the
+    low half of a fresh word and keeps its high half for the next 32-bit draw.
+    A larger bound runs Lemire's method on a whole fresh word.
+    """
+    # Sixteen words a read: a benchmark repetition draws some tens of 32-bit
+    # halves, and a ``random_raw`` call costs about as much as an
+    # ``integers`` call whatever it returns.
+    words = chain.from_iterable(iter(lambda: bitgen.random_raw(16).tolist(), None))
+    half = None  # the high half of the last word a 32-bit draw split
+
+    def draw(bound: int) -> int:
+        nonlocal half
+        if bound == 1:
+            return 0
+        # Lemire's method rejects exactly the products whose low bits fall
+        # below 2**bits % bound.
+        if bound > 1 << 32:
+            threshold = (1 << 64) % bound
+            while True:
+                m = next(words) * bound
+                if m & 0xFFFFFFFFFFFFFFFF >= threshold:
+                    return m >> 64
+        threshold = (1 << 32) % bound
+        while True:
+            if half is None:
+                x = next(words)
+                half = x >> 32
+                x &= 0xFFFFFFFF
+            else:
+                x, half = half, None
+            m = x * bound
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    return draw
+
+
 def randomized_min_noncovered(
     inst: Instance, p: int, beta: float, epsilon: float, seed: int,
     ceiling: int = DEFAULT_CEILING,
@@ -73,7 +117,9 @@ def randomized_min_noncovered(
     """Best of repetition_count(beta, epsilon, k) randomized depth-k searches.
 
     Deterministic per (instance, parameters, seed): repetition i uses the
-    PCG64 stream derived from SeedSequence(seed, spawn_key=(i,)). A branch
+    PCG64 stream derived from SeedSequence(seed, spawn_key=(i,)), and each
+    sample is the value ``Generator.integers`` would draw on it, read from
+    the stream's raw words by ``_bounded_draws`` without a Generator. A branch
     that covers everything returns early; ties on uncovered counts keep the
     earlier candidate, both across branches and across repetitions, so a
     repetition's result is the first leaf, in depth-first order, that covers
@@ -102,8 +148,7 @@ def randomized_min_noncovered(
     best_solution: Solution | None = None
     per_rep: list[int] = []
     for rep in range(reps):
-        stream = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
-        rng = np.random.Generator(np.random.PCG64(stream))
+        draw = _bounded_draws(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
         # Nodes pop, and draw, in depth-first order; children with no picks
         # left are leaves, read in order where they are made.
         best_chosen, best_count = (), -1
@@ -113,7 +158,7 @@ def randomized_min_noncovered(
             count = covered.bit_count()
             if depth and count < inst.n:
                 samples += 1
-                e = _nth_uncovered(covered, count, int(rng.integers(inst.n - count)) + 1)
+                e = _nth_uncovered(covered, count, draw(inst.n - count) + 1)
                 kids = owners[e - 1]
                 if kids and depth > 1:
                     stack += [(depth - 1, chosen + (i,), covered | masks[i]) for i in reversed(kids)]

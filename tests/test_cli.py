@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -354,6 +358,56 @@ def test_compare_rejects_unknown_algorithm(inst_file):
     assert run(["compare", "--algs", "exact,magic", "--in", inst_file]) == 2
 
 
+@pytest.mark.parametrize("algs", [",", "", " , ,"])
+def test_compare_refuses_an_empty_algorithm_list(inst_file, tmp_path, capsys, monkeypatch, algs):
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli, "_oracle_opt", no_oracle)
+    out = tmp_path / "rows.csv"
+    assert run(["compare", "--algs", algs, "--in", inst_file, "--with-opt", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --algs names no algorithm, expected one of {tuple(SOLVERS)}\n"
+    assert not out.exists()
+    # The document is loaded first: a malformed one is still exit 1.
+    bad = tmp_path / "bad.mc"
+    bad.write_text("p maxcover 2 1\n")
+    assert run(["compare", "--algs", algs, "--in", str(bad)]) == 1
+
+
+def test_the_parser_is_built_once_a_process(inst_file, monkeypatch, capsys):
+    builds = []
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda fn=cli.build_parser: builds.append(1) or fn())
+    assert run(["solve", "--alg", "greedy", "--in", inst_file]) == 0
+    assert run(["curves", "--grid", "3"]) == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("run_solve", ["solve", "--alg", "greedy", "--in", "x.mc"]),
+    ("run_verify", ["verify", "--in", "x.mc", "--sol", "r.json"]),
+])
+def test_handlers_are_looked_up_when_called(inst_file, monkeypatch, capsys, name, argv):
+    # A patch made after the parser is built, as the benchmark's tracer
+    # makes, is the handler that runs.
+    assert run(["curves", "--grid", "3"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, name, lambda args: seen.append(args.command) or 7)
+    assert run(argv) == 7
+    assert seen == [argv[0]]
+
+
+def test_an_argparse_error_leaves_the_parser_usable(inst_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "--alg", "magic", "--in", inst_file])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit):
+        run(["solve"])
+    capsys.readouterr()
+    assert run(["solve", "--alg", "greedy", "--in", inst_file]) == 0
+    assert json.loads(capsys.readouterr().out)["covered"] == 4
+
+
 def test_generate_random_roundtrip(tmp_path, capsys):
     out = tmp_path / "gen.mc"
     assert run(["generate", "--family", "random", "--n", "10", "--m", "5",
@@ -393,6 +447,25 @@ def test_generate_random_refuses_a_draw_above_the_size_ceiling(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: construction needs up to {n * 10**7} incidences, above the ceiling 5000000\n"
     )
+    assert not out.exists()
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_a_mask_build_above_the_ceiling_is_refused_before_it_allocates(tmp_path):
+    # 10**4 sets of one element at n = 10**7: a 110 KB document whose masks
+    # would take 1.25 * 10**10 bytes.
+    doc, out = tmp_path / "wide.mc", tmp_path / "r.json"
+    doc.write_text("p maxcover 10000000 10000 1\n" + "s 10000000\n" * 10**4)
+    done = subprocess.run(
+        [sys.executable, "-m", "maxcover.cli", "solve", "--alg", "exact", "--in", str(doc), "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=limit_address_space, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: masks need 12500000000 bytes, above the ceiling 1073741824\n"
     assert not out.exists()
 
 

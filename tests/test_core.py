@@ -363,6 +363,16 @@ def test_mutating_the_returned_masks_changes_no_later_result():
     assert set_masks(inst) is not set_masks(inst)
 
 
+def test_set_masks_refuses_a_build_above_the_ceiling(monkeypatch):
+    # Three sets of ceil(17 / 8) = 3 bytes: 9 bytes of masks.
+    inst = Instance.of(17, [[1], [17], []], 1)
+    monkeypatch.setattr(maxcover.core, "MAX_MASK_BYTES", 8)
+    with pytest.raises(ValueError, match="^masks need 9 bytes, above the ceiling 8$"):
+        set_masks(inst)
+    monkeypatch.setattr(maxcover.core, "MAX_MASK_BYTES", 9)
+    assert set_masks(inst) == [1, 1 << 16, 0]
+
+
 def test_threads_racing_to_build_masks_and_profile_read_one_value():
     plain = maxcover.gen_random(3000, 60, 5, 3, 1)
     want = (set_masks(plain), frequency_profile(plain), plain.sets)

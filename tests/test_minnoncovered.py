@@ -3,17 +3,21 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import maxcover.minnoncovered
-from maxcover.minnoncovered import _nth_uncovered
+from maxcover.minnoncovered import RandomizedRun, _bounded_draws, _nth_uncovered
 from maxcover import (
     EnumerationCeilingError,
     Instance,
+    Solution,
     brute_force,
     gen_random,
+    graph_to_maxvertexcover,
     randomized_min_noncovered,
     repetition_count,
+    set_masks,
 )
 from helpers import random_instance, unpacked_nth_uncovered
 
@@ -204,3 +208,87 @@ def test_rejects_bad_inputs():
         randomized_min_noncovered(inst, 2, 2.0, 0.1, seed=-1)
     with pytest.raises(ValueError, match="frequency bound"):
         randomized_min_noncovered(inst, 0, 2.0, 0.1, seed=0)
+
+
+# Bounds on both sides of every branch of numpy's bounded rule: no draw at 1,
+# 32-bit Lemire up to 2**32 (3 * 2**30 rejects a third of its draws), and
+# 64-bit Lemire above.
+DRAW_BOUNDS = [1, 2, 3, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 5, 2**63 - 1]
+
+
+def test_draws_equal_the_generator_values_on_one_stream():
+    """The draws read from raw words equal ``Generator.integers`` value for
+    value, 32-bit and 64-bit bounds mixed on one stream. Should a numpy
+    release change its bounded-integer rule, this test fails first, and
+    names the cause the pinned digests would only show as a change."""
+    pick = random.Random(5)
+    for seed in range(200):
+        bounds = [pick.choice(DRAW_BOUNDS) for _ in range(150)]
+        want = np.random.Generator(np.random.PCG64(seed))
+        draw = _bounded_draws(np.random.PCG64(seed))
+        assert [draw(b) for b in bounds] == [int(want.integers(b)) for b in bounds], seed
+
+
+def generator_loop(inst, p, beta, epsilon, seed):
+    """The search as written with one ``np.random.Generator`` a repetition,
+    drawing each sample with ``rng.integers``: the reference the raw-word
+    draws must reproduce."""
+    reps = repetition_count(beta, epsilon, inst.k)
+    masks = set_masks(inst)
+    owners = [[] for _ in range(inst.n)]
+    for i, s in enumerate(inst.sets):
+        for e in s:
+            owners[e - 1].append(i)
+    best, per_rep, samples = None, [], 0
+    for rep in range(reps):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
+        best_chosen, best_count = (), -1
+        stack = [(inst.k, (), 0)]
+        while stack:
+            depth, chosen, covered = stack.pop()
+            count = covered.bit_count()
+            if depth and count < inst.n:
+                samples += 1
+                e = _nth_uncovered(covered, count, int(rng.integers(inst.n - count)) + 1)
+                kids = owners[e - 1]
+                if kids and depth > 1:
+                    stack += [(depth - 1, chosen + (i,), covered | masks[i]) for i in reversed(kids)]
+                    continue
+                for i in kids:
+                    kid_count = (covered | masks[i]).bit_count()
+                    if kid_count > best_count:
+                        best_chosen, best_count = chosen + (i,), kid_count
+                if kids:
+                    continue
+            if count > best_count:
+                best_chosen, best_count = chosen, count
+        per_rep.append(inst.n - best_count)
+        if best is None or inst.n - best_count < best.uncovered:
+            best = Solution(tuple(sorted(best_chosen)), best_count, inst.n - best_count)
+    return RandomizedRun(reps, best, tuple(per_rep), seed, samples)
+
+
+def graph_instance(seed):
+    rand = random.Random(seed)
+    edges = sorted({tuple(sorted(rand.sample(range(1, 31), 2))) for _ in range(60)})
+    return graph_to_maxvertexcover(30, edges, 4)
+
+
+@pytest.mark.parametrize("family", ["p1", "p2", "p3", "p4", "graph"])
+def test_runs_equal_the_generator_loop(family):
+    for seed in (0, 1, 7, 2**64 - 1):
+        if family == "graph":
+            inst, p = graph_instance(seed % 5), 2
+        else:
+            p = int(family[1])
+            inst = gen_random(n=60, m=25, k=4, p_max=p, seed=seed % 5)
+        assert randomized_min_noncovered(inst, p, 2.0, 0.1, seed) == generator_loop(inst, p, 2.0, 0.1, seed)
+
+
+def test_no_generator_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Generator was built")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    inst = gen_random(n=40, m=15, k=3, p_max=3, seed=2)
+    assert randomized_min_noncovered(inst, 3, 2.0, 0.1, seed=3).samples > 0
