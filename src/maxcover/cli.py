@@ -18,6 +18,7 @@ from functools import partial
 from .core import (
     Instance,
     ParseError,
+    _id_arrays,
     _voters_covered,
     coverage,
     document_kind,
@@ -114,17 +115,24 @@ def run_curves(k: int, beta_a: float, grid: int, alg5_form: str = "vertexcover")
 def load_instance_text(text: str) -> Instance:
     """Parse any supported document; approval and graph inputs are reduced.
     An approval document goes through ``parse_election`` and
-    ``election_to_maxcover``, which reduce the parser's id arrays and make no
-    ballot tuples."""
+    ``election_to_maxcover``, and a graph document through ``parse_graph``
+    and ``graph_to_maxvertexcover``, which reduce the parser's id arrays and
+    make no ballot or edge tuples."""
     kind = document_kind(text)
     if kind == "maxcover":
         return parse_instance(text)
     if kind == "approval":
         return election_to_maxcover(parse_election(text))
     if kind == "graph":
-        g = parse_graph(text)
-        return graph_to_maxvertexcover(g.num_vertices, g.edges, g.k)
+        return _graph_instance(text)
     raise ParseError(f"unknown document kind '{kind}'")
+
+
+def _graph_instance(text: str) -> Instance:
+    """The reduction of a graph document, from the edge arrays that
+    ``parse_graph`` keeps; no edge becomes a tuple."""
+    g = parse_graph(text)
+    return graph_to_maxvertexcover(g.num_vertices, _id_arrays(g)[0].reshape(-1, 2), g.k)
 
 
 def _read(path: str) -> str:
@@ -263,8 +271,7 @@ def run_generate(args) -> int:
             TightFptSpec(p=need(args.p, "--p"), k=need(args.k, "--k"), beta=need(args.beta, "--beta"))
         )
     else:  # graph, the last of the --family choices
-        g = parse_graph(_read(need(args.infile, "--in")))
-        inst = graph_to_maxvertexcover(g.num_vertices, g.edges, g.k)
+        inst = _graph_instance(_read(need(args.infile, "--in")))
     _write(args.out, serialize_instance(inst))
     return 0
 

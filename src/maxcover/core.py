@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -166,12 +165,16 @@ class ApprovalElection(_Derived):
 
 
 @dataclass(frozen=True)
-class Graph:
-    """Undirected edge list with a vertex budget, as read from 'p graph' files."""
+class Graph(_Derived):
+    """Undirected edge list with a vertex budget, as read from 'p graph' files.
+    A graph that ``parse_graph`` reads keeps its edges' id arrays, two ids a
+    row, and makes its ``edges`` tuples from them when they are first read."""
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     k: int
+
+    _lazy = ("edges", "num_vertices")
 
 
 def _unchecked(cls, **values):
@@ -461,14 +464,14 @@ def pad_frequencies(inst: Instance, p: int) -> Instance:
     """
     if p < 1:
         raise ValueError(f"target frequency bound must be positive, got {p}")
-    profile = frequency_profile(inst)
-    for e, f in enumerate(profile.freq, start=1):
-        if f == 0:
-            raise ValueError(f"element {e} belongs to no set and cannot be padded")
-    singles: list[tuple[int, ...]] = []
-    for e in range(1, inst.n + 1):
-        singles.extend([(e,)] * (p - 1))
-    return Instance(inst.n, inst.sets + tuple(singles), inst.k)
+    freq = frequency_profile(inst).freq
+    if 0 in freq:
+        raise ValueError(f"element {freq.index(0) + 1} belongs to no set and cannot be padded")
+    ids, offs = _id_arrays(inst)
+    singles = np.repeat(np.arange(1, inst.n + 1, dtype=ids.dtype), p - 1)
+    ids = np.concatenate((ids, singles))
+    offs = np.concatenate((offs, offs[-1] + np.arange(1, len(singles) + 1)))
+    return _unchecked(Instance, n=inst.n, k=inst.k, _ids=(ids, offs))
 
 
 # ---------------------------------------------------------------------------
@@ -486,25 +489,26 @@ MAX_HEADER_COUNT = 10**7
 # gigabytes: 10**4 one-element sets at n = 10**7 need 1.25 * 10**10 bytes.
 MAX_MASK_BYTES = 1 << 30
 
-# Byte budget of the record reader: the text is split into lines about this
-# many bytes at a time, each piece ending just after a newline, and lines are
-# read in batches of about this many bytes of text (or one line, when that is
-# longer), so that no temporary grows with the document, and a reader that
-# stops early splits no more than it reads.
-_CHUNK_BYTES = 1 << 15
+# Byte budget of the document reader: it takes the text in blocks of about
+# this many characters, each ending just after a newline, and encodes and
+# decodes one block at a time, so that no temporary grows with the document.
+# Its temporaries take up to about 16 bytes a character: 64 KiB blocks read
+# about a tenth faster, but raise the peak of an approval-12k load by a quarter.
+_READ_BYTES = 1 << 15
 
 
 def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
     ln = start = 0
+    size = 64  # doubles up to _READ_BYTES, so that a reader of the first lines splits little more
     while start < len(text):
         # A piece ends after a newline, which ends a line (alone or in
         # "\r\n"), so its lines are those of the whole text.
-        end = text.find("\n", start + _CHUNK_BYTES) + 1 or len(text)
+        end = text.find("\n", start + min(size, _READ_BYTES)) + 1 or len(text)
         for ln, raw in enumerate(text[start:end].splitlines(), start=ln + 1):
             line = raw.strip()
             if line and line != "c" and not line.startswith("c "):
                 yield ln, line
-        start = end
+        start, size = end, 2 * size
 
 
 def _int_token(token: str, ln: int) -> int:
@@ -540,32 +544,6 @@ def document_kind(text: str) -> str:
     raise ParseError("empty document", 1)
 
 
-def _read_records(text: str, kind: str, what: str, read_lines) -> tuple[int, int, int, list]:
-    """Header counts (a, b, k) of a 'p <kind>' document and what ``read_lines``
-    gave for its b records, a batch at a time; no content may follow the last
-    record.
-
-    ``read_lines(batch, a)`` reads a batch of (line number, line) pairs, one
-    record a line: about _CHUNK_BYTES of text, or one longer line.
-    """
-    lines = _significant_lines(text)
-    a, b, k = _parse_header(lines, kind)
-    batches, batch, size, found = [], [], 0, 0
-    for found, ln_line in enumerate(islice(lines, b), start=1):
-        batch.append(ln_line)
-        size += len(ln_line[1])
-        if size >= _CHUNK_BYTES:
-            batches.append(read_lines(batch, a))
-            batch, size = [], 0
-    if batch:
-        batches.append(read_lines(batch, a))
-    if found < b:
-        raise ParseError(f"expected {b} {what} lines, found {found}")
-    for ln, line in lines:
-        raise ParseError(f"unexpected content '{line}'", ln)
-    return a, b, k, batches
-
-
 def _read_ids(tag: str, what: str, out_of_range, tokens: list[str], ln: int, bound: int) -> tuple[int, ...]:
     """Sorted distinct ids of a '<tag> <id> ...' line, each in [1, bound].
 
@@ -583,103 +561,144 @@ def _read_ids(tag: str, what: str, out_of_range, tokens: list[str], ln: int, bou
     return tuple(sorted(ids))
 
 
+def _read_edge(tokens: list[str], ln: int, num_vertices: int) -> tuple[int, int]:
+    """The two ids of an 'e <u> <v>' line, in line order, each in [1, num_vertices]."""
+    if tokens[0] != "e" or len(tokens) != 3:
+        raise ParseError("expected an edge line 'e <u> <v>'", ln)
+    u, v = _int_token(tokens[1], ln), _int_token(tokens[2], ln)
+    for w in (u, v):
+        if not 1 <= w <= num_vertices:
+            raise ParseError(f"vertex id {w} out of range [1, {num_vertices}]", ln)
+    return u, v
+
+
 # Longest id the array pass reads; every id of at most this many digits fits
-# an int32. A longer id sends its line to ``_read_ids``.
+# an int32. A longer id sends its line to the per-line check.
 _MAX_ID_DIGITS = 9
 
+# Record tag, record name and the wording of an out-of-range id of each
+# document kind; an edge line ('e') has a check of its own, ``_read_edge``.
+_RECORDS = {
+    "maxcover": ("s", "set", lambda e, n: f"element id {e} " + ("must be at least 1" if e < 1 else f"exceeds n={n}")),
+    "approval": ("v", "ballot", lambda c, bound: f"candidate id {c} out of range [1, {bound}]"),
+    "graph": ("e", "edge", None),
+}
 
-def _read_id_lines(
-    tag: str, what: str, out_of_range, batch: list[tuple[int, str]], bound: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (ids, offsets) of ``_read_ids`` of every line of a batch, as
-    ``_flatten`` gives them, read in whole-array passes.
 
-    A canonical line (the tag, then only ASCII digits and spaces, every id of
-    at most _MAX_ID_DIGITS digits and in [1, bound]) is read from the batch's
-    bytes: digit runs are the ids, and the batch is sorted and deduplicated
-    only if one of its lines needs it. Any other line goes to ``_read_ids``,
-    which words the error. Canonical lines cannot fail, and the others are
-    settled in line order, so the first offender is the one reported.
+def _block_lines(block: str, tag: str, bound: int) -> tuple[np.ndarray, ...]:
+    """The lines of a block of text that ends just after a newline, or at the
+    end of the text, read in whole-array passes over its bytes: ``nl``, where
+    line i is block[nl[i] : nl[i + 1]] with its line end; the lines to read
+    on their own; the canonical record lines; and their ids and id counts,
+    each set's or ballot's sorted and distinct, each edge's as written.
+
+    A canonical record is the tag, then only ASCII digits and spaces, every
+    id of at most _MAX_ID_DIGITS digits and in [1, bound], and an edge's
+    exactly two. Blank lines, and comments with no control byte, line break
+    or character that is not ASCII, are neither. A "\r" before a newline
+    ends a line with it.
     """
     # A newline before and after every line; the trailing spaces keep the
     # digit reads of the last id inside the buffer.
-    blob = "\n".join(["", *[line for _, line in batch], ""]) + " " * _MAX_ID_DIGITS
-    buf = np.frombuffer(blob.encode("ascii", "replace"), np.uint8)
-    nl = np.flatnonzero(buf == 10)
+    tail = "" if block.endswith("\n") else "\n"
+    buf = np.frombuffer(("\n" + block + tail + " " * _MAX_ID_DIGITS).encode("ascii", "replace"), np.uint8)
+    nl = np.flatnonzero(buf == 10)  # line i is buf[nl[i] + 1 : nl[i + 1]], before its newline
     starts = nl[:-1] + 1
-    digit = buf - 48 < 10  # uint8 arithmetic wraps the bytes below '0'
-    ok = digit | (buf == 32) | (buf == 10)
-    ok[starts] = buf[starts] == ord(tag)
-    ok[starts + 1] &= ~digit[starts + 1]  # 's1' is not the tag 's'
-    bad = np.logical_or.reduceat(~ok, starts)
-    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
-    first, width = edges[0::2], edges[1::2] - edges[0::2]
-    ids = np.zeros(len(first), np.int32)
-    for j in range(min(int(width.max(initial=0)), _MAX_ID_DIGITS)):
-        ids = np.where(j < width, ids * 10 + (buf[first + j] - 48), ids)
+    d = buf - 48  # a digit's value; uint8 arithmetic wraps any other byte to 10 or more
+    digit = d < 10
+    plain = (buf == 32) | (buf == 10)
+    plain[nl[buf[nl - 1] == 13] - 1] = True  # a "\r" before a newline
+    e = np.flatnonzero(digit[1:] != digit[:-1])
+    e0, width = e[0::2], e[1::2] - e[0::2]  # digit run r is buf[e0[r] + 1 :][: width[r]]
+    count = np.diff(np.searchsorted(e0, nl))  # line i holds count[i] runs
+    other = ~(plain | digit)
+    other[starts] = False
+    word = np.logical_or.reduceat(other, starts)  # a byte past the first that is no digit, space or newline
+    lead = buf[starts]
+    canon = ~word & (lead == ord(tag)) & ~digit[starts + 1] & ((count == 2) | (tag != "e"))  # 's1' is no tag
+    skip = ~word & (count == 0) & plain[starts]  # blank
+    if (lead == 99).any():  # 'c' or 'c ...'
+        odd = ((buf < 32) & ~plain) | (buf == 63)  # control bytes, line breaks among them, and '?' for non-ASCII
+        skip |= (lead == 99) & plain[starts + 1] & ~np.logical_or.reduceat(odd, starts)
+    ids = d[1:][e0].astype(np.int32)
+    for j in range(1, min(int(width.max(initial=0)), _MAX_ID_DIGITS)):
+        ids += (j < width) * (ids * 9 + d[1 + j :][e0])  # ten times the id plus its next digit, if it has one
     ids[width > _MAX_ID_DIGITS] = 0  # out of range, like any id below 1
-    offs = np.searchsorted(first, nl)  # the ids of line i are ids[offs[i]:offs[i + 1]]
-    id_line = np.repeat(np.arange(len(batch)), np.diff(offs))
-    bad[id_line[(ids < 1) | (ids > bound)]] = True
-    if ((ids[1:] <= ids[:-1]) & (id_line[1:] == id_line[:-1])).any():
-        key = np.sort(id_line << 30 | ids)
+    line = np.repeat(np.arange(len(starts)), count)  # the line of each id
+    canon[line[(ids < 1) | (ids > bound)]] = False
+    rows = np.flatnonzero(canon)
+    if len(rows) < len(starts):
+        keep = np.repeat(canon, count)
+        ids, line = ids[keep], line[keep]
+    count = count[rows]
+    if tag != "e" and ((ids[1:] <= ids[:-1]) & (line[1:] == line[:-1])).any():
+        key = np.sort(line << 30 | ids)
         key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-        ids, offs = key & (1 << 30) - 1, np.searchsorted(key >> 30, np.arange(len(batch) + 1))
-    bad = np.flatnonzero(bad).tolist()
-    if not bad:
-        return ids.astype(np.min_scalar_type(bound)), offs
-    rows = np.split(ids, offs[1:-1])  # a view of each line's ids
-    for i in bad:
-        ln, line = batch[i]
-        rows[i] = _read_ids(tag, what, out_of_range, line.split(), ln, bound)
-    return _flatten(rows, bound)
-
-
-_read_sets = partial(
-    _read_id_lines, "s", "set",
-    lambda e, n: f"element id {e} must be at least 1" if e < 1 else f"element id {e} exceeds n={n}",
-)
-_read_ballots = partial(
-    _read_id_lines, "v", "ballot", lambda c, bound: f"candidate id {c} out of range [1, {bound}]"
-)
-
-
-def _read_edges(batch: list[tuple[int, str]], num_vertices: int) -> list[tuple[int, int]]:
-    edges = []
-    for ln, line in batch:
-        tokens = line.split()
-        if tokens[0] != "e" or len(tokens) != 3:
-            raise ParseError("expected an edge line 'e <u> <v>'", ln)
-        u, v = _int_token(tokens[1], ln), _int_token(tokens[2], ln)
-        for w in (u, v):
-            if not 1 <= w <= num_vertices:
-                raise ParseError(f"vertex id {w} out of range [1, {num_vertices}]", ln)
-        edges.append((u, v))
-    return edges
-
-
-def _joined(arrays: list[tuple[np.ndarray, np.ndarray]], bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """One (ids, offsets) pair of the batches' pairs, in batch order."""
-    if len(arrays) == 1:
-        return arrays[0]
-    if not arrays:
-        return _flatten((), bound)
-    starts = np.cumsum([len(ids) for ids, _ in arrays])  # batch i + 1 starts at starts[i]
-    offs = [arrays[0][1]] + [ends[1:] + start for (_, ends), start in zip(arrays[1:], starts)]
-    return np.concatenate([ids for ids, _ in arrays]), np.concatenate(offs)
-
-
-# Record line reader and record name of each document kind that has id rows.
-_ID_DOCUMENTS = {"maxcover": (_read_sets, "set"), "approval": (_read_ballots, "ballot")}
+        ids, count = key & (1 << 30) - 1, np.bincount(key >> 30, minlength=len(starts))[rows]
+    return nl, np.flatnonzero(~skip & ~canon), rows, ids.astype(np.min_scalar_type(bound)), count
 
 
 def _read_id_document(text: str, kind: str) -> tuple[int, int, int, np.ndarray, np.ndarray]:
-    """Header counts (a, b, k) and the (ids, offsets) of the b rows of a 'p
-    maxcover' or 'p approval' document, as ``_flatten`` gives them: each
-    row's ids sorted, distinct and in [1, a]. No row becomes a tuple."""
-    read_lines, what = _ID_DOCUMENTS[kind]
-    a, b, k, batches = _read_records(text, kind, what, read_lines)
-    return a, b, k, *_joined(batches, a)
+    """Header counts (a, b, k) and the (ids, offsets) of the b records of a
+    'p <kind>' document, as ``_flatten`` gives them: a set's or a ballot's
+    ids sorted and distinct, an edge's two in line order (so that 'e 3 3'
+    reaches the reduction's self-loop check), all in [1, a]. No content may
+    follow the last record, and no record becomes a tuple.
+
+    After the header, the text is read in blocks of about _READ_BYTES, each
+    ending just after a newline and encoded on its own, and ``_block_lines``
+    reads a block's canonical records. Every other line, such as one with a
+    character that is not ASCII or a line break other than "\n" or "\r\n",
+    is read on its own by ``_read_ids`` or ``_read_edge``, which word the
+    error, numbered from a count of the lines before it. Canonical records
+    cannot fail and the others are read in line order, so the first
+    offender is reported.
+    """
+    tag, what, out_of_range = _RECORDS[kind]
+    header = list(islice(_significant_lines(text), 1))
+    a, b, k = _parse_header(iter(header), kind)
+    dtype = np.min_scalar_type(a)
+    found = ln = start = 0  # records read, the lines before the block, and its start
+    id_parts, lengths = [np.zeros(0, dtype)], [[0]]  # the records' ids and lengths, in record order
+
+    def take(piece: str, ln: int) -> int:
+        """Read the records among the lines of a piece of text whose first
+        line is line ln + 1 on their own; the number of lines it holds."""
+        nonlocal found
+        for n, line in _significant_lines(piece):
+            n += ln
+            if n <= header[0][0]:  # the header, read already
+                continue
+            if found == b:
+                raise ParseError(f"unexpected content '{line}'", n)
+            tokens = line.split()
+            row = _read_edge(tokens, n, a) if tag == "e" else _read_ids(tag, what, out_of_range, tokens, n, a)
+            id_parts.append(np.array(row, dtype))
+            lengths.append([len(row)])
+            found += 1
+        return len(piece.splitlines())
+
+    while start < len(text):
+        end = text.find("\n", start + _READ_BYTES) + 1 or len(text)
+        block, start, extra = text[start:end], end, 0
+        nl, slow, rows, ids, count = _block_lines(block, tag, a)
+        offs = np.concatenate(([0], np.cumsum(count)))
+        # The canonical lines are records between the lines read on their own.
+        read = 0
+        for i in [*slow.tolist(), len(nl) - 1]:
+            more = int(np.searchsorted(rows, i)) - read
+            if found + more > b:
+                j = int(rows[read + b - found])
+                raise ParseError(f"unexpected content '{block[nl[j] : nl[j + 1]].strip()}'", ln + j + 1 + extra)
+            id_parts.append(ids[offs[read] : offs[read + more]])
+            lengths.append(count[read : read + more])
+            found, read = found + more, read + more
+            if i < len(nl) - 1:
+                extra += take(block[nl[i] : nl[i + 1]], ln + i + extra) - 1
+        ln += len(nl) - 1 + extra
+    if found < b:
+        raise ParseError(f"expected {b} {what} lines, found {found}")
+    return a, b, k, np.concatenate(id_parts), np.cumsum(np.concatenate(lengths))
 
 
 def parse_instance(text: str) -> Instance:
@@ -709,6 +728,8 @@ def parse_election(text: str) -> ApprovalElection:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse a 'p graph <vertices> <edges> <k>' document with 'e <u> <v>' lines."""
-    num_vertices, _, k, batches = _read_records(text, "graph", "edge", _read_edges)
-    return Graph(num_vertices, tuple(chain.from_iterable(batches)), k)
+    """Parse a 'p graph <vertices> <edges> <k>' document with 'e <u> <v>'
+    lines. The graph keeps its edges' ids as arrays, two a row, and makes its
+    ``edges`` tuples from them when they are first read."""
+    num_vertices, _, k, ids, offs = _read_id_document(text, "graph")
+    return _unchecked(Graph, num_vertices=num_vertices, k=k, _ids=(ids, offs))

@@ -196,28 +196,39 @@ def graph_to_maxvertexcover(
     """Edges become elements and vertices become their incident edge sets,
     so every element has frequency exactly 2.
 
-    Edge ids follow the input order, 1-based. Self-loops and duplicate edges
-    are rejected.
+    Edge ids follow the input order, 1-based. ``edges`` holds (u, v) pairs,
+    or is an integer array of them, one a row, as a parsed graph keeps them;
+    pairs are flattened once into an array. Whole-array passes find
+    endpoints out of range, self-loops and duplicate edges, and the first
+    edge with one is reported, for its first failing check in that order. An
+    endpoint that is not an integer is refused if no earlier edge fails.
     """
     if num_vertices < 0:
         raise ValueError(f"vertex count must be nonnegative, got {num_vertices}")
     if k < 0:
         raise ValueError(f"budget must be nonnegative, got {k}")
-    ends: list[int] = []
-    seen: set[tuple[int, int]] = set()
-    eid = 0
-    for u, v in edges:
-        eid += 1
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
+        pairs, ends = None, edges.reshape(-1)
+    else:
+        pairs = [w for u, v in edges for w in (u, v)]
+        ends = np.fromiter(pairs, object, len(pairs))  # compared as the objects they are
+    u, v = ends[0::2], ends[1::2]
+    out = ~((ends >= 1) & (ends <= num_vertices))
+    bad = out[0::2] | out[1::2] | (u == v)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))  # a stable sort: each edge after the earlier ones with the same ends
+    bad[order[1:]] |= (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    first = int(np.argmax(bad)) if bad.any() else len(bad)
+    if pairs is not None:
+        ends = np.fromiter(map(index, pairs[: 2 * first]), np.int64)
+    if first < len(bad):
+        eid, at = first + 1, slice(2 * first, 2 * first + 2)
+        u, v = ends[at].tolist() if pairs is None else pairs[at]
         for w in (u, v):
             if not 1 <= w <= num_vertices:
                 raise ValueError(f"edge {eid} endpoint {w} out of range [1, {num_vertices}]")
         if u == v:
             raise ValueError(f"edge {eid} is a self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"duplicate edge {key} at position {eid}")
-        seen.add(key)
-        ends += index(u), index(v)  # refuses an endpoint that the array would truncate
-    ids = np.array(ends, np.min_scalar_type(num_vertices))
-    del seen, ends
-    return _reduce(num_vertices, eid, k, ids, np.arange(0, len(ids) + 1, 2))
+        raise ValueError(f"duplicate edge {(min(u, v), max(u, v))} at position {eid}")
+    ids = ends.astype(np.min_scalar_type(num_vertices))  # a copy: the instance owns its arrays
+    return _reduce(num_vertices, len(bad), k, ids, np.arange(0, len(ids) + 1, 2))

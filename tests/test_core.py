@@ -14,6 +14,7 @@ import pytest
 import maxcover
 from maxcover import (
     ApprovalElection,
+    Graph,
     Instance,
     ParseError,
     TightFptSpec,
@@ -312,6 +313,37 @@ def test_sets_read_first_or_later_give_the_same_value(make):
 def test_approvals_read_first_or_later_give_the_same_value(make):
     views = VIEWS + [lambda election: election_to_maxcover(election)]
     assert_read_first_or_later_give_the_same_value(make, "approvals", views)
+
+
+GRAPH_EXAMPLE = "p graph 4 3 2\ne 1 2\ne 4 2\ne 3 4\n"
+
+# A parsed graph, one whose edges share their ints (more ids than vertices,
+# and vertices past 256), and a caller-built one.
+GRAPH_SOURCES = [
+    lambda: parse_graph(GRAPH_EXAMPLE),
+    lambda: parse_graph("p graph 300 299 1\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 300))),
+    lambda: Graph(4, ((1, 2), (4, 2), (3, 4)), 2),
+]
+
+
+@pytest.mark.parametrize("make", GRAPH_SOURCES)
+def test_edges_read_first_or_later_give_the_same_value(make):
+    views = VIEWS + [lambda g: graph_to_maxvertexcover(g.num_vertices, g.edges, g.k)]
+    assert_read_first_or_later_give_the_same_value(make, "edges", views)
+
+
+def test_parsed_graph_shows_what_an_eagerly_built_one_shows():
+    eager = Graph(4, ((1, 2), (4, 2), (3, 4)), 2)
+    for view in VIEWS + [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))]:
+        assert view(parse_graph(GRAPH_EXAMPLE)) == view(eager)
+    assert parse_graph(GRAPH_EXAMPLE) == eager and eager == parse_graph(GRAPH_EXAMPLE)
+    assert hash(parse_graph(GRAPH_EXAMPLE)) == hash(eager)
+    g = parse_graph(GRAPH_EXAMPLE)
+    assert "edges" not in g.__dict__ and g.num_vertices == 4 and g.k == 2
+    assert g.edges is g.edges and "edges" in g.__dict__
+    assert all(type(w) is int for edge in g.edges for w in edge)
+    with pytest.raises(AttributeError, match="'Graph' object has no attribute 'sets'"):
+        parse_graph(GRAPH_EXAMPLE).sets
 
 
 def test_sets_are_built_on_first_read_only_for_arrays():

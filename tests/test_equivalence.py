@@ -25,7 +25,8 @@ Every value the parsers, reductions and generators build must pass the
 public constructor's check unchanged, with plain int ids. The generators
 must give what the appending builders gave, and keep the arrays they
 transposed, and the line split a piece at a time must give the lines of the
-whole text.
+whole text. The reader must read the same at every block size, and read no
+canonical record line on its own.
 """
 
 import dataclasses
@@ -974,6 +975,198 @@ def test_graph_reduction_equals_sorting_build():
 
 
 # ---------------------------------------------------------------------------
+# Graph documents against the per-token loop and the edge loop with a seen
+# set; the reader at every block size; canonical lines never read on their own.
+# ---------------------------------------------------------------------------
+
+def loop_read_edge(tokens, ln, num_vertices):
+    if tokens[0] != "e" or len(tokens) != 3:
+        raise ParseError("expected an edge line 'e <u> <v>'", ln)
+    ends = []
+    for t in tokens[1:]:
+        try:
+            ends.append(int(t))
+        except ValueError:
+            raise ParseError(f"non-numeric token '{t}'", ln) from None
+    for w in ends:
+        if not 1 <= w <= num_vertices:
+            raise ParseError(f"vertex id {w} out of range [1, {num_vertices}]", ln)
+    return tuple(ends)
+
+
+def loop_parse_graph(text):
+    num_vertices, _, edges, k = loop_read_records(text, "graph", "edge", loop_read_edge)
+    return num_vertices, edges, k
+
+
+def loop_graph_to_maxvertexcover(num_vertices, edges, k):
+    """The instance of the edge loop that the array checks replaced."""
+    incident = [[] for _ in range(num_vertices)]
+    seen = set()
+    for eid, (u, v) in enumerate(edges, start=1):
+        for w in (u, v):
+            if not 1 <= w <= num_vertices:
+                raise ValueError(f"edge {eid} endpoint {w} out of range [1, {num_vertices}]")
+        if u == v:
+            raise ValueError(f"edge {eid} is a self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"duplicate edge {key} at position {eid}")
+        seen.add(key)
+        incident[u - 1].append(eid)
+        incident[v - 1].append(eid)
+    return Instance.of(len(edges), incident, k)
+
+
+def load_outcome(load, text):
+    """("ok", the instance's fields) or (error type, message, line)."""
+    try:
+        return "ok", instance_fields(load(text))
+    except ValueError as err:
+        return type(err).__name__, str(err), getattr(err, "line", None)
+
+
+def loop_graph_load(text):
+    return loop_graph_to_maxvertexcover(*loop_parse_graph(text))
+
+
+def graph_load(text):
+    g = parse_graph(text)
+    return graph_to_maxvertexcover(g.num_vertices, g.edges, g.k)
+
+
+def assert_graph_loads_equal_loops(text):
+    want = load_outcome(loop_graph_load, text)
+    assert load_outcome(graph_load, text) == want, repr(text)
+    assert load_outcome(load_instance_text, text) == want, repr(text)
+
+
+def graph_text(rand, vertices, edges, k):
+    lines = [f"p graph {vertices} {edges} {k}"]
+    seen = set()
+    while len(seen) < edges:
+        u, v = rand.sample(range(1, vertices + 1), 2)
+        if (min(u, v), max(u, v)) not in seen:
+            seen.add((min(u, v), max(u, v)))
+            lines.append(f"e {u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def mutated_graph(rand, text, vertices):
+    """The document with an edge line made a self-loop or a repeat of an
+    earlier edge, either way round, and then maybe ``mutated``."""
+    lines = text.splitlines()
+    if len(lines) > 2 and rand.random() < 0.6:
+        i = rand.randrange(2, len(lines))
+        u, v = lines[rand.randrange(1, i)].split()[1:]
+        lines[i] = rand.choice([f"e {v} {u}", f"e {u} {v}", f"e {u} {u}", f"e {v}  {v}"])
+        text = "\n".join(lines) + "\n"
+    return mutated(rand, text, "e", vertices) if rand.random() < 0.7 else text
+
+
+GRAPH_DOCUMENTS = [
+    "p graph 3 2 1\ne 1 2\ne 3 3\n",  # a self-loop
+    "p graph 3 3 1\ne 1 2\ne 2 3\ne 2 1\n",  # a repeat, the other way round
+    "p graph 4 3 1\ne 1 4\ne 2 2\ne 4 1\n",  # a self-loop before a repeat
+    "p graph 3 1 1\ne 1\n",
+    "p graph 3 1 1\ne 1 2 3\n",
+    "p graph 3 1 1\ne\n",
+    "p graph 3 2 1\ne 0000000001 2\ne 3 00000000002\n",  # ids of more than nine digits
+    "p graph 3 1 1\ne 1 99999999999\n",
+    "p graph 3 1 1\ne 0 2\n",
+    "p graph 3 1 1\ne 1 4\n",
+    "p graph 3 1 1\ne -1 2\n",
+    "p graph 3 1 1\ne x 9\n",
+    "p graph 3 1 1\ne 1 2.0\n",
+    "p graph 3 2 1\ne +1 ３\ne 1_0 2\n",
+    "p graph 3 1 1\ne1 2\n",
+    "c a graph\r\np graph 3 2 1\r\n\r\ne 1 2\r\nc\r\n  e 2 3  \r\nc tail\r\n",  # comments, blank lines, CRLF
+    "p graph 3 2 1\ne 1 2\ne 2 3\ne 1 3\n",
+    "p graph 0 0 0\n",
+    "p graph 5 0 2\nc no edges\n",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_graph_load_equals_token_and_edge_loops(seed):
+    rand = random.Random(40 + seed)
+    docs = list(GRAPH_DOCUMENTS)
+    for _ in range(120):
+        vertices = rand.randint(2, 30)
+        text = graph_text(rand, vertices, rand.randint(0, min(40, vertices * (vertices - 1) // 2)), rand.randint(0, 4))
+        docs += [text] + [mutated_graph(rand, text, vertices) for _ in range(3)]
+    long = graph_text(rand, 3000, 9000, 5)  # longer than one block
+    assert len(long) > core._READ_BYTES
+    docs += [long] + [mutated_graph(rand, long, 3000) for _ in range(4)]
+    for text in docs:
+        assert_graph_loads_equal_loops(text)
+
+
+def line_break_documents():
+    """Documents of every kind whose lines end in each line break of
+    ``str.splitlines``, with a comment, a blank line and maybe a tail, and
+    with each line break inside a comment line, before a record."""
+    heads = [("p maxcover 3 2 1", "s 1 2", "s 3"), ("p approval 3 2 1", "v 3 1", "v 2"), ("p graph 3 2 1", "e 1 2", "e 3 1")]
+    docs = [head + br + first + br + "c" + br + br + second + tail
+            for head, first, second in heads for br in LINE_BREAKS for tail in ("", br, br + "s 2", br + "x")]
+    return docs + [f"{head}\n{first}\nc x{br}{second}\n" for head, first, second in heads for br in LINE_BREAKS]
+
+
+def assert_load_equals_loops(text):
+    kind = text.split()[1]
+    if kind == "graph":
+        assert_graph_loads_equal_loops(text)
+    elif kind == "maxcover":
+        assert outcome(lambda d: instance_fields(parse_instance(d)), text) == outcome(loop_parse_instance, text)
+    else:
+        assert outcome(lambda d: election_fields(parse_election(d)), text) == outcome(loop_parse_election, text)
+
+
+@pytest.mark.parametrize("size", [*range(1, 10), 100, 4096])
+def test_reader_equals_loops_at_every_block_size(monkeypatch, size):
+    # A block of under ten bytes holds a line or two, and costs about as much
+    # as a full one, so each such size reads one of the long documents in
+    # turn, and every one of them is read at three of those sizes.
+    rand = random.Random(50 + size)
+    cases = long_documents() if size >= 10 else [long_documents()[size % 3]]
+    graph = graph_text(rand, 200, 600, 3)
+    docs = [graph, mutated_graph(rand, graph, 200)] + line_break_documents()
+    for text, bound, tag in cases:
+        docs += [text, mutated(rand, text, tag, bound)]
+    monkeypatch.setattr(core, "_READ_BYTES", size)
+    for text in docs:
+        assert_load_equals_loops(text)
+
+
+def test_canonical_documents_read_no_line_on_their_own(monkeypatch):
+    # Blank lines, comments and CRLF line ends keep a document on the array
+    # pass; only the header is read on its own.
+    rand = random.Random(60)
+    docs = [serialize_instance(gen_random(3000, 40, 5, 3, 4)), approval_text(rand, 30, 2000, 4, 8), graph_text(rand, 300, 2000, 4)]
+    docs += [doc.replace("\n", "\r\n", 40).replace("\n", "\n\nc note\n", 3) for doc in docs]
+    expected = [load_instance_text(doc) for doc in docs]
+
+    def refuse(*args):
+        raise AssertionError(f"a canonical line was read on its own: {args}")
+
+    monkeypatch.setattr(core, "_read_ids", refuse)
+    monkeypatch.setattr(core, "_read_edge", refuse)
+    for doc, want in zip(docs, expected):
+        assert load_instance_text(doc) == want
+    with pytest.raises(AssertionError, match="read on its own"):
+        load_instance_text(docs[0].replace("\ns ", "\ns\t", 1))
+
+
+def test_cli_graph_load_builds_no_edge_tuples(monkeypatch):
+    text = graph_text(random.Random(61), 300, 2000, 4)
+    expected = loop_graph_load(text)
+    monkeypatch.setattr(core, "_tuples", lambda *a: pytest.fail("built edge tuples"))
+    inst = load_instance_text(text)
+    monkeypatch.undo()
+    assert inst == expected
+
+
+# ---------------------------------------------------------------------------
 # Values the package builds from rows it has checked or constructed itself.
 # ---------------------------------------------------------------------------
 
@@ -1209,7 +1402,7 @@ def test_line_split_in_pieces_equals_whole_split(monkeypatch):
             for br in LINE_BREAKS for tail in ("", br, br + "s 2", br + "x")]
     docs += ["p maxcover 3 2 1\r\ns 1 2\r\r\ns 3\r\n", "p maxcover 3 2 1\n\rs 1 2\ns 3\n", "\r\n\r\np maxcover 3 1 1\r\ns 4\r\n"]
     for size in range(1, 9):
-        monkeypatch.setattr(core, "_CHUNK_BYTES", size)
+        monkeypatch.setattr(core, "_READ_BYTES", size)
         for text in texts + docs:
             assert list(core._significant_lines(text)) == list(loop_significant_lines(text)), (size, text)
         for doc in docs:
