@@ -18,7 +18,6 @@ from functools import partial
 from .core import (
     Instance,
     ParseError,
-    _id_arrays,
     _voters_covered,
     coverage,
     document_kind,
@@ -132,7 +131,7 @@ def _graph_instance(text: str) -> Instance:
     """The reduction of a graph document, from the edge arrays that
     ``parse_graph`` keeps; no edge becomes a tuple."""
     g = parse_graph(text)
-    return graph_to_maxvertexcover(g.num_vertices, _id_arrays(g)[0].reshape(-1, 2), g.k)
+    return graph_to_maxvertexcover(g.num_vertices, g._ids[0].reshape(-1, 2), g.k)
 
 
 def _read(path: str) -> str:

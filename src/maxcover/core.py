@@ -5,9 +5,11 @@ set indices are 0-based in the API and 1-based in documents. The greedy
 counts its gains on the instance's rows of ids, set by set and element by
 element; the exhaustive searches count coverage on integer bitmasks where
 bit e-1 holds element e; ``coverage`` counts the distinct ids of the chosen
-rows. All values here are immutable after construction and safe to share
-across threads: no field changes, and the forms a value derives from its
-fields are built once and never change.
+rows. Every instance and election holds its rows as id arrays: one built
+by a caller flattens and checks its tuples at construction, and a copy or a
+pickle is rebuilt through the constructor. All values here are immutable
+after construction and safe to share across threads: no field changes, and
+the forms a value derives from its fields are built once and never change.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,29 +36,28 @@ class ParseError(ValueError):
 class _Derived:
     """Base of the frozen values that keep forms derived from their fields.
 
-    A derived form (the id arrays, the element rows, the masks, the frequency
-    profile) is built from the fields on first use and kept in the instance
-    dict under a private key, which the dataclass's ``==``, ``hash`` and
-    ``repr`` never read and ``__getstate__`` leaves out of pickles and copies.
-    Every build of a form gives the same value and only the first one stored
-    is kept, so threads that race to build one all read that one.
+    A derived form (the element rows, the masks, the frequency profile) is
+    built on first use and kept in the instance dict under a private key,
+    which ``==``, ``hash`` and ``repr`` never read. Every build of a form
+    gives the same value and only the first one stored is kept, so threads
+    that race to build one all read that one. A copy or a pickle is rebuilt
+    through the constructor, from the fields.
 
-    ``_lazy`` names the tuple field that a value the package built from id
-    arrays (an instance's ``sets``, an election's ``approvals``) makes from
-    them, and the field that bounds its ids. That field is made when it is
-    first read and kept the same way, under its own name, and
-    ``__getstate__`` reads it as an attribute.
+    ``_lazy`` names the tuple field that a value built from id arrays
+    (``_ids``) makes from them when it is first read, and keeps the same way,
+    and the field that bounds its ids: an instance's ``sets``, an election's
+    ``approvals``, a graph's ``edges``.
     """
 
-    def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
     def __getattr__(self, name):
         # Reached only for a name not in the instance dict: the lazy field,
         # before it is first read, or a name the value lacks.
         field, bound = self._lazy
-        if name == field and "_ids" in self.__dict__:
-            return self._derived(field, lambda v: _tuples(*v.__dict__["_ids"], getattr(v, bound)))
+        if name == field:
+            return self._derived(field, lambda v: _tuples(*v._ids, getattr(v, bound)))
         raise AttributeError(f"'{type(self).__name__}' object has no attribute '{name}'")
 
     def _derived(self, key: str, build):
@@ -65,15 +67,24 @@ class _Derived:
             return self.__dict__.setdefault(key, build(self))
 
 
+def _check_count(value, what: str) -> None:
+    """Refuse a count that is not a nonnegative integer; ``what`` names it."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+
+
 @dataclass(frozen=True)
 class Instance(_Derived):
     """A coverage instance: universe 1..n, m element sets, selection budget k.
 
     Each set is a strictly increasing tuple of element ids from [1, n].
     ``k`` may exceed ``m``; solvers clamp the effective budget to min(k, m).
-    An instance that the package builds from id arrays (a parsed document, a
-    reduction, a generated family) makes its ``sets`` tuples from them when
-    they are first read.
+    Every instance holds its sets' id arrays, ``_ids``: a caller's sets are
+    flattened and checked at construction, and an instance that the package
+    builds from id arrays (a parsed document, a reduction, a generated
+    family) makes its ``sets`` tuples when they are first read.
     """
 
     n: int
@@ -81,24 +92,17 @@ class Instance(_Derived):
     k: int
 
     _lazy = ("sets", "n")
+    _faults = {
+        "type": "element id {e} is not an integer in set {row}",
+        "low": "element id {e} must be at least 1 in set {row}",
+        "order": "set {row} is not strictly increasing",
+        "high": "element id {e} exceeds n={bound} in set {row}",
+    }
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"universe size must be nonnegative, got {self.n}")
-        if self.k < 0:
-            raise ValueError(f"budget must be nonnegative, got {self.k}")
-        for idx, s in enumerate(self.sets):
-            prev = 0
-            for e in s:
-                if type(e) is not int and not isinstance(e, numbers.Integral):
-                    raise ValueError(f"element id {e} is not an integer in set {idx}")
-                if e < 1:
-                    raise ValueError(f"element id {e} must be at least 1 in set {idx}")
-                if e <= prev:
-                    raise ValueError(f"set {idx} is not strictly increasing")
-                if e > self.n:
-                    raise ValueError(f"element id {e} exceeds n={self.n} in set {idx}")
-                prev = e
+        _check_count(self.n, "universe size")
+        _check_count(self.k, "budget")
+        self.__dict__["_ids"] = _flatten(self.sets, self.n, self._faults)
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]], k: int) -> "Instance":
@@ -107,9 +111,7 @@ class Instance(_Derived):
 
     @property
     def m(self) -> int:
-        if "_ids" in self.__dict__:
-            return len(self.__dict__["_ids"][1]) - 1
-        return len(self.sets)
+        return len(self._ids[1]) - 1
 
     @property
     def effective_budget(self) -> int:
@@ -136,7 +138,8 @@ class Solution:
 
 @dataclass(frozen=True)
 class ApprovalElection(_Derived):
-    """Approval ballots: every voter lists the candidates they find acceptable."""
+    """Approval ballots: every voter lists the candidates they find acceptable.
+    An election holds its ballots' id arrays as an instance holds its sets'."""
 
     num_candidates: int
     num_voters: int
@@ -144,24 +147,23 @@ class ApprovalElection(_Derived):
     committee_size: int
 
     _lazy = ("approvals", "num_candidates")
+    _faults = {
+        "type": "voter {voter} approves non-integer candidate {e}",
+        "low": "voter {voter} approves unknown candidate {e}",
+        "order": "ballot of voter {voter} is not strictly increasing",
+        "high": "voter {voter} approves unknown candidate {e}",
+    }
 
     def __post_init__(self):
-        if min(self.num_candidates, self.num_voters, self.committee_size) < 0:
+        counts = (self.num_candidates, self.num_voters, self.committee_size)
+        for count in counts:
+            if not isinstance(count, numbers.Integral):
+                raise ValueError(f"election counts must be integers, got {count!r}")
+        if min(counts) < 0:
             raise ValueError("election counts must be nonnegative")
         if len(self.approvals) != self.num_voters:
-            raise ValueError(
-                f"expected {self.num_voters} ballots, got {len(self.approvals)}"
-            )
-        for voter, ballot in enumerate(self.approvals, start=1):
-            prev = 0
-            for c in ballot:
-                if type(c) is not int and not isinstance(c, numbers.Integral):
-                    raise ValueError(f"voter {voter} approves non-integer candidate {c}")
-                if not 1 <= c <= self.num_candidates:
-                    raise ValueError(f"voter {voter} approves unknown candidate {c}")
-                if c <= prev:
-                    raise ValueError(f"ballot of voter {voter} is not strictly increasing")
-                prev = c
+            raise ValueError(f"expected {self.num_voters} ballots, got {len(self.approvals)}")
+        self.__dict__["_ids"] = _flatten(self.approvals, self.num_candidates, self._faults)
 
 
 @dataclass(frozen=True)
@@ -196,13 +198,42 @@ def _unchecked(cls, **values):
 _BLOCK_BYTES = 1 << 18
 
 
-def _flatten(rows: Sequence[Sequence[int]], bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ids in [1, bound] as (ids, offsets): one array of every id in
-    row order, of the smallest unsigned type that holds bound, and int64
-    offsets where row i holds ids[offsets[i]:offsets[i + 1]]."""
+def _flatten(rows: Sequence[Sequence], bound: int, faults: dict[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ids as (ids, offsets): one array of every id in row order, of
+    the smallest unsigned type that holds bound, and int64 offsets where row
+    i holds ids[offsets[i]:offsets[i + 1]]. The rows are read a block at a
+    time. The first id, in (row, position) order, that is not an integer
+    ("type"), else below 1 ("low"), else above bound ("high"), else not above
+    the id before it in its row ("order"), is refused with ``faults[kind]``
+    formatted with the id ``e``, its ``row`` (0-based) or ``voter`` (1-based)
+    and ``bound``. An id beyond int64 is compared as the object it is."""
     offs = np.zeros(len(rows) + 1, np.int64)
     np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)), out=offs[1:])
-    return np.fromiter(chain.from_iterable(rows), np.min_scalar_type(bound), int(offs[-1])), offs
+    ids = np.empty(int(offs[-1]), np.min_scalar_type(index(bound)))
+    for lo, hi in _row_blocks(offs, _BLOCK_BYTES // 24):  # an id takes 8 bytes of list, 8 of int64 and a few flags
+        flat = list(chain.from_iterable(rows[lo:hi]))
+        # The type test comes first: an integer array would read 1.5 as 1.
+        end = len(flat)
+        if not all(issubclass(t, numbers.Integral) for t in set(map(type, flat))):
+            end = next(i for i, e in enumerate(flat) if not isinstance(e, numbers.Integral))
+        try:
+            run = np.fromiter(flat[:end], np.int64, end)
+        except OverflowError:
+            run = np.fromiter(flat[:end], object, end)
+        bad = np.zeros(end, np.bool_)
+        bad[1:] = run[1:] <= run[:-1]
+        starts = offs[lo:hi] - offs[lo]
+        bad[starts[starts < end]] = False  # a row's first id follows none of its row
+        bad |= (run < 1) | (run > bound)
+        first = int(np.argmax(bad)) if bad.any() else end
+        if first < len(flat):
+            # The id before the first offender is in range, so "high" and "order" cannot both hold.
+            e = flat[first]
+            kind = "type" if first == end else "low" if e < 1 else "high" if e > bound else "order"
+            row = int(np.searchsorted(offs, offs[lo] + first, "right")) - 1
+            raise ValueError(faults[kind].format(e=e, row=row, voter=row + 1, bound=bound))
+        ids[offs[lo] : offs[hi]] = run
+    return ids, offs
 
 
 def _tuples(ids: np.ndarray, offs: np.ndarray, bound: int) -> tuple[tuple[int, ...], ...]:
@@ -229,20 +260,12 @@ def _row_lists(ids: np.ndarray, offs: np.ndarray, block: int, values: np.ndarray
         yield from (run[a:b] for a, b in zip(ends, ends[1:]))
 
 
-def _id_arrays(value: _Derived) -> tuple[np.ndarray, np.ndarray]:
-    """The (ids, offsets) of an instance's sets or an election's ballots: the
-    arrays that the parser, a reduction or a generator made, or, for a value
-    built by a caller, ``_flatten`` of its rows on first use."""
-    field, bound = value._lazy
-    return value._derived("_ids", lambda v: _flatten(getattr(v, field), getattr(v, bound)))
-
-
 def _element_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """The (ids, offsets) of an instance's elements: row e - 1 lists the
     1-based sets that hold element e, in any order. These are the rows that a
     reduction or a generator transposed into the sets; a parsed or
     caller-built instance transposes its sets once, on first use."""
-    return inst._derived("_elements", lambda inst: _transpose(inst.n, inst.m, *_id_arrays(inst)))
+    return inst._derived("_elements", lambda inst: _transpose(inst.n, inst.m, *inst._ids))
 
 
 def _row_blocks(offs: np.ndarray, ids: int, rows: int | None = None) -> Iterator[tuple[int, int]]:
@@ -316,27 +339,28 @@ def set_masks(inst: Instance) -> list[int]:
     size = inst.m * ((inst.n + 7) // 8)
     if size > MAX_MASK_BYTES:
         raise ValueError(f"masks need {size} bytes, above the ceiling {MAX_MASK_BYTES}")
-    return list(inst._derived("_masks", lambda inst: tuple(_pack(inst.n, *_id_arrays(inst)))))
+    return list(inst._derived("_masks", lambda inst: tuple(_pack(inst.n, *inst._ids))))
 
 
 def _check_indices(inst: Instance, chosen: Iterable[int]) -> list[int]:
-    out = []
-    seen = set()
+    out: dict[int, None] = {}  # the indices in order
     for i in chosen:
+        if not isinstance(i, numbers.Integral):
+            raise ValueError(f"set index {i} is not an integer")
+        i = index(i)
         if not 0 <= i < inst.m:
             raise ValueError(f"set index {i} out of range [0, {inst.m})")
-        if i in seen:
+        if i in out:
             raise ValueError(f"duplicate set index {i}")
-        seen.add(i)
-        out.append(i)
-    return out
+        out[i] = None
+    return list(out)
 
 
 def coverage(inst: Instance, chosen: Iterable[int]) -> int:
     """Number of distinct elements in the chosen sets, read from the
     instance's rows of ids by a set union. (The first ``np.unique`` in a
     process takes 1.3 MB of resident memory.)"""
-    ids, offs = _id_arrays(inst)
+    ids, offs = inst._ids
     return len(set().union(*(ids[offs[i] : offs[i + 1]].tolist() for i in _check_indices(inst, chosen))))
 
 
@@ -345,7 +369,7 @@ def _voters_covered(election: ApprovalElection, committee: Iterable[int]) -> int
     covers: the ballots that approve one of its candidates, read from the
     election's id arrays a block of ballots at a time. It equals ``coverage``
     of the same indices in ``election_to_maxcover(election)``."""
-    ids, offs = _id_arrays(election)
+    ids, offs = election._ids
     member = np.zeros(election.num_candidates + 1, np.bool_)
     member[1:][list(committee)] = True
     met = 0
@@ -399,7 +423,7 @@ def frequency_profile(inst: Instance) -> FrequencyProfile:
 
 
 def _count_profile(inst: Instance) -> FrequencyProfile:
-    freq = _counts(_id_arrays(inst)[0], inst.n)[1:].tolist()
+    freq = _counts(inst._ids[0], inst.n)[1:].tolist()
     if freq:
         return FrequencyProfile(tuple(freq), min(freq), max(freq))
     return FrequencyProfile((), 0, 0)
@@ -411,12 +435,10 @@ def election_to_maxcover(election: ApprovalElection) -> Instance:
     A committee leaving the fewest voters unrepresented is then exactly a set
     selection leaving the fewest elements uncovered.
 
-    The reduction reads the election's ballots as id arrays: the arrays
-    ``parse_election`` kept, or, for an election built by a caller, arrays
-    flattened on the first reduction and kept from then on. It makes no
-    ballot tuples.
+    The reduction reads the election's ballots as the id arrays it holds,
+    and makes no ballot tuples.
     """
-    return _reduce(election.num_candidates, election.num_voters, election.committee_size, *_id_arrays(election))
+    return _reduce(election.num_candidates, election.num_voters, election.committee_size, *election._ids)
 
 
 def _reduce(width: int, height: int, k: int, ids: np.ndarray, offs: np.ndarray) -> Instance:
@@ -467,7 +489,7 @@ def pad_frequencies(inst: Instance, p: int) -> Instance:
     freq = frequency_profile(inst).freq
     if 0 in freq:
         raise ValueError(f"element {freq.index(0) + 1} belongs to no set and cannot be padded")
-    ids, offs = _id_arrays(inst)
+    ids, offs = inst._ids
     singles = np.repeat(np.arange(1, inst.n + 1, dtype=ids.dtype), p - 1)
     ids = np.concatenate((ids, singles))
     offs = np.concatenate((offs, offs[-1] + np.arange(1, len(singles) + 1)))
@@ -716,7 +738,7 @@ def serialize_instance(inst: Instance) -> str:
     The lines are written from the id arrays a block of rows at a time, and
     no set becomes a tuple."""
     lines = [f"p maxcover {inst.n} {inst.m} {inst.k}"]
-    lines += [" ".join(["s", *map(str, row)]) for row in _row_lists(*_id_arrays(inst), _BLOCK_BYTES // 32)]
+    lines += [" ".join(["s", *map(str, row)]) for row in _row_lists(*inst._ids, _BLOCK_BYTES // 32)]
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Instance, Solution, _id_arrays, check_frequency_bound, set_masks
+from .core import Instance, Solution, check_frequency_bound, set_masks
 from .exact import DEFAULT_CEILING, best_fixed_size_subset
 
 
@@ -59,7 +59,7 @@ def fpt_approx(
         return Solution((), 0, inst.n), PoolPlan(0, (), 1, 1)
     clamped = min(pool_size(p, inst.k, beta), inst.m)
     # A stable sort of the negated row lengths orders the sets by (-size, index).
-    by_cardinality = np.argsort(-np.diff(_id_arrays(inst)[1]), kind="stable")
+    by_cardinality = np.argsort(-np.diff(inst._ids[1]), kind="stable")
     pool = tuple(by_cardinality[:clamped].tolist())
     budget = min(inst.k, clamped)
     in_index_order = sorted(pool)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_HEADER_COUNT, Instance, _id_arrays, _reduce
+from .core import MAX_HEADER_COUNT, Instance, _check_count, _reduce
 
 # Most incidences the tight constructions build, and that ``gen_random`` sizes
 # its draw for (n * p_max, since each element joins up to p_max sets); a
@@ -134,7 +134,7 @@ def gen_tight_greedy(spec: TightGreedySpec) -> Instance:
     inst = _reduce(spec.m, n, spec.k, rows.reshape(-1), np.arange(0, rows.size + 1, spec.p))
     # The bijection fixes each spread set's size at k * comb(m-k-1, p-2).
     expected = spec.k * math.comb(q - 1, spec.p - 2)
-    assert (np.diff(_id_arrays(inst)[1][: q + 1]) == expected).all()
+    assert (np.diff(inst._ids[1][: q + 1]) == expected).all()
     return inst
 
 
@@ -159,7 +159,7 @@ def gen_tight_fpt(spec: TightFptSpec) -> Instance:
     overlap = chain.from_iterable(unrank_colex(r, spec.p) for r in range(n1))
     ids = np.concatenate((np.fromiter(overlap, decoys.dtype) + 1, decoys))
     inst = _reduce(x + spec.k, n1 + n2, spec.k, ids, np.r_[0 : n1 * spec.p : spec.p, n1 * spec.p : len(ids) + 1])
-    assert (np.diff(_id_arrays(inst)[1][: x + 1]) == per_set).all()
+    assert (np.diff(inst._ids[1][: x + 1]) == per_set).all()
     return inst
 
 
@@ -175,8 +175,7 @@ def gen_random(n: int, m: int, k: int, p_max: int, seed: int) -> Instance:
         raise ValueError(f"n and m must be at most {MAX_HEADER_COUNT}, got n={n}, m={m}")
     if not 1 <= p_max <= m:
         raise ValueError(f"p_max must lie in [1, {m}], got {p_max}")
-    if k < 0:
-        raise ValueError(f"budget must be nonnegative, got {k}")
+    _check_count(k, "budget")
     if n * p_max > DEFAULT_SIZE_CEILING:
         raise ValueError(f"construction needs up to {n * p_max} incidences, above the ceiling {DEFAULT_SIZE_CEILING}")
     rng = np.random.default_rng(seed)
@@ -203,10 +202,8 @@ def graph_to_maxvertexcover(
     edge with one is reported, for its first failing check in that order. An
     endpoint that is not an integer is refused if no earlier edge fails.
     """
-    if num_vertices < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {num_vertices}")
-    if k < 0:
-        raise ValueError(f"budget must be nonnegative, got {k}")
+    _check_count(num_vertices, "vertex count")
+    _check_count(k, "budget")
     if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
         pairs, ends = None, edges.reshape(-1)
     else:

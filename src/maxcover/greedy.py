@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _BLOCK_BYTES, Instance, Solution, _element_rows, _id_arrays, _row_blocks
+from .core import _BLOCK_BYTES, Instance, Solution, _element_rows, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def greedy_rows(inst: Instance, steps: int) -> tuple[list[int], list[int], np.nd
     ``extend_greedily``'s: ties go to the lowest set index. Once no set
     gains anything, the picks left are the lowest-index sets not taken.
     """
-    ids, offs = _id_arrays(inst)
+    ids, offs = inst._ids
     gain = np.diff(offs)
     covered = np.zeros(inst.n + 1, np.bool_)  # by element id; 0 is no element
     picks: list[int] = []

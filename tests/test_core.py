@@ -188,6 +188,34 @@ def test_non_integer_ids_are_rejected_before_the_range_test():
     assert election_to_maxcover(ApprovalElection(2, 1, ((np.int64(2),),), 1)).sets == ((), (1,))
 
 
+def test_non_integer_counts_are_refused():
+    cases = [
+        (lambda: Instance(5, ((1,), (2, 3)), 1.5), "budget must be an integer, got 1.5"),
+        (lambda: Instance(5.0, ((1,),), 1), "universe size must be an integer, got 5.0"),
+        (lambda: Instance("5", (), 1), "universe size must be an integer, got '5'"),
+        (lambda: Instance(-1, (), 1.5), "universe size must be nonnegative, got -1"),
+        (lambda: Instance(2, (), -1.5), "budget must be an integer, got -1.5"),
+        (lambda: Instance.of(4, [[1]], np.float64(2)), "budget must be an integer, got np.float64(2.0)"),
+        (lambda: ApprovalElection(3.0, 1, ((1,),), 1), "election counts must be integers, got 3.0"),
+        (lambda: ApprovalElection(3, 1, ((1,),), 0.5), "election counts must be integers, got 0.5"),
+        (lambda: ApprovalElection(-1, 1.0, (), 1), "election counts must be integers, got 1.0"),
+        (lambda: graph_to_maxvertexcover(3, [(1, 2), (2, 3)], 0.5), "budget must be an integer, got 0.5"),
+        (lambda: graph_to_maxvertexcover(3.0, [(1, 2)], 1), "vertex count must be an integer, got 3.0"),
+        (lambda: graph_to_maxvertexcover(-1, [], 0.5), "vertex count must be nonnegative, got -1"),
+        (lambda: maxcover.gen_random(10, 5, 1.5, 2, 0), "budget must be an integer, got 1.5"),
+        (lambda: maxcover.gen_random(10, 5, -1, 2, 0), "budget must be nonnegative, got -1"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+    # Integral counts of other types stay accepted, and count as their values.
+    inst = Instance(np.int64(3), ((1, 2),), np.uint8(1))
+    assert inst.effective_budget == 1 and inst._ids[0].dtype == np.uint8
+    assert ApprovalElection(np.int64(2), True, ((2,),), np.int64(1)).num_voters == 1
+    assert graph_to_maxvertexcover(np.int64(2), [(1, 2)], np.int64(1)) == Instance(1, ((1,), (1,)), 1)
+
+
 def test_document_kind():
     assert document_kind("c x\np maxcover 1 0 0\n") == "maxcover"
     assert document_kind("p approval 1 0 0\n") == "approval"
@@ -300,7 +328,11 @@ def assert_read_first_or_later_give_the_same_value(make, field, views):
     assert make() == plain and plain == make()
     for view in views:
         assert view(make()) == view(read_first())
-    assert set(copy.copy(make()).__dict__) == {f.name for f in dataclasses.fields(plain)}
+    # A copy or an unpickled value is rebuilt through the constructor: it
+    # holds its fields, and an instance or an election its id arrays too.
+    held = {f.name for f in dataclasses.fields(plain)} | ({"_ids"} if field != "edges" else set())
+    for twin in (copy.copy(make()), copy.deepcopy(make()), pickle.loads(pickle.dumps(make()))):
+        assert set(twin.__dict__) == held
 
 
 @pytest.mark.parametrize("make", LAZY_SOURCES)
@@ -347,12 +379,16 @@ def test_parsed_graph_shows_what_an_eagerly_built_one_shows():
 
 
 def test_sets_are_built_on_first_read_only_for_arrays():
-    # A caller-built instance holds its sets from the start; every other one
-    # holds id arrays, and makes its tuples when they are first read.
-    for make in LAZY_SOURCES:
+    # Every instance holds its id arrays from construction. A caller-built
+    # one holds its sets too; every other one makes its tuples when they are
+    # first read. A reduction or a generator also keeps the element rows it
+    # transposed.
+    parsed, reduced, caller = {"n", "k", "_ids"}, {"n", "k", "_ids", "_elements"}, {"n", "sets", "k", "_ids"}
+    held = [parsed, reduced, reduced, caller, caller, reduced, reduced, reduced]
+    for make, keys in zip(LAZY_SOURCES, held, strict=True):
         inst = make()
-        caller_built = "_ids" not in inst.__dict__
-        assert ("sets" in inst.__dict__) == caller_built
+        caller_built = keys is caller
+        assert set(inst.__dict__) == keys
         inst.m, inst.effective_budget, set_masks(inst), frequency_profile(inst)
         assert ("sets" in inst.__dict__) == caller_built
         assert inst.sets is inst.sets
@@ -361,18 +397,33 @@ def test_sets_are_built_on_first_read_only_for_arrays():
 
 
 def test_approvals_are_built_on_first_read_only_for_arrays():
-    # The parser's election holds its ballots' id arrays, and neither the
-    # reduction nor a look at its counts makes the tuples.
-    for make in ELECTION_SOURCES:
+    # Every election holds its ballots' id arrays from construction. The
+    # parser's makes its tuples when they are first read, and neither the
+    # reduction nor a look at its counts makes them; a caller-built one holds
+    # its tuples too.
+    for make, caller_built in zip(ELECTION_SOURCES, [False, False, True]):
         election = make()
-        caller_built = "_ids" not in election.__dict__
-        assert ("approvals" in election.__dict__) == caller_built
+        fields = {"num_candidates", "num_voters", "committee_size", "_ids"}
+        assert set(election.__dict__) == fields | ({"approvals"} if caller_built else set())
         election_to_maxcover(election), election.num_voters, election.committee_size
         assert ("approvals" in election.__dict__) == caller_built
         assert election.approvals is election.approvals
     assert parse_election(APPROVAL_EXAMPLE).approvals == ((1, 2), (), (3,), (1, 3))
     with pytest.raises(AttributeError, match="'ApprovalElection' object has no attribute 'sets'"):
         parse_election(APPROVAL_EXAMPLE).sets
+
+
+def test_copies_and_pickles_are_checked_by_the_constructor():
+    # A copy or a pickle is rebuilt through the constructor, so fields that
+    # its check refuses are refused there too.
+    bad = maxcover.core._unchecked(Instance, n=1, sets=((2,),), k=0)
+    for twin in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        with pytest.raises(ValueError, match="^element id 2 exceeds n=1 in set 0$"):
+            twin(bad)
+    ballots = maxcover.core._unchecked(ApprovalElection, num_candidates=2, num_voters=1, approvals=((2, 1),),
+                                       committee_size=1)
+    with pytest.raises(ValueError, match="^ballot of voter 1 is not strictly increasing$"):
+        copy.copy(ballots)
 
 
 def test_reduced_election_is_unchanged():
@@ -412,8 +463,8 @@ def test_threads_racing_to_build_masks_and_profile_read_one_value():
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        # Nothing built yet: a caller-built instance has no arrays, and a
-        # parsed one no tuples.
+        # Nothing built yet: a caller-built instance has only its arrays and
+        # tuples, and a parsed one no tuples.
         for make in [lambda: Instance(plain.n, plain.sets, plain.k), lambda: parse_instance(text)] * 15:
             inst = make()
             got = []
@@ -487,7 +538,19 @@ def test_coverage_validates_indices():
             coverage(inst, [1])
         with pytest.raises(ValueError, match="duplicate set index"):
             coverage(inst, [0, 0])
+        for chosen in ([1.0], [0.0], [None], ["0"]):
+            with pytest.raises(ValueError) as err:
+                coverage(inst, chosen)
+            assert str(err.value) == f"set index {chosen[0]} is not an integer"
+        with pytest.raises(ValueError, match=r"^set index 1\.0 is not an integer$"):
+            coverage_inclusion_exclusion(inst, [1.0], 1)
         set_masks(inst)
+    # An Integral index counts as its value.
+    pair = Instance.of(3, [[1, 2], [3]], 2)
+    assert coverage(pair, [True]) == coverage(pair, [np.int64(1)]) == coverage(pair, [1]) == 1
+    assert coverage(pair, [np.uint8(0), True]) == 3
+    with pytest.raises(ValueError, match="^duplicate set index 1$"):
+        coverage(pair, [True, 1])
 
 
 def test_coverage_is_monotone_and_matches_set_union():

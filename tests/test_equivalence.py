@@ -67,7 +67,7 @@ from maxcover import (
 )
 from maxcover import cli, core, greedy
 from maxcover.cli import load_instance_text, main
-from maxcover.core import _BLOCK_BYTES, _id_arrays, _parse_header
+from maxcover.core import _BLOCK_BYTES, _parse_header
 from maxcover.exact import EnumerationCeilingError, _most_holders, best_fixed_size_subset
 from maxcover.greedy import extend_greedily
 from helpers import (
@@ -320,7 +320,7 @@ def test_row_greedy_stays_within_one_block_of_owners():
     parsed = parse_instance(serialize_instance(gen_random(30000, 1200, 40, 3, 0)))
     for inst in (approval, parsed):
         greedy_cover(inst)  # the parsed instance transposes its element rows once
-        longest = int(np.diff(_id_arrays(inst)[1]).max())
+        longest = int(np.diff(inst._ids[1]).max())
         peak, _ = peak_bytes(lambda: greedy_cover(inst))
         assert peak <= _BLOCK_BYTES + 32 * longest + inst.n + 16 * inst.m
 
@@ -502,7 +502,7 @@ def test_pruned_hybrid_keeps_a_tying_prefix_with_a_smaller_tuple():
 
 
 def kept_bytes(inst):
-    return sum(a.nbytes for a in _id_arrays(inst))
+    return sum(a.nbytes for a in inst._ids)
 
 
 def test_approval_load_peak_stays_within_the_appending_reduction():
@@ -610,7 +610,8 @@ loop_read_ballot = partial(
 
 
 def loop_check_instance(n, sets, k):
-    """The element loop of ``Instance.__post_init__``; returns its fields."""
+    """The former per-id loop of ``Instance.__post_init__``, which the array
+    check replaced; returns its fields."""
     if n < 0:
         raise ValueError(f"universe size must be nonnegative, got {n}")
     if k < 0:
@@ -631,7 +632,8 @@ def loop_check_instance(n, sets, k):
 
 
 def loop_check_election(num_candidates, num_voters, approvals, committee_size):
-    """The element loop of ``ApprovalElection.__post_init__``; returns its fields."""
+    """The former per-id loop of ``ApprovalElection.__post_init__``, which
+    the array check replaced; returns its fields."""
     if min(num_candidates, num_voters, committee_size) < 0:
         raise ValueError("election counts must be nonnegative")
     if len(approvals) != num_voters:
@@ -914,7 +916,13 @@ def mutated_sets(rand, sets, bound):
 def test_instance_check_equals_element_loop():
     rand = random.Random(7)
     cases = [(0, ((), ()), 1), (3, (), 0), (-1, ((1,),), 1), (2, ((1,),), -1), (2**70, ((1, 2**69),), 0),
-             (4, ((1.5, 2.5),), 1), (4, ((4.5,),), 1), (4, ((0.5,),), 1)]
+             (4, ((1.5, 2.5),), 1), (4, ((4.5,),), 1), (4, ((0.5,),), 1),
+             # Faults in two rows, where the earlier row's wins.
+             (5, ((1, 9), (0,)), 1), (5, ((2, 1), (1.5,)), 1), (5, ((1,), (3, 3), (0,)), 1),
+             (4, ((1, 7, 2.5),), 1), (4, ((0, 1.5),), 1), (4, ((-(2**70), 1.5),), 1),
+             (4, ((np.uint64(2**64 - 1),),), 1), (4, ((1, np.uint64(2**64 - 1)),), 1),
+             (3, ((True, 2), (False,)), 1), (1, ((True,),), 1), (3, ((True, True),), 1),
+             (2**70, ((1, 2**69, 2**70), (), (5,)), 1), (2**70, ((2**69, 2**69),), 1), (0, (), 0)]
     for inst in batch(8, 60) + [gen_random(30000, 20, 3, 3, 2)]:
         for _ in range(4):
             cases.append((inst.n, mutated_sets(rand, inst.sets, inst.n), inst.k))
@@ -925,7 +933,13 @@ def test_instance_check_equals_element_loop():
 
 def test_election_check_equals_element_loop():
     rand = random.Random(8)
-    cases = [(0, 0, (), 0), (2, 1, ((),), 0), (-1, 0, (), 0), (2, 2, ((1,),), 0), (3, 1, ((1.5, 2.5),), 1)]
+    cases = [(0, 0, (), 0), (2, 1, ((),), 0), (-1, 0, (), 0), (2, 2, ((1,),), 0), (3, 1, ((1.5, 2.5),), 1),
+             # Faults in two ballots, where the earlier ballot's wins.
+             (3, 2, ((1, 5), (0,)), 1), (3, 3, ((2,), (2, 1), (1.5,)), 1), (3, 2, ((1,), (3, 3)), 1),
+             (3, 1, ((1, 7, 2.5),), 1), (3, 1, ((0, 1.5),), 1), (3, 1, ((-(2**70), 1.5),), 1),
+             (3, 1, ((np.uint64(2**64 - 1),),), 1), (3, 1, ((1, np.uint64(2**64 - 1)),), 1),
+             (2, 2, ((True, 2), (False,)), 1), (1, 1, ((True,),), 1), (2, 1, ((True, True),), 1),
+             (2**70, 3, ((1, 2**69), (), (2**70,)), 1), (2**70, 1, ((2**69, 2**69),), 1), (5, 0, (), 2)]
     for candidates, text in [(c, t) for t, c in approval_documents(rand, 60)] + [(60, long_documents()[2][0])]:
         election = parse_election(text)
         for _ in range(4):
@@ -1369,7 +1383,7 @@ def test_built_families_keep_their_id_arrays():
     built += [graph_to_maxvertexcover(5, edges, 2), graph_to_maxvertexcover(3, [], 1), graph_to_maxvertexcover(0, [], 0)]
     for inst in built:
         ids, offs = inst.__dict__["_ids"]  # kept by the builder, before any solver reads them
-        want_ids, want_offs = core._flatten(inst.sets, inst.n)
+        want_ids, want_offs = Instance(inst.n, inst.sets, inst.k)._ids  # the public constructor's
         assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
         assert offs.dtype == want_offs.dtype and np.array_equal(offs, want_offs)
 
