@@ -15,6 +15,7 @@ the forms a value derives from its fields are built once and never change.
 from __future__ import annotations
 
 import numbers
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from operator import index
@@ -107,7 +108,11 @@ class Instance(_Derived):
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]], k: int) -> "Instance":
         """Build an instance, sorting and deduplicating each set."""
-        return cls(n, tuple(tuple(sorted(set(s))) for s in sets), k)
+        rows = [tuple(row) for row in sets]
+        for i, row in enumerate(rows):
+            with suppress(TypeError):  # ids that do not hash or compare: the constructor refuses them
+                rows[i] = tuple(sorted(set(row)))
+        return cls(n, tuple(rows), k)
 
     @property
     def m(self) -> int:

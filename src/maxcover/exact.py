@@ -103,18 +103,25 @@ def best_fixed_size_subset(
         scanned += len(covs)
         return best_cov
 
-    _walk(masks, size, size - 1, scan)
+    _walk(_packed(masks), size, size - 1, scan)
     return best, best_cov, scanned
 
 
-def _walk(masks: Sequence[int], picks: int, depth: int, leaf, free: int = 0) -> None:
-    """Depth-first branch and bound over the ``picks``-subsets of ``masks`` in
+def _packed(masks: Sequence[int]) -> np.ndarray:
+    """The masks as (m, ceil(bits / 64)) little-endian uint64 rows."""
+    words = -(-max(masks, default=0).bit_length() // 64)
+    packed = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+    return np.frombuffer(packed, "<u8").reshape(len(masks), words)
+
+
+def _walk(rows: np.ndarray, picks: int, depth: int, leaf, free: int = 0) -> None:
+    """Depth-first branch and bound over the ``picks``-subsets of ``rows`` in
     lexicographic order, handing each node ``depth`` picks deep to ``leaf``.
 
-    The masks are packed once into (m, ceil(bits / 64)) little-endian uint64
-    rows. A node whose union ``u`` is such a row counts ``u | row`` for each
-    later row with one ``np.bitwise_count``. At ``depth`` it calls
-    ``leaf(choice, u, covs, most)`` with its picks, union, counts, and
+    The rows are :func:`_packed` masks. A node whose union ``u`` is a row
+    counts ``u | row`` with one ``np.bitwise_count`` for each later row, or
+    each row if ``free``. At ``depth`` it calls ``leaf(choice, u, covs, most)``
+    with its picks, union, those counts (a list, or an array if ``free``), and
     popcount(u) plus the ``free`` largest gains over all the rows; the hook
     returns the floor, the largest bound to cut, or None to stop the search.
 
@@ -140,16 +147,13 @@ def _walk(masks: Sequence[int], picks: int, depth: int, leaf, free: int = 0) -> 
     pop in index order, skipped once their bound no longer beats the floor,
     and form their unions as they pop: the memory is a few rows at any depth.
     """
-    words = -(-max(masks, default=0).bit_length() // 64)
-    packed = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
-    rows = np.frombuffer(packed, "<u8").reshape(len(masks), words)
     choice = [0] * depth
     # gate[j] is delta for a node starting at j where the term is used; a pass
     # over every pair of later rows at each node costs more than it saves.
     gate = _least_overlaps(rows)
     p = 0  # counted where the gate first opens
     floor = -1
-    stack = [(0, 0, np.zeros(words, np.uint64), 0, math.inf)]
+    stack = [(0, 0, np.zeros(rows.shape[1], np.uint64), 0, math.inf)]
     while stack:
         pos, start, union, union_cov, bound = stack.pop()
         if bound <= floor:
@@ -157,18 +161,15 @@ def _walk(masks: Sequence[int], picks: int, depth: int, leaf, free: int = 0) -> 
         if pos:  # the root picks nothing
             choice[pos - 1] = start - 1
             union = union | rows[start - 1]
-        if free:
-            counts = np.bitwise_count(rows | union).sum(axis=1)
-            extra = int(np.partition(counts, -free)[-free:].sum()) - free * union_cov
-            covs = counts[start:].tolist()
-        else:
-            extra = 0
-            covs = np.bitwise_count(rows[start:] | union).sum(axis=1).tolist()
+        lo = 0 if free else start
+        counts = np.bitwise_count(rows[lo:] | union).sum(axis=1)
+        extra = int(np.partition(counts, -free)[-free:].sum()) - free * union_cov if free else 0
         if pos == depth:
-            floor = leaf(choice, union, covs, union_cov + extra)
+            floor = leaf(choice, union, counts if free else counts.tolist(), union_cov + extra)
             if floor is None:
                 return
             continue
+        covs = counts[start - lo :].tolist()
         r = picks - pos
         # covs[j] is popcount(union) plus the gain of row start + j, so the
         # bound popcount(union) + (r largest gains from j on) + extra is

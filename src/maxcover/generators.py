@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from numbers import Integral
 from operator import index
 from typing import Iterable, Sequence
 
@@ -197,17 +198,19 @@ def graph_to_maxvertexcover(
 
     Edge ids follow the input order, 1-based. ``edges`` holds (u, v) pairs,
     or is an integer array of them, one a row, as a parsed graph keeps them;
-    pairs are flattened once into an array. Whole-array passes find
-    endpoints out of range, self-loops and duplicate edges, and the first
-    edge with one is reported, for its first failing check in that order. An
-    endpoint that is not an integer is refused if no earlier edge fails.
+    pairs are flattened once into an array, where an endpoint that is not an
+    integer, or both of an edge without two, read as vertex 0. Whole-array
+    passes find endpoints out of range, self-loops and duplicate edges. The
+    first edge with a fault is reported for its first failing check: its
+    endpoint count, each endpoint's type then range, self-loop, duplicate.
     """
     _check_count(num_vertices, "vertex count")
     _check_count(k, "budget")
     if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
         pairs, ends = None, edges.reshape(-1)
     else:
-        pairs = [w for u, v in edges for w in (u, v)]
+        edges = [tuple(edge) for edge in edges]
+        pairs = [w if isinstance(w, Integral) else 0 for e in edges for w in (e if len(e) == 2 else (0, 0))]
         ends = np.fromiter(pairs, object, len(pairs))  # compared as the objects they are
     u, v = ends[0::2], ends[1::2]
     out = ~((ends >= 1) & (ends <= num_vertices))
@@ -219,11 +222,15 @@ def graph_to_maxvertexcover(
     if pairs is not None:
         ends = np.fromiter(map(index, pairs[: 2 * first]), np.int64)
     if first < len(bad):
-        eid, at = first + 1, slice(2 * first, 2 * first + 2)
-        u, v = ends[at].tolist() if pairs is None else pairs[at]
-        for w in (u, v):
+        eid, edge = first + 1, edges[first] if pairs is not None else ends[2 * first : 2 * first + 2].tolist()
+        if len(edge) != 2:
+            raise ValueError(f"edge {eid} must have two endpoints, got {len(edge)}")
+        for w in edge:
+            if not isinstance(w, Integral):
+                raise ValueError(f"edge {eid} endpoint {w!r} is not an integer")
             if not 1 <= w <= num_vertices:
                 raise ValueError(f"edge {eid} endpoint {w} out of range [1, {num_vertices}]")
+        u, v = edge
         if u == v:
             raise ValueError(f"edge {eid} is a self-loop at vertex {u}")
         raise ValueError(f"duplicate edge {(min(u, v), max(u, v))} at position {eid}")

@@ -1,15 +1,15 @@
 """Iterative best-marginal-gain selection with a full per-step trace.
 
-``greedy_cover`` counts its gains on the instance's rows of ids; the greedy
-finish of a search that already holds the set masks runs on those masks.
+``greedy_cover`` counts its gains on the instance's rows of ids. The greedy
+stages of the hybrids run on the exhaustive kernel's packed rows, from the
+counts of the node they start at.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,39 +25,28 @@ class GreedyTrace:
     uncovered_after: tuple[int, ...]
 
 
-def extend_greedily(
-    masks: Sequence[int], taken: list[bool], covered: int, steps: int
-) -> tuple[list[int], list[int], int]:
-    """Append ``steps`` picks, each maximizing newly covered elements.
-
-    Ties go to the lowest set index, and zero-gain picks are still made so
-    exactly ``steps`` sets are added while any remain. ``taken`` is updated
-    in place. Returns (picks, gains, covered mask).
-
-    Evaluation is lazy (Minoux's accelerated greedy): a heap holds every
-    untaken set keyed by (-gain when last scored, index), and only the top
-    entry is re-scored. Gains never grow as coverage grows, so a top entry
-    whose fresh gain equals its key beats every other set's fresh gain, or
-    ties it from a lower index: exactly the eager scan's pick.
-    """
-    if steps <= 0:
-        return [], [], covered
-    heap = [(-(mask & ~covered).bit_count(), i) for i, mask in enumerate(masks) if not taken[i]]
-    heapq.heapify(heap)
-    picks: list[int] = []
+def greedy_on_rows(
+    rows: np.ndarray, union: np.ndarray, chosen: list[int], steps: int, counts: np.ndarray
+) -> tuple[list[int], list[int], np.ndarray]:
+    """``steps`` greedy picks on packed uint64 ``rows`` from the union row
+    ``union``, where ``counts[i]`` is popcount(union | rows[i]): (picks, gains,
+    union after them). A pick is the first largest count among the rows not
+    in ``chosen`` nor picked, zero gains included, and the next pick counts
+    every row again; ``steps`` must not exceed the rows left."""
+    taken = list(chosen)
     gains: list[int] = []
-    while heap and len(picks) < steps:
-        stale, i = heap[0]
-        gain = (masks[i] & ~covered).bit_count()
-        if gain != -stale:
-            heapq.heapreplace(heap, (-gain, i))
-            continue
-        heapq.heappop(heap)
-        taken[i] = True
-        covered |= masks[i]
-        picks.append(i)
-        gains.append(gain)
-    return picks, gains, covered
+    covered = int(np.bitwise_count(union).sum())
+    for step in range(steps):
+        if step:
+            counts = np.bitwise_count(rows | union).sum(axis=1)
+        counts = counts.astype(np.int64)
+        counts[taken] = -1
+        i = int(counts.argmax())
+        taken.append(i)
+        gains.append(int(counts[i]) - covered)
+        covered += gains[-1]
+        union = union | rows[i]
+    return taken[len(chosen) :], gains, union
 
 
 def greedy_rows(inst: Instance, steps: int) -> tuple[list[int], list[int], np.ndarray]:
@@ -69,7 +58,7 @@ def greedy_rows(inst: Instance, steps: int) -> tuple[list[int], list[int], np.nd
     row that are not yet covered, and takes one off the gain of every set
     that holds one of them, read from the instance's element rows a block at
     a time, so the gains stay exact. The pick is the first largest gain, as
-    ``extend_greedily``'s: ties go to the lowest set index. Once no set
+    ``greedy_on_rows``'s: ties go to the lowest set index. Once no set
     gains anything, the picks left are the lowest-index sets not taken.
     """
     ids, offs = inst._ids
@@ -113,14 +102,9 @@ def _discount(gain: np.ndarray, owners: np.ndarray, starts: np.ndarray, new: np.
 def greedy_cover(inst: Instance) -> tuple[Solution, GreedyTrace]:
     """Run min(k, m) greedy steps and report the per-step trace alongside."""
     picks, gains, _ = greedy_rows(inst, inst.effective_budget)
-    uncovered_after = []
-    uncovered = inst.n
-    for g in gains:
-        uncovered -= g
-        uncovered_after.append(uncovered)
-    covered = inst.n - uncovered
-    solution = Solution(tuple(sorted(picks)), covered, uncovered)
-    return solution, GreedyTrace(tuple(picks), tuple(gains), tuple(uncovered_after))
+    uncovered_after = tuple(inst.n - c for c in accumulate(gains))
+    solution = Solution(tuple(sorted(picks)), sum(gains), inst.n - sum(gains))
+    return solution, GreedyTrace(tuple(picks), tuple(gains), uncovered_after)
 
 
 def greedy_guarantee(p: int, k: int, m: int) -> float:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Instance, Solution, _element_rows, frequency_profile, set_masks
-from .exact import DEFAULT_CEILING, _walk, best_fixed_size_subset, brute_force, check_ceiling
-from .greedy import extend_greedily, greedy_cover, greedy_rows
+from .exact import DEFAULT_CEILING, _packed, _walk, best_fixed_size_subset, brute_force, check_ceiling
+from .greedy import greedy_cover, greedy_on_rows, greedy_rows
 
 RATIO_METHODS = ("alg4", "alg5", "alg5_vertexcover", "croce_paschos")
 
@@ -67,9 +67,9 @@ def greedy_then_exact(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     x = 0 this is plain exhaustive search, with x = k plain greedy.
 
     A residual search of two or more picks runs on the kernel, and the greedy
-    picks on the masks it reads. Otherwise the greedy runs on the id rows,
-    and the residual search, a scan of the leftover sets' gains, reads their
-    gains from it: it counts the leaves ``best_fixed_size_subset`` would.
+    picks on its packed rows. Otherwise the greedy runs on the id rows with
+    no masks, and the residual search, a scan of the leftover sets' gains,
+    reads them from it: it counts the leaves ``best_fixed_size_subset`` would.
     """
     _check_split(inst, x)
     k_eff = inst.effective_budget
@@ -77,9 +77,13 @@ def greedy_then_exact(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     size = k_eff - x_eff
     if size >= 2:
         masks = set_masks(inst)
-        taken = [False] * inst.m
-        picks, gains, covered_mask = extend_greedily(masks, taken, 0, x_eff)
-        remaining = [i for i in range(inst.m) if not taken[i]]
+        rows = _packed(masks)
+        counts = np.bitwise_count(rows).sum(axis=1)
+        picks, gains, _ = greedy_on_rows(rows, np.zeros_like(rows[0]), [], x_eff, counts)
+        covered_mask = 0
+        for i in picks:
+            covered_mask |= masks[i]
+        remaining = sorted(set(range(inst.m)).difference(picks))
         scored = [masks[i] & ~covered_mask for i in remaining]
         combo, residual, scanned = best_fixed_size_subset(scored, size, ceiling)
         picks += [remaining[j] for j in combo]
@@ -115,10 +119,11 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     own x largest gains is below the best coverage so far, since a tying
     completion may still win on its index tuple. A cut above a prefix fails
     that prefix's own check too. ``combos_scanned`` counts the prefixes
-    finished greedily.
+    finished greedily. The finish runs on the kernel's rows, and its first
+    pick reads the counts the walk made at the prefix's node.
     """
     _check_split(inst, x)
-    masks = set_masks(inst)
+    rows = _packed(set_masks(inst))
     k_eff = inst.effective_budget
     x_eff = min(x, k_eff)
     prefix_size = k_eff - x_eff
@@ -126,21 +131,18 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     best_chosen: tuple[int, ...] = ()
     best_covered, finished = -1, 0
 
-    def finish(prefix, union, _covs, most):
+    def finish(prefix, union, counts, most):
         nonlocal best_chosen, best_covered, finished
         if most >= best_covered:
             finished += 1
-            taken = [False] * inst.m
-            for i in prefix:
-                taken[i] = True
-            picks, _, covered = extend_greedily(masks, taken, int.from_bytes(union.tobytes(), "little"), x_eff)
+            picks, _, union = greedy_on_rows(rows, union, prefix, x_eff, counts)
             chosen = tuple(sorted(prefix + picks))
-            cov = covered.bit_count()
+            cov = int(np.bitwise_count(union).sum())
             if cov > best_covered or (cov == best_covered and chosen < best_chosen):
                 best_covered, best_chosen = cov, chosen
         return best_covered - 1  # a tie is not cut
 
-    _walk(masks, prefix_size, prefix_size, finish, x_eff)
+    _walk(rows, prefix_size, prefix_size, finish, x_eff)
     solution = Solution(best_chosen, best_covered, inst.n - best_covered)
     return HybridReport(x, solution, _ratio_or_unit("alg5", x, inst.k), finished)
 

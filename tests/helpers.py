@@ -16,7 +16,6 @@ from maxcover import (
     graph_to_maxvertexcover,
     set_masks,
 )
-from maxcover.greedy import extend_greedily
 
 
 def random_instance(rand: random.Random, n: int, m: int, k: int, p_max: int,
@@ -157,6 +156,30 @@ def int_kernel(masks, size, p=None):
     return best, best_cov, scanned
 
 
+def eager_extend(masks, taken, covered, steps):
+    """The greedy reference on int masks: up to ``steps`` picks, each the
+    lowest-index set of largest gain among those not ``taken``, zero gains
+    included. ``taken`` is updated in place; returns (picks, gains, covered)."""
+    picks, gains = [], []
+    for _ in range(steps):
+        best_idx = -1
+        best_gain = -1
+        for i, mask in enumerate(masks):
+            if taken[i]:
+                continue
+            gain = (mask & ~covered).bit_count()
+            if gain > best_gain:
+                best_gain = gain
+                best_idx = i
+        if best_idx < 0:
+            break
+        taken[best_idx] = True
+        covered |= masks[best_idx]
+        picks.append(best_idx)
+        gains.append(best_gain)
+    return picks, gains, covered
+
+
 def recursive_exact_then_greedy(inst, x):
     """``exact_then_greedy`` as it was with a recursive prefix tree: each
     node sums the r + x largest gains among the sets outside its prefix, and
@@ -177,7 +200,7 @@ def recursive_exact_then_greedy(inst, x):
             return
         if r == 0:
             finished += 1
-            picks, _, covered = extend_greedily(masks, taken[:], union, x_eff)
+            picks, _, covered = eager_extend(masks, taken[:], union, x_eff)
             chosen = tuple(sorted(prefix + picks))
             cov = covered.bit_count()
             if cov > best_covered or (cov == best_covered and chosen < best_chosen):

@@ -174,6 +174,10 @@ def test_non_integer_ids_are_rejected_before_the_range_test():
         (lambda: Instance(4, ((1,), (2.0,)), 1), "element id 2.0 is not an integer in set 1"),
         (lambda: Instance(4, ((0.5,),), 1), "element id 0.5 is not an integer in set 0"),
         (lambda: Instance.of(4, [[2, 1.5]], 1), "element id 1.5 is not an integer in set 0"),
+        # A set whose ids do not compare or hash reaches the constructor as given.
+        (lambda: Instance.of(4, [[2, "1"]], 1), "element id 1 is not an integer in set 0"),
+        (lambda: Instance.of(4, [[[1]]], 1), "element id [1] is not an integer in set 0"),
+        (lambda: Instance.of(4, [[3, 1], [2, "1"]], 1), "element id 1 is not an integer in set 1"),
         (lambda: Instance(4, (("1",),), 1), "element id 1 is not an integer in set 0"),
         (lambda: ApprovalElection(3, 1, ((1.5, 2.5),), 1), "voter 1 approves non-integer candidate 1.5"),
         (lambda: ApprovalElection(3, 2, ((1,), (9.5,)), 1), "voter 2 approves non-integer candidate 9.5"),
@@ -499,8 +503,8 @@ def test_compare_builds_masks_and_profile_once(tmp_path, monkeypatch, capsys):
 
 def test_solvers_read_masks_through_their_module_global(monkeypatch):
     # greedy_cover counts on the id rows and reads no masks. The greedy
-    # module's mask path, extend_greedily, runs in exact_then_greedy's finish
-    # on the masks that hybrid reads.
+    # module's row path, greedy_on_rows, runs in the hybrids on the masks
+    # that hybrid reads and packs.
     called = []
     modules = [maxcover.exact, maxcover.fpt, maxcover.hybrid, maxcover.minnoncovered]
     for module in modules:

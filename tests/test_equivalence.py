@@ -68,11 +68,12 @@ from maxcover import (
 from maxcover import cli, core, greedy
 from maxcover.cli import load_instance_text, main
 from maxcover.core import _BLOCK_BYTES, _parse_header
-from maxcover.exact import EnumerationCeilingError, _most_holders, best_fixed_size_subset
-from maxcover.greedy import extend_greedily
+from maxcover.exact import EnumerationCeilingError, _most_holders, _packed, best_fixed_size_subset
+from maxcover.greedy import greedy_on_rows
 from helpers import (
     appended_election_to_maxcover,
     bounded_families,
+    eager_extend,
     flag_row_masks,
     full_scan,
     int_kernel,
@@ -90,27 +91,6 @@ def mask_of(ids) -> int:
     for e in ids:
         mask |= 1 << (e - 1)
     return mask
-
-
-def eager_extend(masks, taken, covered, steps):
-    picks, gains = [], []
-    for _ in range(steps):
-        best_idx = -1
-        best_gain = -1
-        for i, mask in enumerate(masks):
-            if taken[i]:
-                continue
-            gain = (mask & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_idx = i
-        if best_idx < 0:
-            break
-        taken[best_idx] = True
-        covered |= masks[best_idx]
-        picks.append(best_idx)
-        gains.append(best_gain)
-    return picks, gains, covered
 
 
 def rebuilding_min_noncovered(inst, reps, seed):
@@ -164,7 +144,7 @@ def every_prefix_then_greedy(inst, x):
         for i in prefix:
             covered |= masks[i]
             taken[i] = True
-        picks, _, covered = extend_greedily(masks, taken, covered, x_eff)
+        picks, _, covered = eager_extend(masks, taken, covered, x_eff)
         finished += 1
         chosen = tuple(sorted(prefix + tuple(picks)))
         cov = covered.bit_count()
@@ -204,36 +184,37 @@ def test_set_masks_equal_bit_by_bit_masks():
         assert set_masks(inst) == [mask_of(s) for s in inst.sets]
 
 
-def test_lazy_greedy_equals_eager_scan():
+def test_packed_row_greedy_equals_eager_scan():
     rand = random.Random(2)
     for inst in batch(2, 80):
         masks = set_masks(inst)
-        for steps in (inst.effective_budget, inst.m, inst.m + 3):
-            assert extend_greedily(masks, [False] * inst.m, 0, steps) == \
-                eager_extend(masks, [False] * inst.m, 0, steps)
-        # A prefix already taken, as the hybrids start the greedy stage.
-        prefix = rand.sample(range(inst.m), rand.randint(0, inst.m))
-        covered = 0
-        for i in prefix:
-            covered |= masks[i]
-        lazy_taken = [i in prefix for i in range(inst.m)]
-        eager_taken = list(lazy_taken)
-        steps = rand.randint(0, inst.m + 2)
-        assert extend_greedily(masks, lazy_taken, covered, steps) == \
-            eager_extend(masks, eager_taken, covered, steps)
-        assert lazy_taken == eager_taken
+        rows = _packed(masks)
+        # With nothing taken, and with a prefix taken, as the hybrids start
+        # their greedy stages.
+        for chosen in ([], rand.sample(range(inst.m), rand.randint(0, inst.m))):
+            covered, union = 0, np.zeros(rows.shape[1], np.uint64)
+            for i in chosen:
+                covered |= masks[i]
+                union |= rows[i]
+            counts = np.bitwise_count(rows | union).sum(axis=1)
+            for steps in range(inst.m - len(chosen) + 1):
+                picks, gains, after = greedy_on_rows(rows, union, chosen, steps, counts)
+                want = eager_extend(masks, [i in chosen for i in range(inst.m)], covered, steps)
+                assert (picks, gains, int.from_bytes(after.tobytes(), "little")) == want
+            assert int.from_bytes(union.tobytes(), "little") == covered
 
 
-def test_lazy_greedy_ties_and_zero_gains():
+def test_packed_row_greedy_ties_and_zero_gains():
     masks = [0b011, 0b110, 0b011, 0b000, 0b110]
-    picks, gains, covered = extend_greedily(masks, [False] * 5, 0, 5)
-    assert (picks, gains, covered) == eager_extend(masks, [False] * 5, 0, 5)
+    rows = _packed(masks)
+    picks, gains, union = greedy_on_rows(rows, np.zeros(1, np.uint64), [], 5, np.bitwise_count(rows).sum(axis=1))
+    assert (picks, gains, int(union[0])) == eager_extend(masks, [False] * 5, 0, 5)
     assert picks == [0, 1, 2, 3, 4] and gains == [2, 1, 0, 0, 0]
 
 
 def mask_greedy_cover(inst):
     """(picks, gains, uncovered after each pick) of the greedy on the masks."""
-    picks, gains, _ = extend_greedily(set_masks(inst), [False] * inst.m, 0, inst.effective_budget)
+    picks, gains, _ = eager_extend(set_masks(inst), [False] * inst.m, 0, inst.effective_budget)
     return tuple(picks), tuple(gains), tuple(inst.n - sum(gains[: i + 1]) for i in range(len(gains)))
 
 
@@ -243,7 +224,7 @@ def mask_greedy_then_exact(inst, x, ceiling):
     masks = set_masks(inst)
     x_eff = min(x, inst.effective_budget)
     taken = [False] * inst.m
-    picks, _, covered = extend_greedily(masks, taken, 0, x_eff)
+    picks, _, covered = eager_extend(masks, taken, 0, x_eff)
     remaining = [i for i in range(inst.m) if not taken[i]]
     scored = [masks[i] & ~covered for i in remaining]
     combo, residual, scanned = best_fixed_size_subset(scored, inst.effective_budget - x_eff, ceiling)

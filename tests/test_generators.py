@@ -222,13 +222,30 @@ def test_graph_rejects_self_loops_and_duplicates():
 
 
 def test_graph_refuses_non_integer_endpoints():
-    # An endpoint in range that is not an integer is refused, never truncated
-    # to a vertex; the edge's own checks come first.
-    with pytest.raises(TypeError):
-        graph_to_maxvertexcover(3, [(1, 2), (2.5, 3)], 1)
-    with pytest.raises(ValueError, match="self-loop"):
-        graph_to_maxvertexcover(3, [(1.5, 1.5)], 1)
+    # An endpoint that is not an integer is refused, never truncated to a
+    # vertex, and so is an edge without two endpoints. The first edge with any
+    # fault wins; within it, the endpoint count comes first, then each
+    # endpoint's type and range in turn, then a self-loop.
+    cases = [
+        ([(1, 2.5)], "edge 1 endpoint 2.5 is not an integer"),
+        ([(1, 2), (2.0, 3)], "edge 2 endpoint 2.0 is not an integer"),
+        ([(1, "a")], "edge 1 endpoint 'a' is not an integer"),
+        ([(1, None)], "edge 1 endpoint None is not an integer"),
+        ([(1,)], "edge 1 must have two endpoints, got 1"),
+        ([(1, 2), (1, 2, 3)], "edge 2 must have two endpoints, got 3"),
+        ([(1, 2), (2.5, 3)], "edge 2 endpoint 2.5 is not an integer"),
+        ([(1.5, 1.5)], "edge 1 endpoint 1.5 is not an integer"),
+        ([(5, 2.5)], "edge 1 endpoint 5 out of range [1, 3]"),
+        ([(1, 1), (1, "a")], "edge 1 is a self-loop at vertex 1"),
+        ([(1, 2), (1, 2), (3,)], "duplicate edge (1, 2) at position 2"),
+        ([(1, 2, 3), (1, 1)], "edge 1 must have two endpoints, got 3"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(ValueError) as err:
+            graph_to_maxvertexcover(3, edges, 1)
+        assert str(err.value) == message
     assert graph_to_maxvertexcover(3, [(True, np.int64(3))], 1) == graph_to_maxvertexcover(3, [(1, 3)], 1)
+    assert graph_to_maxvertexcover(3, iter([[1, 2], iter((2, 3))]), 1) == graph_to_maxvertexcover(3, [(1, 2), (2, 3)], 1)
 
 
 def test_isolated_vertices_become_empty_sets():

@@ -37,3 +37,23 @@ def test_no_module_imports_a_name_it_never_reads():
         }
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not imported - read, (path.name, sorted(imported - read))
+
+
+def test_every_top_level_definition_is_exported_or_read():
+    # A definition counts as read where a package module names it, reads it as
+    # an attribute, or holds it as a string (the CLI keeps handler names so).
+    defined, read = {}, set()
+    for path in sorted(Path(maxcover.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unused = {name: module for name, module in defined.items() if name not in read and name not in maxcover.__all__}
+    assert not unused, unused
