@@ -406,11 +406,14 @@ def coverage_inclusion_exclusion(inst: Instance, chosen: Iterable[int], p: int) 
 
 
 def check_frequency_bound(inst: Instance, p: int, word: str = "bound") -> None:
-    """Reject p < 1, and any element that appears in more than p sets.
+    """Reject a p that is not an integer, p < 1, and any element that
+    appears in more than p sets.
 
     ``word`` names p in the error messages, as in "frequency bound must be
     positive" or "above the bound p=2".
     """
+    if not isinstance(p, numbers.Integral):
+        raise ValueError(f"frequency {word} must be an integer, got {p!r}")
     if p < 1:
         raise ValueError(f"frequency {word} must be positive, got {p}")
     profile = frequency_profile(inst)

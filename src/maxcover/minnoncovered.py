@@ -10,6 +10,8 @@ they could run in any order, or in parallel, with an identical outcome.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -52,12 +54,29 @@ def repetition_count(beta: float, epsilon: float, k: int) -> int:
         ) from None
 
 
+# At most this many fixed-point steps a select before it bisects.
+_SELECT_STEPS = 4
+
+
 def _nth_uncovered(covered: int, count: int, r: int) -> int:
     """The r-th (1-based) element outside ``covered``, a mask of ``count``
-    elements. Elements 1..e leave e - count + popcount(covered >> e) of
-    themselves uncovered, which never falls as e grows, so bisection finds
-    the first e where that reaches r; it lies in [r, r + count]."""
-    lo, hi = r, r + count
+    elements.
+
+    Elements 1..e hold count - popcount(covered >> e) covered ones, so the
+    pick is the least fixed point of e = r + count - popcount(covered >> e).
+    Stepping from e = r never passes it, and on a search's masks reaches it
+    in two or three steps. A covered run can make every step short, so after
+    ``_SELECT_STEPS`` steps the select bisects for the first e in
+    [e, r + count] whose elements 1..e leave r uncovered: that count,
+    e - count + popcount(covered >> e), never falls as e grows.
+    """
+    e = r
+    for _ in range(_SELECT_STEPS):
+        step = r + count - (covered >> e).bit_count()
+        if step == e:
+            return e
+        e = step
+    lo, hi = e, r + count
     while lo < hi:
         mid = (lo + hi) // 2
         if mid - count + (covered >> mid).bit_count() >= r:
@@ -67,47 +86,104 @@ def _nth_uncovered(covered: int, count: int, r: int) -> int:
     return lo
 
 
-def _bounded_draws(bitgen: np.random.PCG64):
-    """A function ``draw(bound)`` returning, call for call, the values that
-    ``np.random.Generator(bitgen).integers(bound)`` would, read from the
-    stream's raw words by numpy's own rule.
+def _bounded_draw(bitgen: np.random.PCG64, halves: list[int], bound: int) -> int:
+    """The value ``np.random.Generator(bitgen).integers(bound)`` would draw
+    next, read from the stream's 32-bit halves by numpy's own rule.
 
-    A bound of 1 gives 0 and draws nothing. A bound up to 2**32 runs Lemire's
-    method on 32-bit draws: as PCG64's ``next_uint32`` does, a draw takes the
-    low half of a fresh word and keeps its high half for the next 32-bit draw.
-    A larger bound runs Lemire's method on a whole fresh word.
+    ``halves`` is a stack over a sentinel 0: the stream's halves, low half
+    first, with the next one on top. Its length is even exactly when the top
+    half is the high half of a word a 32-bit draw split. When it runs low, 16
+    more words go in under the halves still on it: a repetition draws some
+    tens of halves, and a ``random_raw`` call costs about as much whatever it
+    returns. A bound of 1 gives 0 and draws nothing. A bound up to 2**32 runs
+    Lemire's method on 32-bit draws, each the next half. A larger bound runs
+    it on fresh whole words and, as PCG64's ``next_uint64`` does, leaves a
+    pending high half for the next 32-bit draw.
     """
-    # Sixteen words a read: a benchmark repetition draws some tens of 32-bit
-    # halves, and a ``random_raw`` call costs about as much as an
-    # ``integers`` call whatever it returns.
-    words = chain.from_iterable(iter(lambda: bitgen.random_raw(16).tolist(), None))
-    half = None  # the high half of the last word a 32-bit draw split
+    if bound == 1:
+        return 0
+    bits = 32 if bound <= 1 << 32 else 64
+    pending = halves.pop() if bits == 64 and len(halves) % 2 == 0 else None
+    # Lemire's method rejects exactly the products whose low bits fall below
+    # 2**bits % bound.
+    threshold = (1 << bits) % bound
+    while True:
+        if len(halves) < 3:
+            halves[1:1] = bitgen.random_raw(16).astype("<u8").view("<u4")[::-1].tolist()
+        x = halves.pop()
+        if bits == 64:
+            x |= halves.pop() << 32
+        m = x * bound
+        if m & ((1 << bits) - 1) >= threshold:
+            break
+    if pending is not None:
+        halves.append(pending)
+    return m >> bits
 
-    def draw(bound: int) -> int:
-        nonlocal half
-        if bound == 1:
-            return 0
-        # Lemire's method rejects exactly the products whose low bits fall
-        # below 2**bits % bound.
-        if bound > 1 << 32:
-            threshold = (1 << 64) % bound
-            while True:
-                m = next(words) * bound
-                if m & 0xFFFFFFFFFFFFFFFF >= threshold:
-                    return m >> 64
-        threshold = (1 << 32) % bound
-        while True:
-            if half is None:
-                x = next(words)
-                half = x >> 32
-                x &= 0xFFFFFFFF
-            else:
-                x, half = half, None
-            m = x * bound
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
 
-    return draw
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+# The hash constant steps by a fixed multiplier at every call, whatever the
+# data, so each pass's constants are listed once: the entropy mix makes at
+# most 24 calls, the state output 8.
+_A = [_INIT_A * pow(_MULT_A, i, 1 << 32) & _M32 for i in range(25)]
+_B = [_INIT_B * pow(_MULT_B, i, 1 << 32) & _M32 for i in range(9)]
+
+
+def _hash(value, call: int, consts: list[int] = _A):
+    """SeedSequence's ``hashmix``, the ``call``-th of a pass, on uint32
+    arrays or Python ints below 2**32."""
+    value = (value ^ consts[call]) * consts[call + 1] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ value >> 16
+
+
+def _stream_states(seed: int, start: int, stop: int) -> list[dict]:
+    """The ``state`` of ``PCG64(SeedSequence(entropy=seed, spawn_key=(rep,)))``
+    for each rep in [start, stop).
+
+    SeedSequence pads the seed's 32-bit words (two at most) with zeros to its
+    pool of four and appends the spawn key's (one below 2**32, else two). The
+    pool that mixes from the seed words alone is the same for every rep and
+    is hashed once in Python ints; the spawn words are then mixed in, and the
+    four 64-bit state words drawn, as whole uint32-array passes over the
+    block. uint32 arrays wrap without a warning, where a numpy scalar would
+    warn. PCG64's ``srandom_r`` then runs on Python ints.
+    """
+    seed = operator.index(seed)
+    pool = [_hash(word, call) for call, word in enumerate((seed & _M32, seed >> 32, 0, 0))]
+    call = len(pool)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], call))
+                call += 1
+    reps = np.arange(start, stop, dtype=np.uint64)
+    pool = [np.full(len(reps), word, np.uint32) for word in pool]
+    pool = [_mix(word, _hash(reps.astype(np.uint32), call + dst)) for dst, word in enumerate(pool)]
+    if stop > 1 << 32:
+        high = (reps >> 32).astype(np.uint32)
+        pool = [np.where(high > 0, _mix(word, _hash(high, call + 4 + dst)), word) for dst, word in enumerate(pool)]
+    words = np.stack([_hash(pool[i % 4], i, _B) for i in range(8)], axis=1)
+    states = []
+    for s_high, s_low, i_high, i_low in words.astype("<u4").view("<u8").tolist():
+        inc = ((i_high << 64 | i_low) << 1 | 1) & _M128
+        state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _M128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+# Repetitions seeded a block at a time, so memory stays bounded however many.
+_SEED_BLOCK = 4096
 
 
 def randomized_min_noncovered(
@@ -118,17 +194,24 @@ def randomized_min_noncovered(
 
     Deterministic per (instance, parameters, seed): repetition i uses the
     PCG64 stream derived from SeedSequence(seed, spawn_key=(i,)), and each
-    sample is the value ``Generator.integers`` would draw on it, read from
-    the stream's raw words by ``_bounded_draws`` without a Generator. A branch
-    that covers everything returns early; ties on uncovered counts keep the
-    earlier candidate, both across branches and across repetitions, so a
-    repetition's result is the first leaf, in depth-first order, that covers
-    the most. Each tree is walked on an explicit stack of (picks left, picks
-    made, covered mask) frames, so no budget is too deep for it. Refuses
-    with :class:`EnumerationCeilingError`, before any search, when the plan's
-    repetitions times p**k search leaves exceed ``ceiling``.
+    sample is the value ``Generator.integers`` would draw on it. No
+    SeedSequence and no Generator is built: one PCG64 takes each
+    repetition's seeded state from ``_stream_states``, and the search reads
+    its stream as 32-bit halves. It inlines Lemire's early accept, a half
+    whose product with the bound keeps low bits of at least the bound (numpy's
+    threshold 2**32 % bound lies below it), and leaves every other case to
+    ``_bounded_draw``. A branch that covers everything returns early; ties on
+    uncovered counts keep the earlier candidate, both across branches and
+    across repetitions, so a repetition's result is the first leaf, in
+    depth-first order, that covers the most. Each tree is walked on an
+    explicit stack of (picks left, picks made, covered mask) frames, so no
+    budget is too deep for it. Refuses with :class:`EnumerationCeilingError`,
+    before any search, when the plan's repetitions times p**k search leaves
+    exceed ``ceiling``.
     """
     check_frequency_bound(inst, p)
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     reps = repetition_count(beta, epsilon, inst.k)
@@ -139,16 +222,23 @@ def randomized_min_noncovered(
     if planned > ceiling:
         raise EnumerationCeilingError(planned, ceiling, "search leaves planned")
     masks = set_masks(inst)
+    n = inst.n
     samples = 0
-    owners: list[list[int]] = [[] for _ in range(inst.n)]
+    owners: list[list[int]] = [[] for _ in range(n)]
     for i, s in enumerate(inst.sets):
         for e in s:
             owners[e - 1].append(i)
 
+    bitgen = np.random.PCG64(0)  # takes each repetition's state in turn
     best_solution: Solution | None = None
     per_rep: list[int] = []
-    for rep in range(reps):
-        draw = _bounded_draws(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
+    states = chain.from_iterable(
+        _stream_states(seed, start, min(reps, start + _SEED_BLOCK)) for start in range(0, reps, _SEED_BLOCK)
+    )
+    for state in states:
+        bitgen.state = state
+        halves = [0]  # the stream's halves over a sentinel, as _bounded_draw reads them
+        pop, push = halves.pop, halves.append
         # Nodes pop, and draw, in depth-first order; children with no picks
         # left are leaves, read in order where they are made.
         best_chosen, best_count = (), -1
@@ -156,9 +246,17 @@ def randomized_min_noncovered(
         while stack:
             depth, chosen, covered = stack.pop()
             count = covered.bit_count()
-            if depth and count < inst.n:
+            if depth and count < n:
                 samples += 1
-                e = _nth_uncovered(covered, count, draw(inst.n - count) + 1)
+                bound = n - count
+                half = pop()
+                m = half * bound
+                if m & 0xFFFFFFFF >= bound > 1:
+                    r = m >> 32
+                else:
+                    push(half)
+                    r = _bounded_draw(bitgen, halves, bound)
+                e = _nth_uncovered(covered, count, r + 1)
                 kids = owners[e - 1]
                 if kids and depth > 1:
                     stack += [(depth - 1, chosen + (i,), covered | masks[i]) for i in reversed(kids)]
@@ -172,7 +270,7 @@ def randomized_min_noncovered(
                 # The sampled element lies in no set; nothing to branch on.
             if count > best_count:
                 best_chosen, best_count = chosen, count
-        uncovered = inst.n - best_count
+        uncovered = n - best_count
         per_rep.append(uncovered)
         if best_solution is None or uncovered < best_solution.uncovered:
             best_solution = Solution(tuple(sorted(best_chosen)), best_count, uncovered)

@@ -623,6 +623,15 @@ def test_frequency_bound_messages_of_every_caller():
             with pytest.raises(ValueError) as err:
                 fn(0)
             assert str(err.value) == f"frequency {word} must be positive, got 0"
+            # The type is checked before the sign.
+            for p in (2.5, 2.0, -1.5, "2", None):
+                with pytest.raises(ValueError) as err:
+                    fn(p)
+                assert str(err.value) == f"frequency {word} must be an integer, got {p!r}"
+            # True and numpy integers stay accepted as integers.
+            with pytest.raises(ValueError, match="element 1 appears in 3 sets"):
+                fn(True)
+            fn(np.int64(3))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 import maxcover.minnoncovered
-from maxcover.minnoncovered import RandomizedRun, _bounded_draws, _nth_uncovered
+from maxcover.minnoncovered import RandomizedRun, _bounded_draw, _nth_uncovered, _stream_states
 from maxcover import (
     EnumerationCeilingError,
     Instance,
@@ -50,13 +51,14 @@ def test_repetition_count_overflow_is_a_value_error():
 
 
 def select_masks(n: int, rand: random.Random):
-    """Covered masks over 1..n: empty, all but one element covered, low and
-    high covered runs, every other element, and random masks of density
-    0.05 to 0.99."""
+    """Covered masks over 1..n: empty, all but one element covered, low,
+    middle and high covered runs, every other element, and random masks of
+    density 0.05 to 0.99."""
     full = (1 << n) - 1
     masks = [0]
     masks += [full ^ (1 << b) for b in {0, n // 2, n - 1}]
     masks += [(1 << length) - 1 for length in {1, n // 2, n - 1}]
+    masks += [((1 << length) - 1) << start for start in {1, n // 3} for length in {1, n // 2} if start + length < n]
     masks += [full ^ ((1 << (n - length)) - 1) for length in {1, n // 2, n - 1}]
     masks += [sum(1 << b for b in range(start, n, 2)) for start in (0, 1)]
     for density in (0.05, 0.3, 0.5, 0.9, 0.99):
@@ -70,9 +72,29 @@ def test_nth_uncovered_equals_unpacked_select(n):
     for covered in select_masks(n, rand):
         count = covered.bit_count()
         left = n - count
-        for r in {1, 2, left // 2, left - 1, left}:
+        # r = 1 on a low run, and r at the first covered element, make every
+        # fixed-point step one element long, so the select falls back to
+        # bisection.
+        first = (covered & -covered).bit_length()
+        for r in {1, 2, first, left // 2, left - 1, left}:
             if 1 <= r <= left:
                 assert _nth_uncovered(covered, count, r) == unpacked_nth_uncovered(covered, n, r)
+
+
+def test_nth_uncovered_steps_are_bounded_on_a_long_covered_run():
+    """A covered run at r holds every fixed-point step to one element: at
+    n = 10**5 with half the elements covered, stepping alone would take
+    50 000 steps a select. The bounded select stays a few steps and a
+    bisection."""
+    n = 10**5
+    low = (1 << n // 2) - 1  # elements 1..n/2
+    middle = low << n // 4  # elements n/4 + 1..3n/4
+    cases = [(low, r) for r in (1, 2, n // 4, n // 2)] + [(middle, n // 4 + 1)]
+    want = [unpacked_nth_uncovered(covered, n, r) for covered, r in cases]
+    start = time.process_time()
+    got = [_nth_uncovered(covered, covered.bit_count(), r) for covered, r in cases for _ in range(20)]
+    assert time.process_time() - start < 1.0
+    assert got == [w for w in want for _ in range(20)]
 
 
 @pytest.fixture
@@ -208,6 +230,13 @@ def test_rejects_bad_inputs():
         randomized_min_noncovered(inst, 2, 2.0, 0.1, seed=-1)
     with pytest.raises(ValueError, match="frequency bound"):
         randomized_min_noncovered(inst, 0, 2.0, 0.1, seed=0)
+    # The seed's type is checked before its range.
+    for seed in (1.5, 2.0, "3", None):
+        with pytest.raises(ValueError) as err:
+            randomized_min_noncovered(inst, 2, 2.0, 0.1, seed=seed)
+        assert str(err.value) == f"seed must be an integer, got {seed!r}"
+    assert randomized_min_noncovered(inst, 2, 2.0, 0.1, seed=np.uint64(2**64 - 1)) == \
+        randomized_min_noncovered(inst, 2, 2.0, 0.1, seed=2**64 - 1)
 
 
 # Bounds on both sides of every branch of numpy's bounded rule: no draw at 1,
@@ -217,16 +246,26 @@ DRAW_BOUNDS = [1, 2, 3, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1,
 
 
 def test_draws_equal_the_generator_values_on_one_stream():
-    """The draws read from raw words equal ``Generator.integers`` value for
-    value, 32-bit and 64-bit bounds mixed on one stream. Should a numpy
-    release change its bounded-integer rule, this test fails first, and
-    names the cause the pinned digests would only show as a change."""
+    """The draws read from the stream's halves equal ``Generator.integers``
+    value for value, 32-bit and 64-bit bounds mixed on one stream. Should a
+    numpy release change its bounded-integer rule, this test fails first,
+    and names the cause the pinned digests would only show as a change."""
     pick = random.Random(5)
     for seed in range(200):
         bounds = [pick.choice(DRAW_BOUNDS) for _ in range(150)]
         want = np.random.Generator(np.random.PCG64(seed))
-        draw = _bounded_draws(np.random.PCG64(seed))
-        assert [draw(b) for b in bounds] == [int(want.integers(b)) for b in bounds], seed
+        bitgen, halves = np.random.PCG64(seed), [0]
+        assert [_bounded_draw(bitgen, halves, b) for b in bounds] == [int(want.integers(b)) for b in bounds], seed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_stream_states_equal_the_seeded_generators(seed):
+    """The batched seeding gives each repetition the state SeedSequence and
+    PCG64 would, for one- and two-word seeds and spawn keys."""
+    for start, stop in ((0, 300), (2**32 - 2, 2**32 + 2)):
+        want = [np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))).state
+                for rep in range(start, stop)]
+        assert _stream_states(seed, start, stop) == want
 
 
 def generator_loop(inst, p, beta, epsilon, seed):
@@ -274,15 +313,27 @@ def graph_instance(seed):
     return graph_to_maxvertexcover(30, edges, 4)
 
 
-@pytest.mark.parametrize("family", ["p1", "p2", "p3", "p4", "graph"])
+@pytest.mark.parametrize("family", ["p1", "p2", "p3", "p4", "graph", "small"])
 def test_runs_equal_the_generator_loop(family):
     for seed in (0, 1, 7, 2**64 - 1):
         if family == "graph":
             inst, p = graph_instance(seed % 5), 2
+        elif family == "small":
+            # Nodes with one element left draw with bound 1, which reads
+            # nothing from the stream, and their later siblings draw again.
+            inst, p = gen_random(n=5, m=6, k=3, p_max=3, seed=seed % 5), 3
         else:
             p = int(family[1])
             inst = gen_random(n=60, m=25, k=4, p_max=p, seed=seed % 5)
         assert randomized_min_noncovered(inst, p, 2.0, 0.1, seed) == generator_loop(inst, p, 2.0, 0.1, seed)
+
+
+def test_runs_cross_the_seeding_blocks():
+    # 4 608 repetitions take two blocks of seeded states.
+    inst = gen_random(n=12, m=6, k=1, p_max=2, seed=3)
+    run = randomized_min_noncovered(inst, 2, 1.0005, 0.1, seed=9)
+    assert run.repetitions == 4608 > maxcover.minnoncovered._SEED_BLOCK
+    assert run == generator_loop(inst, 2, 1.0005, 0.1, 9)
 
 
 def test_no_generator_is_built(monkeypatch):
@@ -290,5 +341,14 @@ def test_no_generator_is_built(monkeypatch):
         raise AssertionError("a Generator was built")
 
     monkeypatch.setattr(np.random, "Generator", refuse)
+    inst = gen_random(n=40, m=15, k=3, p_max=3, seed=2)
+    assert randomized_min_noncovered(inst, 3, 2.0, 0.1, seed=3).samples > 0
+
+
+def test_no_seed_sequence_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SeedSequence was built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
     inst = gen_random(n=40, m=15, k=3, p_max=3, seed=2)
     assert randomized_min_noncovered(inst, 3, 2.0, 0.1, seed=3).samples > 0
