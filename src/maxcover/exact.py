@@ -125,12 +125,13 @@ def _walk(rows: np.ndarray, picks: int, depth: int, leaf, free: int = 0) -> None
     popcount(u) plus the ``free`` largest gains over all the rows; the hook
     returns the floor, the largest bound to cut, or None to stop the search.
 
-    Above ``depth``, with r picks left, a subset whose next pick is j or later
-    covers at most popcount(u) plus the r largest gains from j on, plus the
-    ``free`` largest gains over all the rows for picks a caller makes outside
-    the walk, counted only when ``free`` is nonzero. That bound never grows
-    with j, so the children are cut from the first one at or below the floor.
-    A child with no pick after it (r = 1) is bounded by its own union.
+    Above ``depth``, with r picks left, a subset whose next pick is j covers
+    at most popcount(u) plus the gain of j and the r - 1 largest gains after
+    j, plus the ``free`` largest gains over all the rows for picks a caller
+    makes outside the walk, counted only when ``free`` is nonzero. One pass
+    from the last child back keeps those r - 1 gains in a heap and pushes
+    each child whose bound beats the floor. A child with no pick after it
+    (r = 1) is bounded by its own union.
 
     With p the most masks that hold one element, an element outside ``u``
     that t <= p of the r picks hold is counted t - 1 >= (2/p) * C(t, 2) times
@@ -144,7 +145,7 @@ def _walk(rows: np.ndarray, picks: int, depth: int, leaf, free: int = 0) -> None
 
     A frame of the explicit stack is an unvisited child: its depth, first
     later row, parent's union row, own union's popcount and bound. Children
-    pop in index order, skipped once their bound no longer beats the floor,
+    pop in index order, skipped if their bound no longer beats the floor,
     and form their unions as they pop: the memory is a few rows at any depth.
     """
     choice = [0] * depth
@@ -172,37 +173,26 @@ def _walk(rows: np.ndarray, picks: int, depth: int, leaf, free: int = 0) -> None
         covs = counts[start - lo :].tolist()
         r = picks - pos
         # covs[j] is popcount(union) plus the gain of row start + j, so the
-        # bound popcount(union) + (r largest gains from j on) + extra is
-        # bounds[j] - excess.
+        # bound popcount(union) + (gain j and the r - 1 largest after it) +
+        # extra is covs[j] + (the r - 1 largest counts after j) - excess.
         excess = (r - 1) * union_cov - extra
         if gate[start]:
             p = p or _most_holders(rows)
             if p <= 2 or not union_cov:
                 excess += -(-r * (r - 1) * gate[start] // p)
-        bounds = _suffix_top_sums(covs, r)
-        own = covs if r == 1 else bounds
-        kids = []
-        for j in range(len(covs) - r + 1):
-            if bounds[j] - excess <= floor:
-                break
-            kids.append((pos + 1, start + j + 1, union, covs[j], own[j] - excess))
-        stack += reversed(kids)
-
-
-def _suffix_top_sums(values: Sequence[int], r: int) -> list[int]:
-    """``out[j]`` is the sum of the ``r`` largest of ``values[j:]``."""
-    out = [0] * len(values)
-    smallest_first: list[int] = []
-    total = 0
-    for j in range(len(values) - 1, -1, -1):
-        v = values[j]
-        if len(smallest_first) < r:
-            heapq.heappush(smallest_first, v)
-            total += v
-        elif v > smallest_first[0]:
-            total += v - heapq.heapreplace(smallest_first, v)
-        out[j] = total
-    return out
+        # From the last child back, so the first is pushed last and pops
+        # first; ``after`` holds the r - 1 largest counts after j.
+        last = len(covs) - r
+        after = covs[last + 1 :]
+        heapq.heapify(after)
+        total = sum(after)
+        for j in range(last, -1, -1):
+            cov = covs[j]
+            bound = cov + total - excess
+            if bound > floor:
+                stack.append((pos + 1, start + j + 1, union, cov, bound))
+            if after and cov > after[0]:
+                total += cov - heapq.heapreplace(after, cov)
 
 
 def _least_overlaps(rows: np.ndarray) -> list[int]:

@@ -40,8 +40,8 @@ def repetition_count(beta: float, epsilon: float, k: int) -> int:
     Running that many independent searches keeps uncovered within beta times
     the minimum with probability at least 1 - epsilon.
     """
-    if beta <= 1.0:
-        raise ValueError(f"beta must exceed 1 for uncovered-count ratios, got {beta}")
+    if not 1.0 < beta < math.inf:  # NaN fails both
+        raise ValueError(f"beta must exceed 1 and be finite for uncovered-count ratios, got {beta}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if k < 0:

@@ -113,18 +113,6 @@ def int_kernel(masks, size, p=None):
                 break
             gate[a] = least
 
-    def top_sums(values, r):
-        out, smallest_first, total = [0] * len(values), [], 0
-        for j in range(len(values) - 1, -1, -1):
-            v = values[j]
-            if len(smallest_first) < r:
-                heapq.heappush(smallest_first, v)
-                total += v
-            elif v > smallest_first[0]:
-                total += v - heapq.heapreplace(smallest_first, v)
-            out[j] = total
-        return out
-
     def descend(pos, start, union):
         nonlocal best, best_cov, scanned
         covs = [(union | mask).bit_count() for mask in masks[start:]]
@@ -143,10 +131,10 @@ def int_kernel(masks, size, p=None):
         excess = (r - 1) * union.bit_count()
         if gate[start] and (p <= 2 or not union):
             excess += -(-r * (r - 1) * gate[start] // p)
-        bounds = top_sums(covs, r)
         for j in range(len(covs) - r + 1):
-            if bounds[j] - excess <= best_cov:
-                return False
+            # Every subset under pick j holds it, plus r - 1 picks after it.
+            if covs[j] + sum(heapq.nlargest(r - 1, covs[j + 1:])) - excess <= best_cov:
+                continue
             choice[pos] = start + j
             if descend(pos + 1, start + j + 1, union | masks[start + j]):
                 return True

@@ -273,6 +273,14 @@ def test_exit_code_2_on_unbounded_minnc_plan(tmp_path, capsys, monkeypatch):
     assert "too large to represent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+def test_exit_code_2_on_a_non_finite_minnc_beta(inst_file, capsys, beta):
+    argv = ["solve", "--alg", "minnc", f"--beta={beta}", "--epsilon", "0.1", "--in", inst_file]
+    assert run(argv) == 2
+    want = f"error: beta must exceed 1 and be finite for uncovered-count ratios, got {float(beta)}\n"
+    assert capsys.readouterr().err == want
+
+
 def test_exit_code_2_on_precondition(inst_file, capsys):
     # The example instance has an element of frequency 2, above the bound 1.
     assert run(["solve", "--alg", "fpt", "--beta", "0.5", "--p-bound", "1",

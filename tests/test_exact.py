@@ -30,7 +30,7 @@ from maxcover import (
     set_masks,
 )
 from maxcover.cli import main
-from maxcover.exact import best_fixed_size_subset, check_ceiling
+from maxcover.exact import _least_overlaps, _packed, best_fixed_size_subset, check_ceiling
 from helpers import (
     bounded_families,
     full_scan,
@@ -222,6 +222,37 @@ def test_uncovered_minimum_is_n_minus_opt():
 # The frequency bound p: a pairwise-overlap term in the kernel's gain bound.
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("inst, chosen, covered, leaves", [
+    (gen_random(2000, 60, 4, 3, 1), (1, 3, 6, 34), 321, 322),
+    (gen_tight_fpt(TightFptSpec(p=2, k=4, beta=0.5)), (0, 36, 37, 38), 140, 42),
+], ids=["rand-m60", "tight-fpt-050"])
+def test_leaf_counts_on_the_benchmark_documents(inst, chosen, covered, leaves):
+    # A child is bounded by its own count plus the r - 1 largest after it.
+    # The benchmark's other exact documents are pinned above (tight-greedy)
+    # and below (rand-m40).
+    result = brute_force(inst)
+    assert (result.solution.chosen, result.opt, result.subsets_scanned) == (chosen, covered, leaves)
+
+
+def test_kernel_answers_equal_full_enumeration_on_small_families():
+    # Optimum and lowest-index optimal tuple against every combination, on
+    # families where each element lies in exactly p sets. Some with p <= 2
+    # and some with p >= 3 have no disjoint pair, so the frequency-bound term
+    # cuts at the root of both kinds.
+    rand = random.Random(25)
+    gated = set()
+    for _ in range(1200):
+        m = rand.randint(2, 9)
+        p = rand.randint(1, min(m, 4))
+        inst = random_instance(rand, rand.randint(1, 14), m, 1, p, p)
+        masks = set_masks(inst)
+        if _least_overlaps(_packed(masks))[0]:
+            gated.add(most_holders(masks) <= 2)
+        size = rand.randint(2, m)
+        assert best_fixed_size_subset(masks, size)[:2] == full_scan(masks, size)[:2]
+    assert gated == {True, False}
+
+
 def tight_pool(beta):
     """The masks of the fpt pool of the (p, k) = (2, 4) tight family."""
     inst = gen_tight_fpt(TightFptSpec(p=2, k=4, beta=beta))
@@ -267,7 +298,7 @@ def test_frequency_bound_is_off_where_two_sets_are_disjoint():
     assert any(not a & b for a, b in combinations(masks, 2))
     result = best_fixed_size_subset(masks, 5)
     assert result == int_kernel(masks, 5, most_holders(masks)) == int_kernel(masks, 5)
-    assert result[2] == 1075
+    assert result[2] == 253
 
 
 def test_frequency_bound_subtracts_only_two_over_p_of_the_pair_overlaps():

@@ -12,6 +12,7 @@ from maxcover import (
     brute_force,
     exact_then_greedy,
     frequency_profile,
+    gen_random,
     greedy_branch_applies,
     greedy_cover,
     greedy_then_exact,
@@ -123,6 +124,18 @@ def test_split_validation_and_scan_counts():
         exact_then_greedy(inst, 0, ceiling=2)
     with pytest.raises(EnumerationCeilingError):
         greedy_then_exact(inst, 0, ceiling=2)
+
+
+def test_split_scan_counts_on_rand_m40():
+    # A cut above a prefix fails that prefix's own check too, so the child
+    # bound changes only greedy_then_exact's residual leaf counts.
+    inst = gen_random(2000, 40, 5, 2, 0)
+    greedy_first = [greedy_then_exact(inst, x) for x in range(6)]
+    exact_first = [exact_then_greedy(inst, x) for x in range(6)]
+    assert [r.combos_scanned for r in greedy_first] == [253, 185, 121, 66, 36, 1]
+    assert [r.combos_scanned for r in exact_first] == [19, 27, 36, 45, 19, 1]
+    for report in greedy_first + exact_first:
+        assert (report.solution.chosen, report.solution.covered) == ((5, 7, 11, 26, 28), 420)
 
 
 def test_prefix_rescan_ignores_the_largest_prefix():

@@ -38,6 +38,10 @@ def test_repetition_count_rejects_bad_arguments():
         repetition_count(1.0, 0.1, 2)
     with pytest.raises(ValueError, match="beta"):
         repetition_count(0.5, 0.1, 2)
+    for beta in (math.nan, math.inf):
+        want = f"^beta must exceed 1 and be finite for uncovered-count ratios, got {beta}$"
+        with pytest.raises(ValueError, match=want):
+            repetition_count(beta, 0.1, 5)
     for eps in (0.0, 1.0, -0.1):
         with pytest.raises(ValueError, match="epsilon"):
             repetition_count(2.0, eps, 2)
