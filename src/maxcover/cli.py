@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -434,11 +435,27 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER: argparse.ArgumentParser | None = None
 
 
+def _join_float_values(argv: list[str]) -> list[str]:
+    """``argv`` with each float flag joined to a next word that starts with
+    "-" and that ``float`` reads, as '--beta=-inf', so that the flag's own
+    check refuses '-inf'; argparse reads such a word as an option unless it
+    looks like '-1' or '-.5'."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in ("--beta", "--epsilon", "--alpha", "--beta-a") and word.startswith("-"):
+            with suppress(ValueError):
+                float(word)
+                out[-1] += "=" + word
+                continue
+        out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     try:
         return globals()[args.handler](args)
     except (ParseError, UnicodeDecodeError, json.JSONDecodeError, OSError) as err:

@@ -3,13 +3,14 @@
 Universe elements are numbered 1..n in documents and in ``Instance.sets``;
 set indices are 0-based in the API and 1-based in documents. The greedy
 counts its gains on the instance's rows of ids, set by set and element by
-element; the exhaustive searches count coverage on integer bitmasks where
-bit e-1 holds element e; ``coverage`` counts the distinct ids of the chosen
-rows. Every instance and election holds its rows as id arrays: one built
-by a caller flattens and checks its tuples at construction, and a copy or a
-pickle is rebuilt through the constructor. All values here are immutable
-after construction and safe to share across threads: no field changes, and
-the forms a value derives from its fields are built once and never change.
+element; the exhaustive searches count coverage on one packed form, uint64
+rows built once from the ids, where bit e-1 holds element e; ``coverage``
+counts the distinct ids of the chosen rows. Every instance and election
+holds its rows as id arrays: one built by a caller flattens and checks its
+tuples at construction, and a copy or a pickle is rebuilt through the
+constructor. All values here are immutable after construction and safe to
+share across threads: no field changes, and the forms a value derives from
+its fields are built once and never change.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ class ParseError(ValueError):
 class _Derived:
     """Base of the frozen values that keep forms derived from their fields.
 
-    A derived form (the element rows, the masks, the frequency profile) is
-    built on first use and kept in the instance dict under a private key,
-    which ``==``, ``hash`` and ``repr`` never read. Every build of a form
-    gives the same value and only the first one stored is kept, so threads
-    that race to build one all read that one. A copy or a pickle is rebuilt
-    through the constructor, from the fields.
+    A derived form (the element rows, the read-only packed rows, the
+    frequency profile) is built on first use and kept in the instance dict
+    under a private key, which ``==``, ``hash`` and ``repr`` never read.
+    Every build of a form gives the same value and only the first one stored
+    is kept, so threads that race to build one all read that one. A copy or a
+    pickle is rebuilt through the constructor, from the fields.
 
     ``_lazy`` names the tuple field that a value built from id arrays
     (``_ids``) makes from them when it is first read, and keeps the same way,
@@ -194,7 +195,7 @@ def _unchecked(cls, **values):
     return value
 
 
-# Byte budget of the whole-array passes over id arrays (the mask build, the
+# Byte budget of the whole-array passes over id arrays (the row build, the
 # counts, the transpose, the tuples and the greedy's gain updates): each pass
 # takes the rows a block at a time, with at most this many bytes of
 # temporaries, so that no temporary grows with the instance. A block is
@@ -298,53 +299,54 @@ def _counts(ids: np.ndarray, size: int) -> np.ndarray:
     return counts
 
 
-def _pack(n: int, ids: np.ndarray, offs: np.ndarray) -> list[int]:
-    """Bitmask of each row of ids in [1, n], from (ids, offsets).
+def _set_rows(inst: Instance) -> np.ndarray:
+    """The instance's sets as (m, ceil(n / 64)) little-endian uint64 rows,
+    bit e-1 holding element e: the one packed form, which every exhaustive
+    search reads, built once per instance and read-only."""
+    return inst._derived("_rows", lambda inst: _pack_rows(inst.n, *inst._ids))
 
-    Rows are packed a block at a time into little-endian bytes, ceil(n / 8)
-    a row, and each row is read as one integer. A family whose ids fill at
-    least one in 48 of its row bits on average marks a block's bits in a
-    bool grid of the rows, which ``np.packbits`` packs; a sparser one ORs
-    each id's bit into its byte, without a grid that takes a byte a bit.
-    Near one in 48 the two take the same time; denser families pack faster
-    on the grid, sparser ones with the byte OR.
-    """
+
+def _pack_rows(n: int, ids: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Read-only packed rows of the rows of ids in [1, n], from (ids,
+    offsets); rows that would take more than ``MAX_MASK_BYTES`` are refused
+    with ValueError before any allocation. A block of rows is written into
+    the rows' bytes: where the ids fill at least one in 48 of the row bits on
+    average, from a bool grid of the block that ``np.packbits`` packs;
+    otherwise by ORing each id's bit into its byte, without a grid that takes
+    a byte a bit. Near one in 48 the two take the same time."""
+    m, words = len(offs) - 1, (n + 63) // 64
+    if m * 8 * words > MAX_MASK_BYTES:
+        raise ValueError(f"masks need {m * 8 * words} bytes, above the ceiling {MAX_MASK_BYTES}")
+    rows = np.zeros((m, words), "<u8")
+    out = rows.view(np.uint8)
     width = (n + 7) // 8
-    grid = 48 * len(ids) >= (len(offs) - 1) * n
-    masks = []
+    grid = 48 * len(ids) >= m * n
     # Half the budget for the 25 bytes of temporaries an id takes, half for
-    # the block's bytes, and its grid's.
-    row_bytes = 9 * width if grid else width
-    for lo, hi in _row_blocks(offs, _BLOCK_BYTES // 50, _BLOCK_BYTES // max(2 * row_bytes, 1)):
+    # a block's grid and its packed bytes.
+    for lo, hi in _row_blocks(offs, _BLOCK_BYTES // 50, _BLOCK_BYTES // max(18 * width, 1) if grid else None):
         e = ids[offs[lo] : offs[hi]].astype(np.intp)
         e -= 1
         at = np.repeat(np.arange(hi - lo), np.diff(offs[lo : hi + 1]))
         if grid:
             bits = np.zeros((hi - lo, 8 * width), np.bool_)
             bits[at, e] = True
-            block = np.packbits(bits, axis=1, bitorder="little")
+            out[lo:hi, :width] = np.packbits(bits, axis=1, bitorder="little")
             del bits
         else:
-            at *= width
+            at *= 8 * words
             at += e >> 3
             e &= 7
-            block = np.zeros((hi - lo) * width, np.uint8)
-            np.bitwise_or.at(block, at, np.left_shift(1, e).astype(np.uint8))
+            np.bitwise_or.at(out[lo:hi].reshape(-1), at, np.left_shift(1, e).astype(np.uint8))
         del e, at
-        view = memoryview(block.reshape(-1))
-        masks += [int.from_bytes(view[i * width : (i + 1) * width], "little") for i in range(hi - lo)]
-    return masks
+    rows.flags.writeable = False
+    return rows
 
 
 def set_masks(inst: Instance) -> list[int]:
-    """One bitmask per set; bit e-1 represents element e. The masks are
-    built once per instance; each call returns a new list of them. Refuses
-    with ValueError, before it allocates, a family whose masks would take
-    more than ``MAX_MASK_BYTES``."""
-    size = inst.m * ((inst.n + 7) // 8)
-    if size > MAX_MASK_BYTES:
-        raise ValueError(f"masks need {size} bytes, above the ceiling {MAX_MASK_BYTES}")
-    return list(inst._derived("_masks", lambda inst: tuple(_pack(inst.n, *inst._ids))))
+    """One bitmask per set, bit e-1 holding element e: the packed rows read
+    into a new list of ints on each call. Refuses with ValueError, before it
+    allocates, a family whose rows would take more than ``MAX_MASK_BYTES``."""
+    return [int.from_bytes(row, "little") for row in _set_rows(inst)]
 
 
 def _check_indices(inst: Instance, chosen: Iterable[int]) -> list[int]:
@@ -510,13 +512,14 @@ def pad_frequencies(inst: Instance, p: int) -> Instance:
 
 # Largest element or set count a document header may declare: the universe
 # (elements, voters, edges) and the family (sets, candidates, vertices). The
-# mask build, the frequency profile and the reductions allocate in proportion
+# row build, the frequency profile and the reductions allocate in proportion
 # to these counts, so a larger header is a ParseError before any allocation.
 MAX_HEADER_COUNT = 10**7
 
-# Largest mask build, m * ceil(n / 8) bytes, that ``set_masks`` accepts. A
-# header within the counts above may still declare a family whose masks take
-# gigabytes: 10**4 one-element sets at n = 10**7 need 1.25 * 10**10 bytes.
+# Largest packed row build, m * 8 * ceil(n / 64) bytes, that ``_set_rows``,
+# and so every exhaustive search and ``set_masks``, accepts. A header within
+# the counts above may still declare a family whose rows take gigabytes:
+# 10**4 one-element sets at n = 10**7 need 1.25 * 10**10 bytes.
 MAX_MASK_BYTES = 1 << 30
 
 # Byte budget of the document reader: it takes the text in blocks of about

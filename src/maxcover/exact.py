@@ -6,11 +6,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, Solution, set_masks
+from .core import Instance, Solution, _set_rows
 
 DEFAULT_CEILING = 10**8
 
@@ -58,36 +57,27 @@ class ExactResult:
 
 
 def best_fixed_size_subset(
-    masks: Sequence[int], size: int, ceiling: int = DEFAULT_CEILING
+    rows: np.ndarray, size: int, ceiling: int = DEFAULT_CEILING
 ) -> tuple[tuple[int, ...], int, int]:
-    """Branch-and-bound search of the ``size``-subsets of ``masks`` for the
-    largest union.
+    """Branch-and-bound search of the ``size``-subsets of the packed uint64
+    ``rows`` for the largest union.
 
-    ``size`` is clamped to ``len(masks)``, and comb(m, size) above ``ceiling``
+    ``size`` is clamped to ``len(rows)``, and comb(m, size) above ``ceiling``
     is refused up front. Returns (indices, union popcount, leaves evaluated).
     Subsets are visited in lexicographic order and only a strictly larger
     union replaces the best, so ties keep the lexicographically smallest
     index tuple.
 
-    For ``size >= 2`` this is :func:`_walk` to depth ``size - 1``, whose
-    counts there are the leaves' unions; a cut leaf could at best tie. The
-    search stops at the first union covering every element some mask holds.
-    A size-1 search is one scan of the ints, as packing costs more than it.
+    This is :func:`_walk` to depth ``size - 1``, whose counts there are the
+    leaves' unions; a cut leaf could at best tie. The search stops at the
+    first union covering every element some row holds.
     """
-    m = len(masks)
+    m = len(rows)
     size = min(size, m)
     check_ceiling(m, size, ceiling)
     if size == 0:
         return (), 0, 1
-    reachable = 0
-    for mask in masks:
-        reachable |= mask
-    stop_at = reachable.bit_count()
-    if size == 1:
-        covs = [mask.bit_count() for mask in masks]
-        top = max(covs)
-        j = covs.index(top)
-        return (j,), top, j + 1 if top >= stop_at else m
+    stop_at = int(np.bitwise_count(np.bitwise_or.reduce(rows)).sum())
     best: tuple[int, ...] = ()
     best_cov, scanned = -1, 0
 
@@ -96,34 +86,28 @@ def best_fixed_size_subset(
         top = max(covs)
         if top > best_cov:
             j = covs.index(top)
-            best, best_cov = (*choice, choice[-1] + 1 + j), top
+            best, best_cov = (*choice, (choice[-1] + 1 if choice else 0) + j), top
             if top >= stop_at:  # evaluation in order stops at the first such leaf
                 scanned += j + 1
                 return None
         scanned += len(covs)
         return best_cov
 
-    _walk(_packed(masks), size, size - 1, scan)
+    _walk(rows, size, size - 1, scan)
     return best, best_cov, scanned
-
-
-def _packed(masks: Sequence[int]) -> np.ndarray:
-    """The masks as (m, ceil(bits / 64)) little-endian uint64 rows."""
-    words = -(-max(masks, default=0).bit_length() // 64)
-    packed = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
-    return np.frombuffer(packed, "<u8").reshape(len(masks), words)
 
 
 def _walk(rows: np.ndarray, picks: int, depth: int, leaf, free: int = 0) -> None:
     """Depth-first branch and bound over the ``picks``-subsets of ``rows`` in
     lexicographic order, handing each node ``depth`` picks deep to ``leaf``.
 
-    The rows are :func:`_packed` masks. A node whose union ``u`` is a row
-    counts ``u | row`` with one ``np.bitwise_count`` for each later row, or
-    each row if ``free``. At ``depth`` it calls ``leaf(choice, u, covs, most)``
-    with its picks, union, those counts (a list, or an array if ``free``), and
-    popcount(u) plus the ``free`` largest gains over all the rows; the hook
-    returns the floor, the largest bound to cut, or None to stop the search.
+    The rows are uint64 words, as ``core._set_rows`` packs an instance's
+    sets. A node whose union ``u`` is a row counts ``u | row`` with one
+    ``np.bitwise_count`` for each later row, or each row if ``free``. At
+    ``depth`` it calls ``leaf(choice, u, covs, most)`` with its picks, union,
+    those counts (a list, or an array if ``free``), and popcount(u) plus the
+    ``free`` largest gains over all the rows; the hook returns the floor, the
+    largest bound to cut, or None to stop the search.
 
     Above ``depth``, with r picks left, a subset whose next pick is j covers
     at most popcount(u) plus the gain of j and the r - 1 largest gains after
@@ -133,7 +117,7 @@ def _walk(rows: np.ndarray, picks: int, depth: int, leaf, free: int = 0) -> None
     each child whose bound beats the floor. A child with no pick after it
     (r = 1) is bounded by its own union.
 
-    With p the most masks that hold one element, an element outside ``u``
+    With p the most rows that hold one element, an element outside ``u``
     that t <= p of the r picks hold is counted t - 1 >= (2/p) * C(t, 2) times
     too often in their summed gains, and C(t, 2) times in their summed
     overlaps outside ``u``. So ceil(r * (r - 1) * delta / p) comes off the
@@ -149,9 +133,9 @@ def _walk(rows: np.ndarray, picks: int, depth: int, leaf, free: int = 0) -> None
     and form their unions as they pop: the memory is a few rows at any depth.
     """
     choice = [0] * depth
-    # gate[j] is delta for a node starting at j where the term is used; a pass
-    # over every pair of later rows at each node costs more than it saves.
-    gate = _least_overlaps(rows)
+    # gate[j] is delta for a node starting at j (a leaf root reads none); a
+    # pass over every pair of later rows at each node costs more than it saves.
+    gate = _least_overlaps(rows) if depth else []
     p = 0  # counted where the gate first opens
     floor = -1
     stack = [(0, 0, np.zeros(rows.shape[1], np.uint64), 0, math.inf)]
@@ -228,6 +212,6 @@ def brute_force(inst: Instance, ceiling: int = DEFAULT_CEILING) -> ExactResult:
     exceeds ``ceiling``. The minimum achievable uncovered count is n - opt,
     so this doubles as the exact reference for uncovered-count minimization.
     """
-    combo, covered, scanned = best_fixed_size_subset(set_masks(inst), inst.k, ceiling)
+    combo, covered, scanned = best_fixed_size_subset(_set_rows(inst), inst.k, ceiling)
     solution = Solution(combo, covered, inst.n - covered)
     return ExactResult(solution, covered, scanned)

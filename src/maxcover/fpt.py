@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Instance, Solution, check_frequency_bound, set_masks
+from .core import Instance, Solution, _set_rows, check_frequency_bound
 from .exact import DEFAULT_CEILING, best_fixed_size_subset
 
 
@@ -63,10 +63,7 @@ def fpt_approx(
     pool = tuple(by_cardinality[:clamped].tolist())
     budget = min(inst.k, clamped)
     in_index_order = sorted(pool)
-    masks = set_masks(inst)
-    combo, covered, scanned = best_fixed_size_subset(
-        [masks[i] for i in in_index_order], budget, ceiling
-    )
+    combo, covered, scanned = best_fixed_size_subset(_set_rows(inst)[in_index_order], budget, ceiling)
     chosen = tuple(in_index_order[j] for j in combo)
     plan = PoolPlan(clamped, pool, math.comb(clamped, budget), scanned)
     return Solution(chosen, covered, inst.n - covered), plan

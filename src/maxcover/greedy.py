@@ -1,8 +1,8 @@
 """Iterative best-marginal-gain selection with a full per-step trace.
 
 ``greedy_cover`` counts its gains on the instance's rows of ids. The greedy
-stages of the hybrids run on the exhaustive kernel's packed rows, from the
-counts of the node they start at.
+stages of the hybrids run on the instance's packed rows, the one form the
+exhaustive kernel reads, from the counts of the node they start at.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Solution, _element_rows, frequency_profile, set_masks
-from .exact import DEFAULT_CEILING, _packed, _walk, best_fixed_size_subset, brute_force, check_ceiling
+from .core import Instance, Solution, _element_rows, _set_rows, frequency_profile
+from .exact import DEFAULT_CEILING, _walk, best_fixed_size_subset, brute_force, check_ceiling
 from .greedy import greedy_cover, greedy_on_rows, greedy_rows
 
 RATIO_METHODS = ("alg4", "alg5", "alg5_vertexcover", "croce_paschos")
@@ -66,26 +66,22 @@ def greedy_then_exact(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     uncovered elements, exactly as if solving the residual instance. With
     x = 0 this is plain exhaustive search, with x = k plain greedy.
 
-    A residual search of two or more picks runs on the kernel, and the greedy
-    picks on its packed rows. Otherwise the greedy runs on the id rows with
-    no masks, and the residual search, a scan of the leftover sets' gains,
-    reads them from it: it counts the leaves ``best_fixed_size_subset`` would.
+    A residual search of two or more picks runs on the kernel over the
+    leftover packed rows less the union of the greedy picks, made on the same
+    rows. Otherwise the greedy runs on the id rows, and the residual search, a
+    scan of the leftover sets' gains, reads them from it: it counts the leaves
+    ``best_fixed_size_subset`` would.
     """
     _check_split(inst, x)
     k_eff = inst.effective_budget
     x_eff = min(x, k_eff)
     size = k_eff - x_eff
     if size >= 2:
-        masks = set_masks(inst)
-        rows = _packed(masks)
+        rows = _set_rows(inst)
         counts = np.bitwise_count(rows).sum(axis=1)
-        picks, gains, _ = greedy_on_rows(rows, np.zeros_like(rows[0]), [], x_eff, counts)
-        covered_mask = 0
-        for i in picks:
-            covered_mask |= masks[i]
+        picks, gains, union = greedy_on_rows(rows, np.zeros_like(rows[0]), [], x_eff, counts)
         remaining = sorted(set(range(inst.m)).difference(picks))
-        scored = [masks[i] & ~covered_mask for i in remaining]
-        combo, residual, scanned = best_fixed_size_subset(scored, size, ceiling)
+        combo, residual, scanned = best_fixed_size_subset(rows[remaining] & ~union, size, ceiling)
         picks += [remaining[j] for j in combo]
     else:
         picks, gains, gain = greedy_rows(inst, x_eff)
@@ -123,7 +119,7 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     pick reads the counts the walk made at the prefix's node.
     """
     _check_split(inst, x)
-    rows = _packed(set_masks(inst))
+    rows = _set_rows(inst)
     k_eff = inst.effective_budget
     x_eff = min(x, k_eff)
     prefix_size = k_eff - x_eff

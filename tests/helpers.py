@@ -61,6 +61,14 @@ def unpacked_nth_uncovered(covered: int, n: int, r: int) -> int:
     return int(flags.nonzero()[0][r - 1]) + 1
 
 
+def rows_of(masks):
+    """Int masks as the little-endian uint64 rows that the exhaustive kernel
+    reads, as few words a row as the widest mask needs, and read-only."""
+    words = -(-max(masks, default=0).bit_length() // 64)
+    packed = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+    return np.frombuffer(packed, "<u8").reshape(len(masks), words)
+
+
 def full_scan(masks, size):
     """Every size-subset in lexicographic order, stopping at the first union
     that covers every element some mask holds."""

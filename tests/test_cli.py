@@ -273,12 +273,34 @@ def test_exit_code_2_on_unbounded_minnc_plan(tmp_path, capsys, monkeypatch):
     assert "too large to represent" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
-def test_exit_code_2_on_a_non_finite_minnc_beta(inst_file, capsys, beta):
-    argv = ["solve", "--alg", "minnc", f"--beta={beta}", "--epsilon", "0.1", "--in", inst_file]
+@pytest.mark.parametrize("beta, joined", [("nan", True), ("inf", True), ("-inf", True), ("-inf", False)],
+                         ids=["nan", "inf", "-inf", "-inf-separate"])
+def test_exit_code_2_on_a_non_finite_minnc_beta(inst_file, capsys, beta, joined):
+    flag = [f"--beta={beta}"] if joined else ["--beta", beta]
+    argv = ["solve", "--alg", "minnc", *flag, "--epsilon", "0.1", "--in", inst_file]
     assert run(argv) == 2
     want = f"error: beta must exceed 1 and be finite for uncovered-count ratios, got {float(beta)}\n"
     assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--alg", "minnc", "--beta", "2", "--epsilon", "-inf"], "epsilon must lie in (0, 1), got -inf"),
+    (["solve", "--alg", "ptas", "--alpha", "-nan", "--beta", "0.5"], "alpha must lie in (0, 1], got nan"),
+    (["compare", "--algs", "fpt", "--beta", "-1e3"], "beta must lie in (0, 1), got -1000.0"),
+    (["curves", "--beta-a", "-Infinity"], "croce_paschos needs beta_a in (0, 1], got -inf"),
+])
+def test_a_float_flag_takes_a_separate_negative_word_as_its_value(inst_file, capsys, argv, message):
+    # argparse alone reads '-inf' after a flag as an option; the flag's own
+    # check refuses it instead.
+    assert run(argv + (["--in", inst_file] if argv[0] != "curves" else [])) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_float_flag_leaves_a_word_that_is_no_float_to_argparse(inst_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["solve", "--alg", "fpt", "--beta", "-half", "--in", inst_file])
+    assert err.value.code == 2
+    assert "argument --beta: expected one argument" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_precondition(inst_file, capsys):

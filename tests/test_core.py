@@ -450,13 +450,24 @@ def test_mutating_the_returned_masks_changes_no_later_result():
     assert set_masks(inst) is not set_masks(inst)
 
 
+def test_writing_into_the_rows_raises():
+    inst = SOURCES[0]()
+    rows = maxcover.core._set_rows(inst)
+    want = set_masks(inst)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        rows |= 1
+    assert maxcover.core._set_rows(inst) is rows and set_masks(inst) == want
+
+
 def test_set_masks_refuses_a_build_above_the_ceiling(monkeypatch):
-    # Three sets of ceil(17 / 8) = 3 bytes: 9 bytes of masks.
+    # Three rows of ceil(17 / 64) = 1 word: 24 bytes of rows.
     inst = Instance.of(17, [[1], [17], []], 1)
-    monkeypatch.setattr(maxcover.core, "MAX_MASK_BYTES", 8)
-    with pytest.raises(ValueError, match="^masks need 9 bytes, above the ceiling 8$"):
+    monkeypatch.setattr(maxcover.core, "MAX_MASK_BYTES", 23)
+    with pytest.raises(ValueError, match="^masks need 24 bytes, above the ceiling 23$"):
         set_masks(inst)
-    monkeypatch.setattr(maxcover.core, "MAX_MASK_BYTES", 9)
+    monkeypatch.setattr(maxcover.core, "MAX_MASK_BYTES", 24)
     assert set_masks(inst) == [1, 1 << 16, 0]
 
 
@@ -488,7 +499,7 @@ def test_threads_racing_to_build_masks_and_profile_read_one_value():
 
 def test_compare_builds_masks_and_profile_once(tmp_path, monkeypatch, capsys):
     calls = []
-    for name in ("_pack", "_count_profile"):
+    for name in ("_pack_rows", "_count_profile"):
         def counted(*args, name=name, real=getattr(maxcover.core, name)):
             calls.append(name)
             return real(*args)
@@ -498,29 +509,32 @@ def test_compare_builds_masks_and_profile_once(tmp_path, monkeypatch, capsys):
     argv = ["compare", "--algs", "greedy,ptas,exact,fpt,greedy-exact", "--alpha", "0.2", "--beta", "0.5",
             "--x", "1", "--with-opt", "--in", str(doc)]
     assert main(argv) == 0
-    assert sorted(calls) == ["_count_profile", "_pack"]
+    assert sorted(calls) == ["_count_profile", "_pack_rows"]
 
 
 def test_solvers_read_masks_through_their_module_global(monkeypatch):
-    # greedy_cover counts on the id rows and reads no masks. The greedy
-    # module's row path, greedy_on_rows, runs in the hybrids on the masks
-    # that hybrid reads and packs.
+    # The exhaustive searches and the hybrids read the instance's packed
+    # rows and no int masks; minnc, the one solver that shifts and counts
+    # Python ints, reads its masks once a solve.
     called = []
-    modules = [maxcover.exact, maxcover.fpt, maxcover.hybrid, maxcover.minnoncovered]
-    for module in modules:
-        def spy(inst, name=module.__name__, real=module.set_masks):
-            called.append(name)
-            return real(inst)
-        monkeypatch.setattr(module, "set_masks", spy)
+
+    def spy(inst, real=set_masks):
+        called.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(maxcover.core, "set_masks", spy)
+    monkeypatch.setattr(maxcover.minnoncovered, "set_masks", spy)
+    assert not any(hasattr(module, "set_masks") for module in (maxcover.exact, maxcover.fpt, maxcover.hybrid))
     inst = SOURCES[0]()
     maxcover.greedy_cover(inst)
-    assert called == []
     maxcover.brute_force(inst)
     fpt_approx(inst, 2, 0.5)
-    greedy_then_exact(inst, 1)
-    exact_then_greedy(inst, 1)
+    for x in range(inst.k + 1):
+        greedy_then_exact(inst, x)
+        exact_then_greedy(inst, x)
+    assert called == []
     randomized_min_noncovered(inst, 2, 2.0, 0.5, 0)
-    assert sorted(set(called)) == sorted(module.__name__ for module in modules)
+    assert called == [inst]
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from maxcover import (
 from maxcover import cli, core, greedy
 from maxcover.cli import load_instance_text, main
 from maxcover.core import _BLOCK_BYTES, _parse_header
-from maxcover.exact import EnumerationCeilingError, _most_holders, _packed, best_fixed_size_subset
+from maxcover.exact import EnumerationCeilingError, _most_holders, best_fixed_size_subset
 from maxcover.greedy import greedy_on_rows
 from helpers import (
     appended_election_to_maxcover,
@@ -81,6 +81,7 @@ from helpers import (
     peak_bytes,
     random_graph,
     recursive_exact_then_greedy,
+    rows_of,
     union_coverage,
 )
 from test_core import SOURCES
@@ -175,20 +176,36 @@ def batch(seed, count):
 
 
 def test_set_masks_equal_bit_by_bit_masks():
+    # The rows against the flag-row reference, padding words included, on
+    # both sides of the switch between the bool grid and the byte OR; the
+    # two large families take more than one block.
     cases = batch(1, 60) + [
+        Instance(0, (), 1),
         Instance(0, ((), ()), 1),
+        Instance(70, ((), (), ()), 1),
+        Instance(64, ((64,), (1, 64), ()), 1),
+        Instance(65, ((65,), (1, 64, 65), ()), 1),
         Instance(9, ((1, 9), (8,), (), tuple(range(1, 10))), 2),
+        Instance.of(20000, [range(e, 20001, 2999) for e in range(1, 1500)], 1),
         gen_random(3000, 40, 5, 3, 7),
     ]
+    grid = set()
     for inst in cases:
-        assert set_masks(inst) == [mask_of(s) for s in inst.sets]
+        rows = core._set_rows(inst)
+        words = -(-inst.n // 64)
+        reference = flag_row_masks(inst.n, inst.sets)
+        assert rows.shape == (inst.m, words) and rows.dtype == np.dtype("<u8")
+        assert rows.tobytes() == b"".join(mask.to_bytes(8 * words, "little") for mask in reference)
+        assert set_masks(inst) == [int.from_bytes(row, "little") for row in rows] == [mask_of(s) for s in inst.sets]
+        grid.add(48 * len(inst._ids[0]) >= inst.m * inst.n)
+    assert grid == {True, False}
 
 
 def test_packed_row_greedy_equals_eager_scan():
     rand = random.Random(2)
     for inst in batch(2, 80):
         masks = set_masks(inst)
-        rows = _packed(masks)
+        rows = core._set_rows(inst)
         # With nothing taken, and with a prefix taken, as the hybrids start
         # their greedy stages.
         for chosen in ([], rand.sample(range(inst.m), rand.randint(0, inst.m))):
@@ -206,7 +223,7 @@ def test_packed_row_greedy_equals_eager_scan():
 
 def test_packed_row_greedy_ties_and_zero_gains():
     masks = [0b011, 0b110, 0b011, 0b000, 0b110]
-    rows = _packed(masks)
+    rows = rows_of(masks)
     picks, gains, union = greedy_on_rows(rows, np.zeros(1, np.uint64), [], 5, np.bitwise_count(rows).sum(axis=1))
     assert (picks, gains, int(union[0])) == eager_extend(masks, [False] * 5, 0, 5)
     assert picks == [0, 1, 2, 3, 4] and gains == [2, 1, 0, 0, 0]
@@ -227,7 +244,7 @@ def mask_greedy_then_exact(inst, x, ceiling):
     picks, _, covered = eager_extend(masks, taken, 0, x_eff)
     remaining = [i for i in range(inst.m) if not taken[i]]
     scored = [masks[i] & ~covered for i in remaining]
-    combo, residual, scanned = best_fixed_size_subset(scored, inst.effective_budget - x_eff, ceiling)
+    combo, residual, scanned = best_fixed_size_subset(rows_of(scored), inst.effective_budget - x_eff, ceiling)
     return tuple(sorted(picks + [remaining[j] for j in combo])), covered.bit_count() + residual, scanned
 
 
@@ -285,7 +302,7 @@ def test_greedy_solves_build_no_tuples_and_no_masks(monkeypatch, tmp_path):
         doc, report = tmp_path / "doc.txt", tmp_path / "report.json"
         doc.write_text(text)
         k = load_instance_text(text).k
-        for name in ("_tuples", "_pack"):
+        for name in ("_tuples", "_pack_rows"):
             monkeypatch.setattr(core, name, lambda *a, name=name: pytest.fail(f"called {name}"))
         for alg in (["greedy"], ["greedy-exact", "--x", str(k - 1)]):
             assert main(["solve", "--alg", *alg, "--in", str(doc), "--out", str(report)]) == 0
@@ -366,7 +383,7 @@ def test_pruned_kernel_equals_full_scan():
     for inst in batch(4, 80) + tight_instances():
         masks = set_masks(inst)
         for size in {0, 1, 2, inst.k, inst.k + 1, inst.m - 1, inst.m, inst.m + 1}:
-            chosen, covered, scanned = best_fixed_size_subset(masks, size)
+            chosen, covered, scanned = best_fixed_size_subset(rows_of(masks), size)
             ref_chosen, ref_covered, ref_scanned = full_scan(masks, size)
             assert (chosen, covered) == (ref_chosen, ref_covered)
             assert 1 <= scanned <= ref_scanned
@@ -375,23 +392,23 @@ def test_pruned_kernel_equals_full_scan():
 def test_pruned_kernel_on_duplicates_and_size_edges():
     masks = [0b0110, 0b0110, 0b1001, 0b0110, 0b1001, 0b0001]
     for size in range(len(masks) + 3):
-        chosen, covered, scanned = best_fixed_size_subset(masks, size)
+        chosen, covered, scanned = best_fixed_size_subset(rows_of(masks), size)
         assert (chosen, covered) == full_scan(masks, size)[:2]
         assert scanned <= full_scan(masks, size)[2]
-    assert best_fixed_size_subset(masks, 0) == ((), 0, 1)
-    assert best_fixed_size_subset(masks, 9) == ((0, 1, 2, 3, 4, 5), 4, 1)
-    assert best_fixed_size_subset([], 3) == ((), 0, 1)
+    assert best_fixed_size_subset(rows_of(masks), 0) == ((), 0, 1)
+    assert best_fixed_size_subset(rows_of(masks), 9) == ((0, 1, 2, 3, 4, 5), 4, 1)
+    assert best_fixed_size_subset(rows_of([]), 3) == ((), 0, 1)
 
 
 def test_pruned_kernel_stops_at_the_first_full_cover():
     # (0, 2) is the first pair covering all four elements; the scan must stop
     # there and never see the later full covers (0, 4), (1, 3) or (3, 4).
     masks = [0b0011, 0b0100, 0b1100, 0b1011, 0b1100]
-    chosen, covered, scanned = best_fixed_size_subset(masks, 2)
+    chosen, covered, scanned = best_fixed_size_subset(rows_of(masks), 2)
     assert (chosen, covered) == ((0, 2), 4) == full_scan(masks, 2)[:2]
     assert scanned <= full_scan(masks, 2)[2] == 2
     # Single picks: the first set holding every element ends the scan at once.
-    assert best_fixed_size_subset([0b01, 0b11, 0b11], 1) == ((1,), 2, 2)
+    assert best_fixed_size_subset(rows_of([0b01, 0b11, 0b11]), 1) == ((1,), 2, 2)
 
 
 def row_width_cases(rand):
@@ -418,7 +435,7 @@ def test_kernel_equals_the_int_kernel():
     for masks, k in cases:
         m = len(masks)
         for size in {1, 2, k, m - 1, m}:
-            assert best_fixed_size_subset(masks, size) == int_kernel(masks, size, most_holders(masks))
+            assert best_fixed_size_subset(rows_of(masks), size) == int_kernel(masks, size, most_holders(masks))
 
 
 def test_frequency_count_equals_the_bit_loop():
@@ -529,12 +546,16 @@ def test_cli_approval_load_builds_no_ballot_tuples(monkeypatch, tmp_path):
 def test_mask_build_peak_stays_within_the_flag_row_build():
     # Shaped like the benchmark's rand-30k document, parsed, and generated;
     # both keep their id arrays from the start, and the sets are read before
-    # the reference runs. Beyond the masks, the reference holds a row of n
-    # flags, and the build one block.
+    # the reference runs. The rows take no more bytes than the reference's
+    # masks; beyond those, the reference holds a row of n flags, and the row
+    # build one block.
     generated = gen_random(30000, 1200, 40, 3, 0)
     for inst in (parse_instance(serialize_instance(generated)), generated):
         inst.sets
         reference, _ = peak_bytes(lambda: flag_row_masks(inst.n, inst.sets))
+        peak, _ = peak_bytes(lambda: core._set_rows(inst))
+        assert peak <= reference + _BLOCK_BYTES
+        # With the rows built, the masks are read from them a row at a time.
         peak, _ = peak_bytes(lambda: set_masks(inst))
         assert peak <= reference + 8 * inst.m + _BLOCK_BYTES
 

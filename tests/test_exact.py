@@ -30,7 +30,8 @@ from maxcover import (
     set_masks,
 )
 from maxcover.cli import main
-from maxcover.exact import _least_overlaps, _packed, best_fixed_size_subset, check_ceiling
+from maxcover.core import _set_rows
+from maxcover.exact import _least_overlaps, best_fixed_size_subset, check_ceiling
 from helpers import (
     bounded_families,
     full_scan,
@@ -38,6 +39,7 @@ from helpers import (
     most_holders,
     peak_bytes,
     random_instance,
+    rows_of,
     union_coverage,
 )
 
@@ -124,17 +126,17 @@ def test_tight_greedy_search():
 
 
 def test_search_memory_stays_within_a_few_row_copies():
-    # The kernel packs the 24 masks into 24 rows of ceil(18360 / 64) words.
+    # The kernel reads the instance's 24 rows of ceil(18360 / 64) words.
     # Each node's scan makes its temporaries and drops them before it
-    # descends, so the peak is the rows, one scan's temporaries and numpy's
-    # fixed iteration buffers, whatever the depth. Keeping each level's scan
-    # alive would add about five more row copies. The rows themselves are
-    # freed when the search returns. The warm-up call makes the first-call
-    # allocations that a process keeps.
-    masks = set_masks(gen_tight_greedy(TightGreedySpec(5, 6, 24)))
-    best_fixed_size_subset(masks, 6)
-    rows_bytes = len(masks) * -(-18360 // 64) * 8
-    peak, left = peak_bytes(lambda: best_fixed_size_subset(masks, 6))
+    # descends, so the peak is one scan's temporaries and numpy's fixed
+    # iteration buffers, whatever the depth. Keeping each level's scan alive
+    # would add about five more row copies. The warm-up call makes the
+    # first-call allocations that a process keeps.
+    rows = _set_rows(gen_tight_greedy(TightGreedySpec(5, 6, 24)))
+    best_fixed_size_subset(rows, 6)
+    rows_bytes = len(rows) * -(-18360 // 64) * 8
+    assert rows.nbytes == rows_bytes
+    peak, left = peak_bytes(lambda: best_fixed_size_subset(rows, 6))
     assert peak < 4 * rows_bytes
     assert left < rows_bytes // 8
 
@@ -142,9 +144,9 @@ def test_search_memory_stays_within_a_few_row_copies():
 @pytest.mark.parametrize("x", [0, 2, 4])
 def test_hybrid_search_memory_stays_within_a_few_row_copies(x):
     # exact_then_greedy walks the kernel's stack over the same 24 rows, and
-    # the greedy finish reads the instance's masks, which the warm-up call
-    # builds. Frames that each held their own union, pushed for every child
-    # at once, would peak at about five row copies at x = 0.
+    # the greedy finish reads them too; the warm-up call builds them. Frames
+    # that each held their own union, pushed for every child at once, would
+    # peak at about five row copies at x = 0.
     inst = gen_tight_greedy(TightGreedySpec(5, 6, 24))
     exact_then_greedy(inst, x)
     rows_bytes = inst.m * -(-18360 // 64) * 8
@@ -246,10 +248,10 @@ def test_kernel_answers_equal_full_enumeration_on_small_families():
         p = rand.randint(1, min(m, 4))
         inst = random_instance(rand, rand.randint(1, 14), m, 1, p, p)
         masks = set_masks(inst)
-        if _least_overlaps(_packed(masks))[0]:
+        if _least_overlaps(rows_of(masks))[0]:
             gated.add(most_holders(masks) <= 2)
         size = rand.randint(2, m)
-        assert best_fixed_size_subset(masks, size)[:2] == full_scan(masks, size)[:2]
+        assert best_fixed_size_subset(rows_of(masks), size)[:2] == full_scan(masks, size)[:2]
     assert gated == {True, False}
 
 
@@ -265,7 +267,7 @@ def test_frequency_bound_keeps_the_full_scan_answer():
     for inst, _, _ in bounded_families(9):
         masks = set_masks(inst)
         ref_chosen, ref_covered, ref_scanned = full_scan(masks, inst.k)
-        chosen, covered, scanned = best_fixed_size_subset(masks, inst.k)
+        chosen, covered, scanned = best_fixed_size_subset(rows_of(masks), inst.k)
         assert (chosen, covered) == (ref_chosen, ref_covered)
         assert 1 <= scanned <= ref_scanned
         assert (chosen, covered, scanned) == int_kernel(masks, inst.k, most_holders(masks))
@@ -277,17 +279,17 @@ def test_frequency_bound_leaf_counts_on_the_tight_pools(beta, pool, covered, unb
     masks = tight_pool(beta)
     assert len(masks) == pool
     assert math.comb(pool, 4) == unbounded
-    result = best_fixed_size_subset(masks, 4)
+    result = best_fixed_size_subset(rows_of(masks), 4)
     assert result == int_kernel(masks, 4, most_holders(masks)) == ((0, 1, 2, 3), covered, bounded)
 
 
 def test_search_that_counts_its_frequency_bound_stays_within_a_few_row_copies():
     # Every pair of the 68 pooled sets overlaps, so the search counts p over
     # all the rows, a block of them at a time, at its root.
-    masks = tight_pool(0.75)
-    rows_bytes = len(masks) * -(-max(masks).bit_length() // 64) * 8
-    peak, left = peak_bytes(lambda: best_fixed_size_subset(masks, 4))
-    assert best_fixed_size_subset(masks, 4)[2] == 65
+    rows = rows_of(tight_pool(0.75))
+    rows_bytes = rows.nbytes
+    peak, left = peak_bytes(lambda: best_fixed_size_subset(rows, 4))
+    assert best_fixed_size_subset(rows, 4)[2] == 65
     assert peak < 4 * rows_bytes
     assert left < rows_bytes // 8
 
@@ -296,7 +298,7 @@ def test_frequency_bound_is_off_where_two_sets_are_disjoint():
     inst = gen_random(2000, 40, 5, 2, 0)
     masks = set_masks(inst)
     assert any(not a & b for a, b in combinations(masks, 2))
-    result = best_fixed_size_subset(masks, 5)
+    result = best_fixed_size_subset(rows_of(masks), 5)
     assert result == int_kernel(masks, 5, most_holders(masks)) == int_kernel(masks, 5)
     assert result[2] == 253
 
@@ -315,7 +317,7 @@ def test_frequency_bound_subtracts_only_two_over_p_of_the_pair_overlaps():
     assert frequency_profile(inst).p_max == 3
     masks = set_masks(inst)
     assert full_scan(masks, 3)[:2] == ((1, 2, 3), 11)
-    result = best_fixed_size_subset(masks, 3)
+    result = best_fixed_size_subset(rows_of(masks), 3)
     assert result == int_kernel(masks, 3, most_holders(masks))
     assert result[:2] == ((1, 2, 3), 11)
 
