@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -45,6 +45,12 @@ from .minnoncovered import randomized_min_noncovered
 
 # Largest --grid of the curves command: each point is a row of the CSV.
 MAX_CURVE_GRID = 10**6
+
+# Words starting with "-" that a subcommand's parser reads as values, not as
+# options: the negative numbers that float reads, '-1e3', '-inf' and '-nan'
+# too, so that a flag's own check refuses them. argparse's own pattern takes
+# only '-1' and '-.5'.
+_NEGATIVE_NUMBER = re.compile(r"-(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(e[+-]?\d[\d_]*)?$|-(inf(inity)?|nan)$", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -427,6 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--sol", required=True, help="JSON report to check")
     verify.set_defaults(handler="run_verify")
 
+    for command in sub.choices.values():
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -435,27 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER: argparse.ArgumentParser | None = None
 
 
-def _join_float_values(argv: list[str]) -> list[str]:
-    """``argv`` with each float flag joined to a next word that starts with
-    "-" and that ``float`` reads, as '--beta=-inf', so that the flag's own
-    check refuses '-inf'; argparse reads such a word as an option unless it
-    looks like '-1' or '-.5'."""
-    out: list[str] = []
-    for word in argv:
-        if out and out[-1] in ("--beta", "--epsilon", "--alpha", "--beta-a") and word.startswith("-"):
-            with suppress(ValueError):
-                float(word)
-                out[-1] += "=" + word
-                continue
-        out.append(word)
-    return out
-
-
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
+    args = _PARSER.parse_args(argv)
     try:
         return globals()[args.handler](args)
     except (ParseError, UnicodeDecodeError, json.JSONDecodeError, OSError) as err:

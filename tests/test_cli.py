@@ -288,6 +288,9 @@ def test_exit_code_2_on_a_non_finite_minnc_beta(inst_file, capsys, beta, joined)
     (["solve", "--alg", "ptas", "--alpha", "-nan", "--beta", "0.5"], "alpha must lie in (0, 1], got nan"),
     (["compare", "--algs", "fpt", "--beta", "-1e3"], "beta must lie in (0, 1), got -1000.0"),
     (["curves", "--beta-a", "-Infinity"], "croce_paschos needs beta_a in (0, 1], got -inf"),
+    # A prefix that names one flag of its subcommand, as argparse reads it.
+    (["solve", "--alg", "minnc", "--beta", "2", "--eps", "-inf"], "epsilon must lie in (0, 1), got -inf"),
+    (["curves", "--beta", "-nan"], "croce_paschos needs beta_a in (0, 1], got nan"),
 ])
 def test_a_float_flag_takes_a_separate_negative_word_as_its_value(inst_file, capsys, argv, message):
     # argparse alone reads '-inf' after a flag as an option; the flag's own
@@ -296,11 +299,16 @@ def test_a_float_flag_takes_a_separate_negative_word_as_its_value(inst_file, cap
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_a_float_flag_leaves_a_word_that_is_no_float_to_argparse(inst_file, capsys):
+@pytest.mark.parametrize("flag, word, message", [
+    ("--beta", "-half", "argument --beta: expected one argument"),
+    ("--al", "-inf", "ambiguous option: --al could match --alg, --alpha"),
+    ("--x", "-inf", "argument --x: invalid int value: '-inf'"),
+], ids=["no-float", "ambiguous-prefix", "int-flag"])
+def test_argparse_refuses_a_word_that_no_float_flag_reads(inst_file, capsys, flag, word, message):
     with pytest.raises(SystemExit) as err:
-        run(["solve", "--alg", "fpt", "--beta", "-half", "--in", inst_file])
+        run(["solve", "--alg", "fpt", flag, word, "--in", inst_file])
     assert err.value.code == 2
-    assert "argument --beta: expected one argument" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_exit_code_2_on_precondition(inst_file, capsys):

@@ -383,7 +383,7 @@ def test_pruned_kernel_equals_full_scan():
     for inst in batch(4, 80) + tight_instances():
         masks = set_masks(inst)
         for size in {0, 1, 2, inst.k, inst.k + 1, inst.m - 1, inst.m, inst.m + 1}:
-            chosen, covered, scanned = best_fixed_size_subset(rows_of(masks), size)
+            chosen, covered, scanned = best_fixed_size_subset(core._set_rows(inst), size)
             ref_chosen, ref_covered, ref_scanned = full_scan(masks, size)
             assert (chosen, covered) == (ref_chosen, ref_covered)
             assert 1 <= scanned <= ref_scanned
@@ -430,12 +430,12 @@ def row_width_cases(rand):
 def test_kernel_equals_the_int_kernel():
     rand = random.Random(10)
     families = [inst for inst, _, _ in bounded_families(10)] + tight_instances() + batch(4, 80)
-    cases = [(set_masks(inst), inst.k) for inst in families]
-    cases += [(masks, 2) for masks in row_width_cases(rand)]
-    for masks, k in cases:
+    cases = [(set_masks(inst), core._set_rows(inst), inst.k) for inst in families]
+    cases += [(masks, rows_of(masks), 2) for masks in row_width_cases(rand)]
+    for masks, rows, k in cases:
         m = len(masks)
         for size in {1, 2, k, m - 1, m}:
-            assert best_fixed_size_subset(rows_of(masks), size) == int_kernel(masks, size, most_holders(masks))
+            assert best_fixed_size_subset(rows, size) == int_kernel(masks, size, most_holders(masks))
 
 
 def test_frequency_count_equals_the_bit_loop():
@@ -546,18 +546,23 @@ def test_cli_approval_load_builds_no_ballot_tuples(monkeypatch, tmp_path):
 def test_mask_build_peak_stays_within_the_flag_row_build():
     # Shaped like the benchmark's rand-30k document, parsed, and generated;
     # both keep their id arrays from the start, and the sets are read before
-    # the reference runs. The rows take no more bytes than the reference's
-    # masks; beyond those, the reference holds a row of n flags, and the row
-    # build one block.
-    generated = gen_random(30000, 1200, 40, 3, 0)
-    for inst in (parse_instance(serialize_instance(generated)), generated):
+    # the reference runs. Beyond the masks, the reference holds a row of n
+    # flags, and a build one block. A fresh set_masks builds the rows, keeps
+    # them, and reads the masks from them, so it holds both: the rows, no
+    # larger than the masks, come on top of the reference.
+    text = serialize_instance(gen_random(30000, 1200, 40, 3, 0))
+    for fresh in (lambda: parse_instance(text), lambda: gen_random(30000, 1200, 40, 3, 0)):
+        inst, other = fresh(), fresh()
         inst.sets
         reference, _ = peak_bytes(lambda: flag_row_masks(inst.n, inst.sets))
-        peak, _ = peak_bytes(lambda: core._set_rows(inst))
-        assert peak <= reference + _BLOCK_BYTES
-        # With the rows built, the masks are read from them a row at a time.
+        rows_bytes = inst.m * 8 * -(-inst.n // 64)
+        peak, _ = peak_bytes(lambda: set_masks(inst))
+        assert peak <= reference + rows_bytes + 8 * inst.m + _BLOCK_BYTES
+        # With the rows kept, a call reads only the masks.
         peak, _ = peak_bytes(lambda: set_masks(inst))
         assert peak <= reference + 8 * inst.m + _BLOCK_BYTES
+        peak, _ = peak_bytes(lambda: core._set_rows(other))
+        assert peak <= reference + _BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------

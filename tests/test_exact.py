@@ -39,7 +39,6 @@ from helpers import (
     most_holders,
     peak_bytes,
     random_instance,
-    rows_of,
     union_coverage,
 )
 
@@ -247,27 +246,28 @@ def test_kernel_answers_equal_full_enumeration_on_small_families():
         m = rand.randint(2, 9)
         p = rand.randint(1, min(m, 4))
         inst = random_instance(rand, rand.randint(1, 14), m, 1, p, p)
-        masks = set_masks(inst)
-        if _least_overlaps(rows_of(masks))[0]:
+        masks, rows = set_masks(inst), _set_rows(inst)
+        if _least_overlaps(rows)[0]:
             gated.add(most_holders(masks) <= 2)
         size = rand.randint(2, m)
-        assert best_fixed_size_subset(rows_of(masks), size)[:2] == full_scan(masks, size)[:2]
+        assert best_fixed_size_subset(rows, size)[:2] == full_scan(masks, size)[:2]
     assert gated == {True, False}
 
 
 def tight_pool(beta):
-    """The masks of the fpt pool of the (p, k) = (2, 4) tight family."""
+    """The masks and the rows of the fpt pool of the (p, k) = (2, 4) tight
+    family."""
     inst = gen_tight_fpt(TightFptSpec(p=2, k=4, beta=beta))
     _, plan = fpt_approx(inst, 2, beta)
-    masks = set_masks(inst)
-    return [masks[i] for i in sorted(plan.pool)]
+    masks, pool = set_masks(inst), sorted(plan.pool)
+    return [masks[i] for i in pool], _set_rows(inst)[pool]
 
 
 def test_frequency_bound_keeps_the_full_scan_answer():
     for inst, _, _ in bounded_families(9):
         masks = set_masks(inst)
         ref_chosen, ref_covered, ref_scanned = full_scan(masks, inst.k)
-        chosen, covered, scanned = best_fixed_size_subset(rows_of(masks), inst.k)
+        chosen, covered, scanned = best_fixed_size_subset(_set_rows(inst), inst.k)
         assert (chosen, covered) == (ref_chosen, ref_covered)
         assert 1 <= scanned <= ref_scanned
         assert (chosen, covered, scanned) == int_kernel(masks, inst.k, most_holders(masks))
@@ -276,17 +276,17 @@ def test_frequency_bound_keeps_the_full_scan_answer():
 @pytest.mark.parametrize("beta, pool, covered, unbounded, bounded",
                          [(0.75, 68, 262, 814385, 65), (0.5, 36, 134, 58905, 33)])
 def test_frequency_bound_leaf_counts_on_the_tight_pools(beta, pool, covered, unbounded, bounded):
-    masks = tight_pool(beta)
+    masks, rows = tight_pool(beta)
     assert len(masks) == pool
     assert math.comb(pool, 4) == unbounded
-    result = best_fixed_size_subset(rows_of(masks), 4)
+    result = best_fixed_size_subset(rows, 4)
     assert result == int_kernel(masks, 4, most_holders(masks)) == ((0, 1, 2, 3), covered, bounded)
 
 
 def test_search_that_counts_its_frequency_bound_stays_within_a_few_row_copies():
     # Every pair of the 68 pooled sets overlaps, so the search counts p over
     # all the rows, a block of them at a time, at its root.
-    rows = rows_of(tight_pool(0.75))
+    rows = tight_pool(0.75)[1]
     rows_bytes = rows.nbytes
     peak, left = peak_bytes(lambda: best_fixed_size_subset(rows, 4))
     assert best_fixed_size_subset(rows, 4)[2] == 65
@@ -298,7 +298,7 @@ def test_frequency_bound_is_off_where_two_sets_are_disjoint():
     inst = gen_random(2000, 40, 5, 2, 0)
     masks = set_masks(inst)
     assert any(not a & b for a, b in combinations(masks, 2))
-    result = best_fixed_size_subset(rows_of(masks), 5)
+    result = best_fixed_size_subset(_set_rows(inst), 5)
     assert result == int_kernel(masks, 5, most_holders(masks)) == int_kernel(masks, 5)
     assert result[2] == 253
 
@@ -317,7 +317,7 @@ def test_frequency_bound_subtracts_only_two_over_p_of_the_pair_overlaps():
     assert frequency_profile(inst).p_max == 3
     masks = set_masks(inst)
     assert full_scan(masks, 3)[:2] == ((1, 2, 3), 11)
-    result = best_fixed_size_subset(rows_of(masks), 3)
+    result = best_fixed_size_subset(_set_rows(inst), 3)
     assert result == int_kernel(masks, 3, most_holders(masks))
     assert result[:2] == ((1, 2, 3), 11)
 
