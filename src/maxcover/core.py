@@ -309,37 +309,28 @@ def _set_rows(inst: Instance) -> np.ndarray:
 def _pack_rows(n: int, ids: np.ndarray, offs: np.ndarray) -> np.ndarray:
     """Read-only packed rows of the rows of ids in [1, n], from (ids,
     offsets); rows that would take more than ``MAX_MASK_BYTES`` are refused
-    with ValueError before any allocation. A block of rows is written into
-    the rows' bytes: where the ids fill at least one in 48 of the row bits on
-    average, from a bool grid of the block that ``np.packbits`` packs;
-    otherwise by ORing each id's bit into its byte, without a grid that takes
-    a byte a bit. Near one in 48 the two take the same time."""
+    with ValueError before any allocation. One pass, a block of rows at a
+    time, adds each id's bit into its byte of the rows with ``np.add.at``.
+    The ids of a row are distinct (``_flatten`` checks a caller's rows, the
+    parser deduplicates, the reductions refuse self-loops and repeated edges,
+    and the generators and ``pad_frequencies`` build distinct rows), so no
+    byte gets the same bit twice and the sum is the OR of the bits. The rows
+    are a read-only view of a bytearray, so no flag makes them writable."""
     m, words = len(offs) - 1, (n + 63) // 64
     if m * 8 * words > MAX_MASK_BYTES:
         raise ValueError(f"masks need {m * 8 * words} bytes, above the ceiling {MAX_MASK_BYTES}")
-    rows = np.zeros((m, words), "<u8")
-    out = rows.view(np.uint8)
-    width = (n + 7) // 8
-    grid = 48 * len(ids) >= m * n
-    # Half the budget for the 25 bytes of temporaries an id takes, half for
-    # a block's grid and its packed bytes.
-    for lo, hi in _row_blocks(offs, _BLOCK_BYTES // 50, _BLOCK_BYTES // max(18 * width, 1) if grid else None):
+    buf = bytearray(m * 8 * words)
+    out = np.frombuffer(buf, np.uint8)
+    # An id takes 25 bytes of temporaries: 8 of its id, 8 of its byte index,
+    # 8 of its shifted bit and 1 of that bit as a byte.
+    for lo, hi in _row_blocks(offs, _BLOCK_BYTES // 25):
         e = ids[offs[lo] : offs[hi]].astype(np.intp)
         e -= 1
-        at = np.repeat(np.arange(hi - lo), np.diff(offs[lo : hi + 1]))
-        if grid:
-            bits = np.zeros((hi - lo, 8 * width), np.bool_)
-            bits[at, e] = True
-            out[lo:hi, :width] = np.packbits(bits, axis=1, bitorder="little")
-            del bits
-        else:
-            at *= 8 * words
-            at += e >> 3
-            e &= 7
-            np.bitwise_or.at(out[lo:hi].reshape(-1), at, np.left_shift(1, e).astype(np.uint8))
-        del e, at
-    rows.flags.writeable = False
-    return rows
+        at = np.repeat(np.arange(lo, hi) * (8 * words), np.diff(offs[lo : hi + 1]))
+        at += e >> 3
+        e &= 7
+        np.add.at(out, at, np.left_shift(1, e).astype(np.uint8))
+    return np.frombuffer(memoryview(buf).toreadonly(), "<u8").reshape(m, words)
 
 
 def set_masks(inst: Instance) -> list[int]:

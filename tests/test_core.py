@@ -458,7 +458,17 @@ def test_writing_into_the_rows_raises():
         rows[0, 0] = 1
     with pytest.raises(ValueError, match="read-only"):
         rows |= 1
+    # Nor can the rows, or the array they view, be made writable again.
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        rows.flags.writeable = True
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        rows.base.flags.writeable = True
     assert maxcover.core._set_rows(inst) is rows and set_masks(inst) == want
+    for empty in (Instance(0, ((), ()), 1), Instance(70, (), 1)):
+        rows = maxcover.core._set_rows(empty)
+        for array in (rows, rows.base):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.flags.writeable = True
 
 
 def test_set_masks_refuses_a_build_above_the_ceiling(monkeypatch):

@@ -57,6 +57,7 @@ from maxcover import (
     gen_tight_fpt,
     gen_tight_greedy,
     graph_to_maxvertexcover,
+    pad_frequencies,
     parse_election,
     parse_graph,
     parse_instance,
@@ -176,9 +177,16 @@ def batch(seed, count):
 
 
 def test_set_masks_equal_bit_by_bit_masks():
-    # The rows against the flag-row reference, padding words included, on
-    # both sides of the switch between the bool grid and the byte OR; the
-    # two large families take more than one block.
+    # The rows against the flag-row reference, padding words included, for
+    # every way the package builds an instance: by a caller, the parser (ids
+    # unsorted and repeated on a line), the approval and graph reductions
+    # (edges written high end first), the generators and the padding. The
+    # families range from dense, where many ids share a byte, to one wide
+    # and sparse; the dense one and the one of 1499 sets take more than one
+    # block.
+    rand = random.Random(5)
+    election = approval_text(rand, 30, 400, 3, 12)
+    edges = [(3, 1), (5, 2), (6, 4), (2, 1), (6, 5), (4, 3)]
     cases = batch(1, 60) + [
         Instance(0, (), 1),
         Instance(0, ((), ()), 1),
@@ -186,19 +194,27 @@ def test_set_masks_equal_bit_by_bit_masks():
         Instance(64, ((64,), (1, 64), ()), 1),
         Instance(65, ((65,), (1, 64, 65), ()), 1),
         Instance(9, ((1, 9), (8,), (), tuple(range(1, 10))), 2),
+        parse_instance("p maxcover 70 3 1\ns 9 3 9 70 1 3\ns 64 2 64 65 1\ns\n"),
+        election_to_maxcover(parse_election(election)),
+        graph_to_maxvertexcover(6, edges, 2),
+        load_instance_text("p graph 6 6 2\n" + "".join(f"e {u} {v}\n" for u, v in edges)),
+        gen_tight_greedy(TightGreedySpec(5, 6, 24)),
+        gen_tight_fpt(TightFptSpec(2, 4, 0.5)),
+        gen_tight_fpt(TightFptSpec(2, 4, 0.75)),
+        pad_frequencies(gen_random(300, 20, 3, 2, 4), 3),
+        Instance.of(10**6, [rand.sample(range(1, 10**6 + 1), 5) for _ in range(12)], 1),
+        Instance.of(200, [rand.sample(range(1, 201), 100) for _ in range(300)], 1),
         Instance.of(20000, [range(e, 20001, 2999) for e in range(1, 1500)], 1),
         gen_random(3000, 40, 5, 3, 7),
     ]
-    grid = set()
     for inst in cases:
         rows = core._set_rows(inst)
         words = -(-inst.n // 64)
         reference = flag_row_masks(inst.n, inst.sets)
         assert rows.shape == (inst.m, words) and rows.dtype == np.dtype("<u8")
+        assert rows.flags.aligned and rows.flags.c_contiguous
         assert rows.tobytes() == b"".join(mask.to_bytes(8 * words, "little") for mask in reference)
         assert set_masks(inst) == [int.from_bytes(row, "little") for row in rows] == [mask_of(s) for s in inst.sets]
-        grid.add(48 * len(inst._ids[0]) >= inst.m * inst.n)
-    assert grid == {True, False}
 
 
 def test_packed_row_greedy_equals_eager_scan():

@@ -1,6 +1,7 @@
-"""The package's public export list."""
+"""The package's public export list and the modules it imports."""
 
 import ast
+import sys
 from pathlib import Path
 
 import maxcover
@@ -57,3 +58,17 @@ def test_every_top_level_definition_is_exported_or_read():
                 read.add(node.value)
     unused = {name: module for name, module in defined.items() if name not in read and name not in maxcover.__all__}
     assert not unused, unused
+
+
+def test_modules_import_only_the_standard_library_numpy_and_the_package():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "maxcover"}
+    for path in sorted(Path(maxcover.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []  # a relative import is the package's
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)
