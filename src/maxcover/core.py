@@ -69,10 +69,15 @@ class _Derived:
             return self.__dict__.setdefault(key, build(self))
 
 
-def _check_count(value, what: str) -> None:
-    """Refuse a count that is not a nonnegative integer; ``what`` names it."""
+def _check_integer(value, what: str) -> None:
+    """Refuse a value that is not an integer; ``what`` names it."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_count(value, what: str) -> None:
+    """Refuse a count that is not a nonnegative integer; ``what`` names it."""
+    _check_integer(value, what)
     if value < 0:
         raise ValueError(f"{what} must be nonnegative, got {value}")
 
@@ -405,8 +410,7 @@ def check_frequency_bound(inst: Instance, p: int, word: str = "bound") -> None:
     ``word`` names p in the error messages, as in "frequency bound must be
     positive" or "above the bound p=2".
     """
-    if not isinstance(p, numbers.Integral):
-        raise ValueError(f"frequency {word} must be an integer, got {p!r}")
+    _check_integer(p, f"frequency {word}")
     if p < 1:
         raise ValueError(f"frequency {word} must be positive, got {p}")
     profile = frequency_profile(inst)
@@ -485,6 +489,7 @@ def pad_frequencies(inst: Instance, p: int) -> Instance:
     Rejects elements that belong to no set at all: padding raises frequencies
     but must not turn an uncoverable element into a coverable one.
     """
+    _check_integer(p, "target frequency bound")
     if p < 1:
         raise ValueError(f"target frequency bound must be positive, got {p}")
     freq = frequency_profile(inst).freq

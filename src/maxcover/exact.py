@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Solution, _set_rows
+from .core import Instance, Solution, _check_integer, _set_rows
 
 DEFAULT_CEILING = 10**8
 
@@ -32,8 +32,10 @@ def check_ceiling(m: int, size: int, ceiling: int) -> None:
 
     Step i of the running product comb(m - j + i, i), j = min(size, m - size),
     at least doubles it, so a count past the ceiling is seen within
-    ceiling.bit_length() + 1 steps and never computed in full.
+    ceiling.bit_length() + 1 steps and never computed in full. A ceiling
+    that is not an integer is refused with a ``ValueError``.
     """
+    _check_integer(ceiling, "ceiling")
     j = min(size, m - size)
     count = 1
     for i in range(1, j + 1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Solution, _element_rows, _set_rows, frequency_profile
+from .core import Instance, Solution, _check_integer, _element_rows, _set_rows, frequency_profile
 from .exact import DEFAULT_CEILING, _walk, best_fixed_size_subset, brute_force, check_ceiling
 from .greedy import greedy_cover, greedy_on_rows, greedy_rows
 
@@ -176,6 +176,7 @@ def greedy_branch_applies(p_min: int, m: int, k: int, beta: float) -> bool:
 
 
 def _check_split(inst: Instance, x: int) -> None:
+    _check_integer(x, "split x")
     if not 0 <= x <= inst.k:
         raise ValueError(f"split x must lie in [0, k={inst.k}], got {x}")
 

@@ -10,14 +10,13 @@ they could run in any order, or in parallel, with an identical outcome.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .core import Instance, Solution, check_frequency_bound, set_masks
+from .core import _BLOCK_BYTES, Instance, Solution, _check_integer, _row_lists, check_frequency_bound, set_masks
 from .exact import DEFAULT_CEILING, EnumerationCeilingError
 
 
@@ -88,37 +87,26 @@ def _nth_uncovered(covered: int, count: int, r: int) -> int:
 
 def _bounded_draw(bitgen: np.random.PCG64, halves: list[int], bound: int) -> int:
     """The value ``np.random.Generator(bitgen).integers(bound)`` would draw
-    next, read from the stream's 32-bit halves by numpy's own rule.
+    next, for a bound in [1, 2**32], read from the stream's 32-bit halves by
+    numpy's own rule.
 
     ``halves`` is a stack over a sentinel 0: the stream's halves, low half
-    first, with the next one on top. Its length is even exactly when the top
-    half is the high half of a word a 32-bit draw split. When it runs low, 16
-    more words go in under the halves still on it: a repetition draws some
-    tens of halves, and a ``random_raw`` call costs about as much whatever it
-    returns. A bound of 1 gives 0 and draws nothing. A bound up to 2**32 runs
-    Lemire's method on 32-bit draws, each the next half. A larger bound runs
-    it on fresh whole words and, as PCG64's ``next_uint64`` does, leaves a
-    pending high half for the next 32-bit draw.
+    first, with the next one on top. When no half is left above the sentinel,
+    16 more words go in: a repetition draws some tens of halves, and a
+    ``random_raw`` call costs about as much whatever it returns. A bound of 1
+    gives 0 and draws nothing; any other runs Lemire's method on the next
+    half, which rejects exactly the products whose low 32 bits fall below
+    2**32 % bound.
     """
     if bound == 1:
         return 0
-    bits = 32 if bound <= 1 << 32 else 64
-    pending = halves.pop() if bits == 64 and len(halves) % 2 == 0 else None
-    # Lemire's method rejects exactly the products whose low bits fall below
-    # 2**bits % bound.
-    threshold = (1 << bits) % bound
+    threshold = (1 << 32) % bound
     while True:
-        if len(halves) < 3:
-            halves[1:1] = bitgen.random_raw(16).astype("<u8").view("<u4")[::-1].tolist()
-        x = halves.pop()
-        if bits == 64:
-            x |= halves.pop() << 32
-        m = x * bound
-        if m & ((1 << bits) - 1) >= threshold:
-            break
-    if pending is not None:
-        halves.append(pending)
-    return m >> bits
+        if len(halves) < 2:
+            halves[1:] = bitgen.random_raw(16).astype("<u8").view("<u4")[::-1].tolist()
+        m = halves.pop() * bound
+        if m & 0xFFFFFFFF >= threshold:
+            return m >> 32
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
@@ -207,25 +195,29 @@ def randomized_min_noncovered(
     explicit stack of (picks left, picks made, covered mask) frames, so no
     budget is too deep for it. Refuses with :class:`EnumerationCeilingError`,
     before any search, when the plan's repetitions times p**k search leaves
-    exceed ``ceiling``.
+    exceed ``ceiling``, and with ``ValueError`` an instance of more than
+    2**32 elements, more than a 32-bit draw can pick from.
     """
+    if inst.n > 1 << 32:
+        raise ValueError(f"minnc draws among at most 2**32 elements, got n={inst.n}")
     check_frequency_bound(inst, p)
-    if not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _check_integer(seed, "seed")
+    _check_integer(ceiling, "ceiling")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     reps = repetition_count(beta, epsilon, inst.k)
     # One search has at most p**k leaves. For p >= 2 the power passes any
     # ceiling within ceiling.bit_length() levels, so the exponent is clamped
-    # there and a huge budget costs nothing to check.
-    planned = reps * p ** min(inst.k, max(ceiling, 1).bit_length())
+    # there and a huge budget costs nothing to check. The power is taken on
+    # Python ints, since a numpy integer's would wrap.
+    planned = reps * int(p) ** min(inst.k, max(int(ceiling), 1).bit_length())
     if planned > ceiling:
         raise EnumerationCeilingError(planned, ceiling, "search leaves planned")
     masks = set_masks(inst)
     n = inst.n
     samples = 0
     owners: list[list[int]] = [[] for _ in range(n)]
-    for i, s in enumerate(inst.sets):
+    for i, s in enumerate(_row_lists(*inst._ids, _BLOCK_BYTES // 24)):
         for e in s:
             owners[e - 1].append(i)
 

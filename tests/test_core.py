@@ -6,6 +6,7 @@ import pickle
 import random
 import sys
 import threading
+from contextlib import suppress
 from itertools import combinations
 
 import numpy as np
@@ -218,6 +219,41 @@ def test_non_integer_counts_are_refused():
     assert inst.effective_budget == 1 and inst._ids[0].dtype == np.uint8
     assert ApprovalElection(np.int64(2), True, ((2,),), np.int64(1)).num_voters == 1
     assert graph_to_maxvertexcover(np.int64(2), [(1, 2)], np.int64(1)) == Instance(1, ((1,), (1,)), 1)
+
+
+# Every integer parameter of the API that the constructors do not check, as
+# (call on a value, the name its message gives it, a value it accepts). Each
+# caller refuses a value that is not an integer, before its range, with one
+# ValueError; the instance takes the ptas exact branch, so every call reaches
+# its ceiling.
+INTEGER_PARAMETERS = {
+    "greedy_then_exact x": (lambda inst, v: greedy_then_exact(inst, v), "split x", 1),
+    "exact_then_greedy x": (lambda inst, v: exact_then_greedy(inst, v), "split x", 1),
+    "pad_frequencies p": (pad_frequencies, "target frequency bound", 2),
+    "brute_force ceiling": (lambda inst, v: maxcover.brute_force(inst, v), "ceiling", 10**6),
+    "fpt_approx ceiling": (lambda inst, v: fpt_approx(inst, 2, 0.5, v), "ceiling", 10**6),
+    "greedy_then_exact ceiling": (lambda inst, v: greedy_then_exact(inst, 0, v), "ceiling", 10**6),
+    "greedy_then_exact ceiling, greedy residual": (lambda inst, v: greedy_then_exact(inst, 1, v), "ceiling", 10**6),
+    "exact_then_greedy ceiling": (lambda inst, v: exact_then_greedy(inst, 1, v), "ceiling", 10**6),
+    "ptas_dispatch ceiling": (lambda inst, v: maxcover.ptas_dispatch(inst, 0.25, 0.5, v), "ceiling", 10**6),
+    "minnc ceiling": (lambda inst, v: randomized_min_noncovered(inst, 2, 2.0, 0.1, 0, v), "ceiling", 10**6),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+def test_integer_parameters_are_refused_before_their_range(name):
+    call, what, fine = INTEGER_PARAMETERS[name]
+    inst = Instance.of(6, [[1, 2], [3, 4], [5, 6], [1, 3, 5]], 2)
+    assert maxcover.ptas_dispatch(inst, 0.25, 0.5)[1] == "exact"
+    for value in (2.0, 2.5, float("nan"), -1.5, "2", None):
+        with pytest.raises(ValueError) as err:
+            call(inst, value)
+        assert str(err.value) == f"{what} must be an integer, got {value!r}"
+    # True and numpy integers stay accepted as integers; a ceiling of 1
+    # refuses the search itself.
+    with suppress(maxcover.EnumerationCeilingError):
+        call(inst, True)
+    assert call(inst, np.int64(fine)) == call(inst, fine)
 
 
 def test_document_kind():

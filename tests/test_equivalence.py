@@ -2,8 +2,9 @@
 
 The greedy on the id rows must give the picks, gains and residual scan
 counts of the greedy on the masks, within one block of owner temporaries,
-and a greedy solve must build no tuples and no masks. The document written
-from the id arrays must be the one the per-set loop wrote.
+and a greedy solve must build no tuples and no masks. No CLI command may
+build set tuples. The document written from the id arrays must be the one
+the per-set loop wrote.
 
 Lazy greedy, select-based minnc sampling, the packed mask build and the
 bound-pruned exhaustive searches must give exactly what the earlier eager
@@ -67,7 +68,7 @@ from maxcover import (
     unrank_colex,
 )
 from maxcover import cli, core, greedy
-from maxcover.cli import load_instance_text, main
+from maxcover.cli import SOLVERS, load_instance_text, main
 from maxcover.core import _BLOCK_BYTES, _parse_header
 from maxcover.exact import EnumerationCeilingError, _most_holders, best_fixed_size_subset
 from maxcover.greedy import greedy_on_rows
@@ -1201,6 +1202,29 @@ def test_cli_graph_load_builds_no_edge_tuples(monkeypatch):
     inst = load_instance_text(text)
     monkeypatch.undo()
     assert inst == expected
+
+
+def test_no_cli_command_builds_set_tuples(monkeypatch, tmp_path):
+    """Every solver, the ``--with-opt`` oracle and ``verify`` read the id
+    arrays or the packed rows, on every document kind; none makes tuples."""
+    rand = random.Random(28)
+    docs = (
+        serialize_instance(gen_random(60, 10, 3, 3, 4)),
+        approval_text(rand, 8, 60, 3, 4, lo=1),
+        graph_text(rand, 12, 30, 3),
+    )
+    flags = ["--epsilon", "0.5", "--x", "1", "--alpha", "0.05", "--with-opt"]
+    doc, out = tmp_path / "doc.txt", tmp_path / "out"
+    for text in docs:
+        doc.write_text(text)
+        monkeypatch.setattr(core, "_tuples", lambda *a: pytest.fail("built tuples"))
+        for alg in SOLVERS:
+            beta = "2" if alg == "minnc" else "0.5"
+            assert main(["solve", "--alg", alg, "--in", str(doc), "--out", str(out), "--beta", beta, *flags]) == 0, (text, alg)
+            assert main(["verify", "--in", str(doc), "--sol", str(out)]) == 0, (text, alg)
+        for algs, beta in (("exact,greedy,fpt,greedy-exact,exact-greedy,ptas", "0.5"), ("minnc,greedy", "2")):
+            assert main(["compare", "--algs", algs, "--in", str(doc), "--out", str(out), "--beta", beta, *flags]) == 0
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

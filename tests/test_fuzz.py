@@ -1,12 +1,16 @@
-"""The CLI's exit-code contract under mutated documents.
+"""The CLI's exit-code contract under mutated documents, reports and
+algorithm lists.
 
 A seeded fuzzer edits small maxcover, approval and graph documents: byte
 edits, truncations, line shuffles and inserted tokens. Each mutant is solved
-by every solver, some with ``--with-opt``. Every call must return 0, 1 or 2
-without an exception, and print exactly one ``error:`` line to stderr when it
-fails and none when it succeeds.
+by every solver, some with ``--with-opt``. ``verify`` reads mutated JSON
+reports of those documents, and ``compare`` runs drawn ``--algs`` lists.
+Every call must return 0, 1 or 2 without an exception, and print exactly one
+``error:`` or ``mismatch:`` line to stderr when it fails and none when it
+succeeds.
 """
 
+import json
 import random
 
 from maxcover.cli import SOLVERS, main
@@ -52,6 +56,21 @@ def mutate(rand: random.Random, text: str) -> str:
     return text
 
 
+def assert_contract(code: int, err: str, context) -> None:
+    failures = [line for line in err.split("\n") if line.startswith(("error:", "mismatch:"))]
+    assert code in (0, 1, 2), (context, code)
+    assert len(failures) == (code != 0), (context, code, failures)
+
+
+def drawn_flags(rand: random.Random, flags) -> list[str]:
+    argv = []
+    for flag in flags:
+        argv += [flag, rand.choice(FLAGS[flag])]
+    if rand.random() < 0.3:
+        argv.append("--with-opt")
+    return argv
+
+
 def test_every_mutated_document_meets_the_exit_code_contract(tmp_path, capsys):
     rand = random.Random(27)
     doc, out = tmp_path / "doc.txt", tmp_path / "report.json"
@@ -60,15 +79,78 @@ def test_every_mutated_document_meets_the_exit_code_contract(tmp_path, capsys):
         text = mutate(rand, DOCUMENTS[case % len(DOCUMENTS)])
         doc.write_bytes(text.encode("utf-8"))
         for alg, (flags, _) in SOLVERS.items():
-            argv = ["solve", "--alg", alg, "--in", str(doc), "--out", str(out)]
-            for flag in flags:
-                argv += [flag, rand.choice(FLAGS[flag])]
-            if rand.random() < 0.3:
-                argv.append("--with-opt")
+            argv = ["solve", "--alg", alg, "--in", str(doc), "--out", str(out), *drawn_flags(rand, flags)]
             code = main(argv)
-            errors = [line for line in capsys.readouterr().err.split("\n") if line.startswith("error:")]
-            assert code in (0, 1, 2), (text, argv, code)
-            assert len(errors) == (code != 0), (text, argv, code, errors)
+            assert_contract(code, capsys.readouterr().err, (text, argv))
             codes.add(code)
     assert codes == {0, 1, 2}
 
+
+# Values a report's keys may hold in place of their own, and fragments its
+# text may gain: other types, numbers no int reads, an integer past the
+# decoder's 4 300 digits, nesting past its recursion limit, text that is not
+# ASCII and broken syntax.
+JSON_VALUES = (True, None, float("nan"), float("-inf"), -0.0, 2.0, "3", [], {}, [[1]], [True], -1, 0, 99)
+JSON_TOKENS = ("1e400", "9" * 4400, "[" * 3000, "\\u00e9", "é", "-", ",", ":", "[", "]", "{", "}", '"', "NaN")
+
+
+def mutate_report(rand: random.Random, report: dict) -> str:
+    """A report's JSON text with one of its keys edited, dropped or replaced,
+    or a value inserted in the chosen list, then edited as text about a
+    third of the time."""
+    report = dict(report, chosen=list(report["chosen"]))
+    key = rand.choice(("chosen", "covered", "uncovered", "chosen", "chosen"))
+    how = rand.randrange(4)
+    if how == 0:
+        report.pop(key)
+    elif how == 1:
+        report[key] = rand.choice(JSON_VALUES)
+    elif how == 2 and key == "chosen":
+        report["chosen"].insert(rand.randint(0, len(report["chosen"])), rand.choice((-1, 0, 1, 2, 7, 2**70, True)))
+    elif how == 2:
+        report[key] += rand.choice((-1, 1))
+    text = json.dumps(report) if rand.random() < 0.9 else json.dumps([report])
+    if rand.random() < 0.3:
+        at = rand.randint(0, len(text))
+        text = text[:at] + rand.choice(("", *JSON_TOKENS, *map(json.dumps, JSON_VALUES))) + text[at + rand.randint(0, 2) :]
+    return text
+
+
+def test_every_mutated_report_meets_the_exit_code_contract(tmp_path, capsys):
+    rand = random.Random(28)
+    doc, sol = tmp_path / "doc.txt", tmp_path / "report.json"
+    codes = set()
+    for text in DOCUMENTS:
+        doc.write_text(text)
+        for alg in ("exact", "greedy"):
+            assert main(["solve", "--alg", alg, "--in", str(doc), "--out", str(sol)]) == 0
+            report = json.loads(sol.read_text())
+            capsys.readouterr()
+            for _ in range(150):
+                mutant = mutate_report(rand, report)
+                sol.write_bytes(mutant.encode("utf-8"))
+                code = main(["verify", "--in", str(doc), "--sol", str(sol)])
+                assert_contract(code, capsys.readouterr().err, (text, mutant[:200]))
+                codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+# Words an --algs list may hold beside the solver ids.
+ALG_WORDS = (*SOLVERS, *SOLVERS, "", " ", "EXACT", "greedy ", "fpt;", "min nc", "٣", "-1")
+
+
+def test_every_drawn_algorithm_list_meets_the_exit_code_contract(tmp_path, capsys):
+    rand = random.Random(29)
+    doc, out = tmp_path / "doc.txt", tmp_path / "table.csv"
+    codes = set()
+    for case in range(800):
+        text = DOCUMENTS[case % len(DOCUMENTS)]
+        if rand.random() < 0.3:
+            text = mutate(rand, text)
+        doc.write_bytes(text.encode("utf-8"))
+        algs = rand.choice((",", ", ", " ,")).join(rand.choice(ALG_WORDS) for _ in range(rand.randint(0, 4)))
+        argv = ["compare", f"--algs={algs}", "--in", str(doc), "--out", str(out), *drawn_flags(rand, FLAGS)]
+        code = main(argv)
+        assert_contract(code, capsys.readouterr().err, (text, argv))
+        codes.add(code)
+    assert codes == {0, 1, 2}

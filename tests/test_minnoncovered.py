@@ -3,11 +3,13 @@
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import maxcover.minnoncovered
+from maxcover import core
 from maxcover.minnoncovered import RandomizedRun, _bounded_draw, _nth_uncovered, _stream_states
 from maxcover import (
     EnumerationCeilingError,
@@ -122,6 +124,15 @@ def test_huge_plan_refused_before_any_search(no_search):
     wide = Instance.of(4, [[1, 2], [2, 3], [3, 4], [4, 1]], 10**9)
     with pytest.raises(EnumerationCeilingError):
         randomized_min_noncovered(wide, 2, 1e12, 0.1, seed=0)
+
+
+def test_numpy_integer_plan_is_counted_without_wrapping(no_search):
+    # 8**16 in int64 wraps to a negative count, which a ceiling never refuses.
+    inst = Instance.of(1, [[1]], 16)
+    for p, ceiling in ((np.int64(8), 10**8), (8, np.int64(10**8))):
+        with pytest.raises(EnumerationCeilingError) as err:
+            randomized_min_noncovered(inst, p, 2.0, 0.5, seed=0, ceiling=ceiling)
+        assert err.value.count == repetition_count(2.0, 0.5, 16) * 8**16
 
 
 def test_plan_counts_repetitions_times_branching(no_search):
@@ -243,15 +254,15 @@ def test_rejects_bad_inputs():
         randomized_min_noncovered(inst, 2, 2.0, 0.1, seed=2**64 - 1)
 
 
-# Bounds on both sides of every branch of numpy's bounded rule: no draw at 1,
-# 32-bit Lemire up to 2**32 (3 * 2**30 rejects a third of its draws), and
-# 64-bit Lemire above.
-DRAW_BOUNDS = [1, 2, 3, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 5, 2**63 - 1]
+# Bounds across the range minnc draws from: no draw at 1, then 32-bit Lemire
+# up to 2**32 (3 * 2**30 rejects a third of its draws, and 2**32 takes each
+# half as it is).
+DRAW_BOUNDS = [1, 2, 3, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
 
 
 def test_draws_equal_the_generator_values_on_one_stream():
     """The draws read from the stream's halves equal ``Generator.integers``
-    value for value, 32-bit and 64-bit bounds mixed on one stream. Should a
+    value for value, bounds in [1, 2**32] mixed on one stream. Should a
     numpy release change its bounded-integer rule, this test fails first,
     and names the cause the pinned digests would only show as a change."""
     pick = random.Random(5)
@@ -260,6 +271,25 @@ def test_draws_equal_the_generator_values_on_one_stream():
         want = np.random.Generator(np.random.PCG64(seed))
         bitgen, halves = np.random.PCG64(seed), [0]
         assert [_bounded_draw(bitgen, halves, b) for b in bounds] == [int(want.integers(b)) for b in bounds], seed
+
+
+def test_more_than_2_to_the_32_elements_are_refused_before_any_allocation(monkeypatch):
+    """A draw's bound is at most n, and the draws follow numpy's 32-bit rule
+    only, so a larger universe is refused before its frequency profile, an
+    array of n + 1 counts, is built."""
+    monkeypatch.setattr(core, "frequency_profile", lambda inst: pytest.fail("built a frequency profile"))
+    inst = Instance(2**32 + 1, (), 1)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            randomized_min_noncovered(inst, 1, 2.0, 0.1, seed=0)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "minnc draws among at most 2**32 elements, got n=4294967297"
+    assert elapsed < 0.5 and peak < 1 << 20
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
