@@ -46,12 +46,6 @@ from .minnoncovered import randomized_min_noncovered
 # Largest --grid of the curves command: each point is a row of the CSV.
 MAX_CURVE_GRID = 10**6
 
-# Words starting with "-" that a subcommand's parser reads as values, not as
-# options: the negative numbers that float reads, '-1e3', '-inf' and '-nan'
-# too, so that a flag's own check refuses them. argparse's own pattern takes
-# only '-1' and '-.5'.
-_NEGATIVE_NUMBER = re.compile(r"-(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(e[+-]?\d[\d_]*)?$|-(inf(inity)?|nan)$", re.IGNORECASE)
-
 
 @dataclass(frozen=True)
 class SolverReport:
@@ -95,8 +89,6 @@ def curve_points(k: int, beta_a: float, grid: int, alg5_form: str = "vertexcover
         raise ValueError(f"grid must have at least 2 points, got {grid}")
     if grid > MAX_CURVE_GRID:
         raise ValueError(f"grid must have at most {MAX_CURVE_GRID} points, got {grid}")
-    if k < 1:
-        raise ValueError(f"budget must be positive, got {k}")
     try:
         method = {"maxcover": "alg5", "vertexcover": "alg5_vertexcover"}[alg5_form]
     except KeyError:
@@ -433,8 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--sol", required=True, help="JSON report to check")
     verify.set_defaults(handler="run_verify")
 
+    # A word after a flag ('-inf', '-1,greedy', '-r.json') is the flag's value
+    # unless it names one of the subcommand's options: argparse asks this
+    # matcher only about a word that names none. It is set last, since argparse
+    # also asks it about each option name as the option is added.
     for command in sub.choices.values():
-        command._negative_number_matcher = _NEGATIVE_NUMBER
+        command._negative_number_matcher = re.compile("")
     return parser
 
 

@@ -82,6 +82,12 @@ def _check_count(value, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative, got {value}")
 
 
+def _check_ratio(value, what: str) -> None:
+    """Refuse a ratio outside the open interval (0, 1), NaN included."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{what} must lie in (0, 1), got {value}")
+
+
 @dataclass(frozen=True)
 class Instance(_Derived):
     """A coverage instance: universe 1..n, m element sets, selection budget k.

@@ -6,10 +6,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
-from .core import Instance, Solution, _set_rows, check_frequency_bound
+from .core import Instance, Solution, _check_integer, _check_ratio, _set_rows, check_frequency_bound
 from .exact import DEFAULT_CEILING, best_fixed_size_subset
 
 
@@ -36,9 +37,12 @@ def pool_size(p: int, k: int, beta: float) -> int:
     Evaluated in exact rational arithmetic on the given float so the ceiling
     never drifts by one from rounding noise.
     """
+    _check_integer(p, "frequency bound")
+    _check_integer(k, "budget")
     if p < 1 or k < 1:
         raise ValueError(f"p and k must be positive, got p={p}, k={k}")
-    _check_beta(beta)
+    _check_ratio(beta, "beta")
+    p, k = index(p), index(k)  # a numpy integer would wrap in the product
     return math.ceil(Fraction(2 * p * k) / (1 - Fraction(beta)) + k)
 
 
@@ -53,7 +57,7 @@ def fpt_approx(
     the search degenerates to plain exhaustive search. Only the pool size
     reads p; the search counts the pool's own frequency bound.
     """
-    _check_beta(beta)
+    _check_ratio(beta, "beta")
     check_frequency_bound(inst, p)
     if inst.effective_budget == 0:
         return Solution((), 0, inst.n), PoolPlan(0, (), 1, 1)
@@ -67,8 +71,3 @@ def fpt_approx(
     chosen = tuple(in_index_order[j] for j in combo)
     plan = PoolPlan(clamped, pool, math.comb(clamped, budget), scanned)
     return Solution(chosen, covered, inst.n - covered), plan
-
-
-def _check_beta(beta: float) -> None:
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from numbers import Integral
-from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_HEADER_COUNT, Instance, _check_count, _reduce
+from .core import MAX_HEADER_COUNT, Instance, _check_count, _check_ratio, _reduce
 
 # Most incidences the tight constructions build, and that ``gen_random`` sizes
 # its draw for (n * p_max, since each element joins up to p_max sets); a
@@ -95,8 +94,7 @@ class TightFptSpec:
     def __post_init__(self):
         if self.p < 1 or self.k < 1:
             raise ValueError(f"p and k must be positive, got p={self.p}, k={self.k}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
+        _check_ratio(self.beta, "beta")
         if (1 / self._gap).denominator != 1:
             raise ValueError(f"1/(1-beta) must be an integer, got beta={self.beta}")
         if self.k % self.p:
@@ -219,8 +217,6 @@ def graph_to_maxvertexcover(
     order = np.lexsort((hi, lo))  # a stable sort: each edge after the earlier ones with the same ends
     bad[order[1:]] |= (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
     first = int(np.argmax(bad)) if bad.any() else len(bad)
-    if pairs is not None:
-        ends = np.fromiter(map(index, pairs[: 2 * first]), np.int64)
     if first < len(bad):
         eid, edge = first + 1, edges[first] if pairs is not None else ends[2 * first : 2 * first + 2].tolist()
         if len(edge) != 2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Solution, _check_integer, _element_rows, _set_rows, frequency_profile
+from .core import Instance, Solution, _check_integer, _check_ratio, _element_rows, _set_rows, frequency_profile
 from .exact import DEFAULT_CEILING, _walk, best_fixed_size_subset, brute_force, check_ceiling
 from .greedy import greedy_cover, greedy_on_rows, greedy_rows
 
@@ -157,8 +157,7 @@ def ptas_dispatch(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    _check_ratio(beta, "beta")
     profile = frequency_profile(inst)
     if inst.m == 0 or profile.p_min / inst.m < alpha:
         raise ValueError(

@@ -16,7 +16,8 @@ from itertools import chain
 
 import numpy as np
 
-from .core import _BLOCK_BYTES, Instance, Solution, _check_integer, _row_lists, check_frequency_bound, set_masks
+from .core import (_BLOCK_BYTES, Instance, Solution, _check_count, _check_integer, _check_ratio, _row_lists,
+                   check_frequency_bound, set_masks)
 from .exact import DEFAULT_CEILING, EnumerationCeilingError
 
 
@@ -41,10 +42,9 @@ def repetition_count(beta: float, epsilon: float, k: int) -> int:
     """
     if not 1.0 < beta < math.inf:  # NaN fails both
         raise ValueError(f"beta must exceed 1 and be finite for uncovered-count ratios, got {beta}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if k < 0:
-        raise ValueError(f"budget must be nonnegative, got {k}")
+    _check_ratio(epsilon, "epsilon")
+    _check_count(k, "budget")
+    k = operator.index(k)  # a numpy integer power would overflow to inf with a warning
     try:
         return math.ceil(-math.log(epsilon) * (beta / (beta - 1.0)) ** k)
     except OverflowError:

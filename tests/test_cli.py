@@ -299,16 +299,37 @@ def test_a_float_flag_takes_a_separate_negative_word_as_its_value(inst_file, cap
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# A word after a flag is the flag's value unless argparse reads it as one of
+# the subcommand's options: an exact name, an abbreviation, or '-h' and more.
 @pytest.mark.parametrize("flag, word, message", [
     ("--beta", "-half", "argument --beta: expected one argument"),
+    ("--beta", "-zzz", "argument --beta: invalid float value: '-zzz'"),
     ("--al", "-inf", "ambiguous option: --al could match --alg, --alpha"),
     ("--x", "-inf", "argument --x: invalid int value: '-inf'"),
-], ids=["no-float", "ambiguous-prefix", "int-flag"])
-def test_argparse_refuses_a_word_that_no_float_flag_reads(inst_file, capsys, flag, word, message):
+], ids=["help-prefix", "no-float", "ambiguous-prefix", "int-flag"])
+def test_argparse_refuses_an_option_word_or_a_value_its_type_cannot_read(inst_file, capsys, flag, word, message):
     with pytest.raises(SystemExit) as err:
         run(["solve", "--alg", "fpt", flag, word, "--in", inst_file])
     assert err.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_dash_led_algorithm_list_reaches_the_algorithm_check(inst_file, capsys):
+    assert run(["compare", "--algs", "-1,greedy", "--in", inst_file]) == 2
+    assert capsys.readouterr().err == f"error: unknown algorithm '-1', expected one of {tuple(SOLVERS)}\n"
+
+
+def test_dash_led_paths_are_the_values_of_their_flags(inst_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for out in ("-r.json", "r.json"):
+        assert run(["solve", "--alg", "greedy", "--in", inst_file, "--out", out]) == 0
+    assert (tmp_path / "-r.json").read_bytes() == (tmp_path / "r.json").read_bytes()
+    capsys.readouterr()
+    assert run(["verify", "--in", inst_file, "--sol", "-r.json"]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
+    assert run(["solve", "--alg", "greedy", "--in", "-missing.mc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'-missing.mc'" in err
 
 
 def test_exit_code_2_on_precondition(inst_file, capsys):
@@ -346,6 +367,12 @@ def test_curve_points_validation():
         curve_points(1, 0.75, 1)
     with pytest.raises(ValueError, match="alg5 form"):
         curve_points(1, 0.75, 3, alg5_form="other")
+    # The budget is checked by hybrid_ratio at the first point, after the form.
+    with pytest.raises(ValueError) as err:
+        curve_points(0, 0.75, 11)
+    assert str(err.value) == "budget must be positive, got 0"
+    with pytest.raises(ValueError, match="alg5 form"):
+        curve_points(0, 0.75, 11, alg5_form="other")
 
 
 def test_curves_rejects_a_grid_above_the_cap(tmp_path, capsys):

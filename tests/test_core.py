@@ -237,6 +237,9 @@ INTEGER_PARAMETERS = {
     "exact_then_greedy ceiling": (lambda inst, v: exact_then_greedy(inst, 1, v), "ceiling", 10**6),
     "ptas_dispatch ceiling": (lambda inst, v: maxcover.ptas_dispatch(inst, 0.25, 0.5, v), "ceiling", 10**6),
     "minnc ceiling": (lambda inst, v: randomized_min_noncovered(inst, 2, 2.0, 0.1, 0, v), "ceiling", 10**6),
+    "pool_size p": (lambda inst, v: maxcover.pool_size(v, 3, 0.5), "frequency bound", 2),
+    "pool_size k": (lambda inst, v: maxcover.pool_size(2, v, 0.5), "budget", 3),
+    "repetition_count k": (lambda inst, v: maxcover.repetition_count(2.0, 0.1, v), "budget", 2),
 }
 
 
@@ -254,6 +257,28 @@ def test_integer_parameters_are_refused_before_their_range(name):
     with suppress(maxcover.EnumerationCeilingError):
         call(inst, True)
     assert call(inst, np.int64(fine)) == call(inst, fine)
+
+
+# Every caller of the shared (0, 1) ratio check, as (call on a value, the
+# name its message gives it).
+RATIO_PARAMETERS = {
+    "fpt_approx beta": (lambda inst, v: fpt_approx(inst, 2, v), "beta"),
+    "pool_size beta": (lambda inst, v: maxcover.pool_size(2, 3, v), "beta"),
+    "ptas_dispatch beta": (lambda inst, v: maxcover.ptas_dispatch(inst, 0.25, v), "beta"),
+    "TightFptSpec beta": (lambda inst, v: TightFptSpec(p=2, k=2, beta=v), "beta"),
+    "repetition_count epsilon": (lambda inst, v: maxcover.repetition_count(2.0, v, 2), "epsilon"),
+}
+
+
+@pytest.mark.parametrize("name", RATIO_PARAMETERS)
+def test_ratio_parameters_are_refused_outside_the_open_unit_interval(name):
+    call, what = RATIO_PARAMETERS[name]
+    inst = Instance.of(6, [[1, 2], [3, 4], [5, 6], [1, 3, 5]], 2)
+    for value in (0, 1, float("nan"), float("-inf")):
+        with pytest.raises(ValueError) as err:
+            call(inst, value)
+        assert str(err.value) == f"{what} must lie in (0, 1), got {value}"
+    call(inst, 0.5)
 
 
 def test_document_kind():

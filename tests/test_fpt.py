@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from maxcover import (
@@ -37,6 +38,15 @@ def test_pool_size_rejects_bad_arguments():
         pool_size(0, 1, 0.5)
     with pytest.raises(ValueError):
         pool_size(1, 0, 0.5)
+
+
+def test_numpy_integer_pool_parameters_are_multiplied_without_wrapping():
+    sets = [[1, 2], [3, 4], [5, 6], [1, 3, 5]]
+    want = fpt_approx(Instance.of(6, sets, 2), 2**62, 0.5)
+    assert want[0].chosen == (0, 1) and want[1].pool_size == 4
+    assert fpt_approx(Instance.of(6, sets, 2), np.int64(2**62), 0.5) == want
+    assert fpt_approx(Instance.of(6, sets, np.int64(2)), 2**62, 0.5) == want
+    assert pool_size(np.int64(2**62), np.int64(2), 0.5) == pool_size(2**62, 2, 0.5) == 2**65 + 2
 
 
 def test_pool_ordering_invariant():

@@ -5,6 +5,8 @@ A seeded fuzzer edits small maxcover, approval and graph documents: byte
 edits, truncations, line shuffles and inserted tokens. Each mutant is solved
 by every solver, some with ``--with-opt``. ``verify`` reads mutated JSON
 reports of those documents, and ``compare`` runs drawn ``--algs`` lists.
+Paths and lists that start with "-" are among the words, since a word after
+a flag is its value unless argparse reads it as one of the options.
 Every call must return 0, 1 or 2 without an exception, and print exactly one
 ``error:`` or ``mismatch:`` line to stderr when it fails and none when it
 succeeds.
@@ -71,15 +73,20 @@ def drawn_flags(rand: random.Random, flags) -> list[str]:
     return argv
 
 
-def test_every_mutated_document_meets_the_exit_code_contract(tmp_path, capsys):
+# Document and report paths, relative to the test's working directory.
+PATHS = (("doc.txt", "report.json"), ("-doc.txt", "-report.json"), ("--doc", "-"))
+
+
+def test_every_mutated_document_meets_the_exit_code_contract(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     rand = random.Random(27)
-    doc, out = tmp_path / "doc.txt", tmp_path / "report.json"
     codes = set()
     for case in range(400):
         text = mutate(rand, DOCUMENTS[case % len(DOCUMENTS)])
-        doc.write_bytes(text.encode("utf-8"))
+        doc, out = rand.choice(PATHS)
+        (tmp_path / doc).write_bytes(text.encode("utf-8"))
         for alg, (flags, _) in SOLVERS.items():
-            argv = ["solve", "--alg", alg, "--in", str(doc), "--out", str(out), *drawn_flags(rand, flags)]
+            argv = ["solve", "--alg", alg, "--in", doc, "--out", out, *drawn_flags(rand, flags)]
             code = main(argv)
             assert_contract(code, capsys.readouterr().err, (text, argv))
             codes.add(code)
@@ -116,27 +123,29 @@ def mutate_report(rand: random.Random, report: dict) -> str:
     return text
 
 
-def test_every_mutated_report_meets_the_exit_code_contract(tmp_path, capsys):
+def test_every_mutated_report_meets_the_exit_code_contract(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     rand = random.Random(28)
-    doc, sol = tmp_path / "doc.txt", tmp_path / "report.json"
     codes = set()
-    for text in DOCUMENTS:
-        doc.write_text(text)
+    for text, (doc, sol) in zip(DOCUMENTS, PATHS * 2):
+        (tmp_path / doc).write_text(text)
         for alg in ("exact", "greedy"):
-            assert main(["solve", "--alg", alg, "--in", str(doc), "--out", str(sol)]) == 0
-            report = json.loads(sol.read_text())
+            assert main(["solve", "--alg", alg, "--in", doc, "--out", sol]) == 0
+            report = json.loads((tmp_path / sol).read_text())
             capsys.readouterr()
             for _ in range(150):
                 mutant = mutate_report(rand, report)
-                sol.write_bytes(mutant.encode("utf-8"))
-                code = main(["verify", "--in", str(doc), "--sol", str(sol)])
+                (tmp_path / sol).write_bytes(mutant.encode("utf-8"))
+                code = main(["verify", "--in", doc, "--sol", sol])
                 assert_contract(code, capsys.readouterr().err, (text, mutant[:200]))
                 codes.add(code)
     assert codes == {0, 1, 2}
 
 
-# Words an --algs list may hold beside the solver ids.
-ALG_WORDS = (*SOLVERS, *SOLVERS, "", " ", "EXACT", "greedy ", "fpt;", "min nc", "٣", "-1")
+# Words an --algs list may hold beside the solver ids; the dash-led ones name
+# no option of compare, so the list stays --algs's value.
+ALG_WORDS = (*SOLVERS, *SOLVERS, "", " ", "EXACT", "greedy ", "fpt;", "min nc", "٣",
+             "-1", "-greedy", "-", "--nope", "-x=1")
 
 
 def test_every_drawn_algorithm_list_meets_the_exit_code_contract(tmp_path, capsys):
@@ -149,7 +158,8 @@ def test_every_drawn_algorithm_list_meets_the_exit_code_contract(tmp_path, capsy
             text = mutate(rand, text)
         doc.write_bytes(text.encode("utf-8"))
         algs = rand.choice((",", ", ", " ,")).join(rand.choice(ALG_WORDS) for _ in range(rand.randint(0, 4)))
-        argv = ["compare", f"--algs={algs}", "--in", str(doc), "--out", str(out), *drawn_flags(rand, FLAGS)]
+        words = [f"--algs={algs}"] if rand.random() < 0.5 else ["--algs", algs]
+        argv = ["compare", *words, "--in", str(doc), "--out", str(out), *drawn_flags(rand, FLAGS)]
         code = main(argv)
         assert_contract(code, capsys.readouterr().err, (text, argv))
         codes.add(code)

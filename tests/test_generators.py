@@ -245,6 +245,10 @@ def test_graph_refuses_non_integer_endpoints():
             graph_to_maxvertexcover(3, edges, 1)
         assert str(err.value) == message
     assert graph_to_maxvertexcover(3, [(True, np.int64(3))], 1) == graph_to_maxvertexcover(3, [(1, 3)], 1)
+    tuples = graph_to_maxvertexcover(3, [(True, np.int64(3)), (np.int64(2), 3)], 1)
+    array = graph_to_maxvertexcover(3, np.array([[1, 3], [2, 3]]), 1)
+    for got, want in zip(tuples._ids, array._ids, strict=True):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert graph_to_maxvertexcover(3, iter([[1, 2], iter((2, 3))]), 1) == graph_to_maxvertexcover(3, [(1, 2), (2, 3)], 1)
 
 

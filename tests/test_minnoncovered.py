@@ -54,6 +54,10 @@ def test_repetition_count_rejects_bad_arguments():
 def test_repetition_count_overflow_is_a_value_error():
     with pytest.raises(ValueError, match="too large"):
         repetition_count(1.0001, 0.1, 200)
+    # A numpy-integer budget is raised to its power as a Python int, with no
+    # numpy overflow warning on the way.
+    with pytest.raises(ValueError, match="too large to represent"):
+        repetition_count(2.0, 0.1, np.int64(2000))
 
 
 def select_masks(n: int, rand: random.Random):
