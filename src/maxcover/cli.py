@@ -19,6 +19,7 @@ from functools import partial
 from .core import (
     Instance,
     ParseError,
+    _check_integer,
     _voters_covered,
     coverage,
     document_kind,
@@ -85,6 +86,8 @@ def curve_points(k: int, beta_a: float, grid: int, alg5_form: str = "vertexcover
     x runs from k down to 0 for the greedy-finishing method while the
     comparison method solves a t fraction exactly.
     """
+    _check_integer(k, "budget")
+    _check_integer(grid, "grid")
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
     if grid > MAX_CURVE_GRID:
@@ -378,8 +381,17 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ceiling", type=int, default=DEFAULT_CEILING, help="subset enumeration ceiling")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses with ``ValueError``, which ``main`` prints as one ``error:``
+    line, where argparse would print the usage text; subparsers take this
+    class from their parent."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maxcover",
         description="Coverage maximization solvers, instance generators, and guarantee curves.",
     )
@@ -443,8 +455,8 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return globals()[args.handler](args)
     except (ParseError, UnicodeDecodeError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

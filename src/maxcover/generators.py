@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_HEADER_COUNT, Instance, _check_count, _check_ratio, _reduce
+from .core import MAX_HEADER_COUNT, Instance, _check_count, _check_integer, _check_ratio, _reduce
 
 # Most incidences the tight constructions build, and that ``gen_random`` sizes
 # its draw for (n * p_max, since each element joins up to p_max sets); a
@@ -59,6 +59,8 @@ class TightGreedySpec:
     m: int
 
     def __post_init__(self):
+        for value, what in ((self.p, "frequency bound"), (self.k, "budget"), (self.m, "set count")):
+            _check_integer(value, what)
         if self.p < 1 or self.k < 1:
             raise ValueError(f"p and k must be positive, got p={self.p}, k={self.k}")
         if self.m <= self.k:
@@ -92,6 +94,8 @@ class TightFptSpec:
     beta: float
 
     def __post_init__(self):
+        _check_integer(self.p, "frequency bound")
+        _check_integer(self.k, "budget")
         if self.p < 1 or self.k < 1:
             raise ValueError(f"p and k must be positive, got p={self.p}, k={self.k}")
         _check_ratio(self.beta, "beta")
@@ -168,6 +172,8 @@ def gen_random(n: int, m: int, k: int, p_max: int, seed: int) -> Instance:
 
     n and m may not exceed ``MAX_HEADER_COUNT``, the largest counts a
     document header may declare, nor n * p_max ``DEFAULT_SIZE_CEILING``."""
+    for value, what in ((n, "universe size"), (m, "set count"), (p_max, "frequency cap"), (seed, "seed")):
+        _check_integer(value, what)
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if max(n, m) > MAX_HEADER_COUNT:

@@ -13,7 +13,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import _BLOCK_BYTES, Instance, Solution, _element_rows, _row_blocks
+from .core import _BLOCK_BYTES, Instance, Solution, _check_integer, _element_rows, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,8 @@ def greedy_cover(inst: Instance) -> tuple[Solution, GreedyTrace]:
 def greedy_guarantee(p: int, k: int, m: int) -> float:
     """Worst-case coverage ratio 1 - exp(-max(p*k/m, 1)) of the greedy picker
     when every element appears in at least p of the m sets."""
+    for value, what in ((p, "frequency bound"), (k, "budget"), (m, "set count")):
+        _check_integer(value, what)
     if p < 1 or k < 1 or m < 1:
         raise ValueError(f"p, k, and m must all be positive, got p={p}, k={k}, m={m}")
     return 1.0 - math.exp(-max(p * k / m, 1.0))

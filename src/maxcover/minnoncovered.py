@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .core import (_BLOCK_BYTES, Instance, Solution, _check_count, _check_integer, _check_ratio, _row_lists,
-                   check_frequency_bound, set_masks)
+                   _transpose, check_frequency_bound, set_masks)
 from .exact import DEFAULT_CEILING, EnumerationCeilingError
 
 
@@ -124,7 +124,7 @@ _B = [_INIT_B * pow(_MULT_B, i, 1 << 32) & _M32 for i in range(9)]
 
 def _hash(value, call: int, consts: list[int] = _A):
     """SeedSequence's ``hashmix``, the ``call``-th of a pass, on uint32
-    arrays or Python ints below 2**32."""
+    arrays."""
     value = (value ^ consts[call]) * consts[call + 1] & _M32
     return value ^ value >> 16
 
@@ -138,28 +138,19 @@ def _stream_states(seed: int, start: int, stop: int) -> list[dict]:
     """The ``state`` of ``PCG64(SeedSequence(entropy=seed, spawn_key=(rep,)))``
     for each rep in [start, stop).
 
-    SeedSequence pads the seed's 32-bit words (two at most) with zeros to its
-    pool of four and appends the spawn key's (one below 2**32, else two). The
-    pool that mixes from the seed words alone is the same for every rep and
-    is hashed once in Python ints; the spawn words are then mixed in, and the
-    four 64-bit state words drawn, as whole uint32-array passes over the
-    block. uint32 arrays wrap without a warning, where a numpy scalar would
-    warn. PCG64's ``srandom_r`` then runs on Python ints.
+    SeedSequence mixes the seed's 32-bit words into a pool of four, the same
+    for every rep, in 16 hash calls: numpy's own ``SeedSequence(seed).pool``.
+    The spawn key's words (one below 2**32, else two) are then mixed in, from
+    call 16 on, and the four 64-bit state words drawn, as whole uint32-array
+    passes over the block. uint32 arrays wrap without a warning, where a
+    numpy scalar would warn. PCG64's ``srandom_r`` then runs on Python ints.
     """
-    seed = operator.index(seed)
-    pool = [_hash(word, call) for call, word in enumerate((seed & _M32, seed >> 32, 0, 0))]
-    call = len(pool)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], call))
-                call += 1
     reps = np.arange(start, stop, dtype=np.uint64)
-    pool = [np.full(len(reps), word, np.uint32) for word in pool]
-    pool = [_mix(word, _hash(reps.astype(np.uint32), call + dst)) for dst, word in enumerate(pool)]
+    pool = [np.full(len(reps), word, np.uint32) for word in np.random.SeedSequence(seed).pool]
+    pool = [_mix(word, _hash(reps.astype(np.uint32), 16 + dst)) for dst, word in enumerate(pool)]
     if stop > 1 << 32:
         high = (reps >> 32).astype(np.uint32)
-        pool = [np.where(high > 0, _mix(word, _hash(high, call + 4 + dst)), word) for dst, word in enumerate(pool)]
+        pool = [np.where(high > 0, _mix(word, _hash(high, 20 + dst)), word) for dst, word in enumerate(pool)]
     words = np.stack([_hash(pool[i % 4], i, _B) for i in range(8)], axis=1)
     states = []
     for s_high, s_low, i_high, i_low in words.astype("<u4").view("<u8").tolist():
@@ -182,21 +173,21 @@ def randomized_min_noncovered(
 
     Deterministic per (instance, parameters, seed): repetition i uses the
     PCG64 stream derived from SeedSequence(seed, spawn_key=(i,)), and each
-    sample is the value ``Generator.integers`` would draw on it. No
-    SeedSequence and no Generator is built: one PCG64 takes each
-    repetition's seeded state from ``_stream_states``, and the search reads
-    its stream as 32-bit halves. It inlines Lemire's early accept, a half
-    whose product with the bound keeps low bits of at least the bound (numpy's
-    threshold 2**32 % bound lies below it), and leaves every other case to
-    ``_bounded_draw``. A branch that covers everything returns early; ties on
-    uncovered counts keep the earlier candidate, both across branches and
-    across repetitions, so a repetition's result is the first leaf, in
-    depth-first order, that covers the most. Each tree is walked on an
-    explicit stack of (picks left, picks made, covered mask) frames, so no
+    sample is the value ``Generator.integers`` would draw on it. One
+    SeedSequence is built a block of repetitions, and no Generator: one PCG64
+    takes each repetition's seeded state from ``_stream_states``, and the
+    search reads its stream as 32-bit halves. It inlines Lemire's early
+    accept, a half whose product with the bound keeps low bits of at least the
+    bound (numpy's threshold 2**32 % bound lies below it), and leaves every
+    other case to ``_bounded_draw``. A branch that covers everything returns
+    early; ties on uncovered counts keep the earlier candidate, both across
+    branches and across repetitions, so a repetition's result is the first
+    leaf, in depth-first order, that covers the most. Each tree is walked on
+    an explicit stack of (picks left, picks made, covered mask) frames, so no
     budget is too deep for it. Refuses with :class:`EnumerationCeilingError`,
     before any search, when the plan's repetitions times p**k search leaves
-    exceed ``ceiling``, and with ``ValueError`` an instance of more than
-    2**32 elements, more than a 32-bit draw can pick from.
+    exceed ``ceiling``, and with ``ValueError`` an instance of more than 2**32
+    elements, more than a 32-bit draw can pick from.
     """
     if inst.n > 1 << 32:
         raise ValueError(f"minnc draws among at most 2**32 elements, got n={inst.n}")
@@ -216,10 +207,8 @@ def randomized_min_noncovered(
     masks = set_masks(inst)
     n = inst.n
     samples = 0
-    owners: list[list[int]] = [[] for _ in range(n)]
-    for i, s in enumerate(_row_lists(*inst._ids, _BLOCK_BYTES // 24)):
-        for e in s:
-            owners[e - 1].append(i)
+    ids, offs = _transpose(n, inst.m, *inst._ids)  # each element's sets, in increasing order
+    owners = list(_row_lists(ids - 1, offs, _BLOCK_BYTES // 24))
 
     bitgen = np.random.PCG64(0)  # takes each repetition's state in turn
     best_solution: Solution | None = None

@@ -39,7 +39,7 @@ from maxcover import (
     serialize_instance,
     set_masks,
 )
-from maxcover.cli import load_instance_text, main
+from maxcover.cli import curve_points, load_instance_text, main
 from helpers import random_instance, union_coverage
 
 
@@ -240,12 +240,31 @@ INTEGER_PARAMETERS = {
     "pool_size p": (lambda inst, v: maxcover.pool_size(v, 3, 0.5), "frequency bound", 2),
     "pool_size k": (lambda inst, v: maxcover.pool_size(2, v, 0.5), "budget", 3),
     "repetition_count k": (lambda inst, v: maxcover.repetition_count(2.0, 0.1, v), "budget", 2),
+    "gen_random n": (lambda inst, v: maxcover.gen_random(v, 4, 2, 2, 0), "universe size", 6),
+    "gen_random m": (lambda inst, v: maxcover.gen_random(6, v, 2, 1, 0), "set count", 4),
+    "gen_random p_max": (lambda inst, v: maxcover.gen_random(6, 4, 2, v, 0), "frequency cap", 2),
+    "gen_random seed": (lambda inst, v: maxcover.gen_random(6, 4, 2, 2, v), "seed", 3),
+    "TightFptSpec p": (lambda inst, v: TightFptSpec(v, 2, 0.5), "frequency bound", 2),
+    "TightFptSpec k": (lambda inst, v: TightFptSpec(1, v, 0.5), "budget", 2),
+    "curve_points k": (lambda inst, v: curve_points(v, 0.75, 5), "budget", 4),
+    "greedy_guarantee p": (lambda inst, v: maxcover.greedy_guarantee(v, 3, 5), "frequency bound", 2),
+    "greedy_guarantee k": (lambda inst, v: maxcover.greedy_guarantee(2, v, 5), "budget", 3),
+    "greedy_guarantee m": (lambda inst, v: maxcover.greedy_guarantee(2, 3, v), "set count", 5),
+}
+
+# Integer parameters, as above, whose range refuses 1: True among them is
+# refused by the range check, not as a non-integer.
+INTEGER_PARAMETERS_ABOVE_ONE = {
+    "TightGreedySpec p": (lambda inst, v: TightGreedySpec(v, 3, 5), "frequency bound", 2),
+    "TightGreedySpec k": (lambda inst, v: TightGreedySpec(2, v, 5), "budget", 3),
+    "TightGreedySpec m": (lambda inst, v: TightGreedySpec(2, 3, v), "set count", 5),
+    "curve_points grid": (lambda inst, v: curve_points(4, 0.75, v), "grid", 5),
 }
 
 
-@pytest.mark.parametrize("name", INTEGER_PARAMETERS)
+@pytest.mark.parametrize("name", [*INTEGER_PARAMETERS, *INTEGER_PARAMETERS_ABOVE_ONE])
 def test_integer_parameters_are_refused_before_their_range(name):
-    call, what, fine = INTEGER_PARAMETERS[name]
+    call, what, fine = {**INTEGER_PARAMETERS, **INTEGER_PARAMETERS_ABOVE_ONE}[name]
     inst = Instance.of(6, [[1, 2], [3, 4], [5, 6], [1, 3, 5]], 2)
     assert maxcover.ptas_dispatch(inst, 0.25, 0.5)[1] == "exact"
     for value in (2.0, 2.5, float("nan"), -1.5, "2", None):
@@ -253,9 +272,14 @@ def test_integer_parameters_are_refused_before_their_range(name):
             call(inst, value)
         assert str(err.value) == f"{what} must be an integer, got {value!r}"
     # True and numpy integers stay accepted as integers; a ceiling of 1
-    # refuses the search itself.
-    with suppress(maxcover.EnumerationCeilingError):
-        call(inst, True)
+    # refuses the search itself, and a range above 1 refuses True.
+    if name in INTEGER_PARAMETERS_ABOVE_ONE:
+        with pytest.raises(ValueError) as err:
+            call(inst, True)
+        assert "must be an integer" not in str(err.value)
+    else:
+        with suppress(maxcover.EnumerationCeilingError):
+            call(inst, True)
     assert call(inst, np.int64(fine)) == call(inst, fine)
 
 

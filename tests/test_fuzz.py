@@ -3,13 +3,14 @@ algorithm lists.
 
 A seeded fuzzer edits small maxcover, approval and graph documents: byte
 edits, truncations, line shuffles and inserted tokens. Each mutant is solved
-by every solver, some with ``--with-opt``. ``verify`` reads mutated JSON
-reports of those documents, and ``compare`` runs drawn ``--algs`` lists.
-Paths and lists that start with "-" are among the words, since a word after
-a flag is its value unless argparse reads it as one of the options.
-Every call must return 0, 1 or 2 without an exception, and print exactly one
-``error:`` or ``mismatch:`` line to stderr when it fails and none when it
-succeeds.
+by every solver, some with ``--with-opt``, and some of those command lines are
+edited into ones argparse refuses. ``verify`` reads mutated JSON reports of
+those documents, and ``compare`` runs drawn ``--algs`` lists. Paths and lists
+that start with "-" are among the words, since a word after a flag is its
+value unless argparse reads it as one of the options. Every call must return
+0, 1 or 2 without an exception, and print exactly one ``error:`` or
+``mismatch:`` line to stderr when it fails and none when it succeeds; a
+failure's stderr holds no other line but ``note:`` lines.
 """
 
 import json
@@ -62,6 +63,10 @@ def assert_contract(code: int, err: str, context) -> None:
     failures = [line for line in err.split("\n") if line.startswith(("error:", "mismatch:"))]
     assert code in (0, 1, 2), (context, code)
     assert len(failures) == (code != 0), (context, code, failures)
+    if code:  # no usage text, traceback or other line beside the failure
+        assert err.endswith("\n") and all(
+            line in failures or line.startswith("note:") for line in err[:-1].split("\n")
+        ), (context, code, err)
 
 
 def drawn_flags(rand: random.Random, flags) -> list[str]:
@@ -71,6 +76,22 @@ def drawn_flags(rand: random.Random, flags) -> list[str]:
     if rand.random() < 0.3:
         argv.append("--with-opt")
     return argv
+
+
+def refused_edit(rand: random.Random, argv: list[str]) -> list[str]:
+    """``argv`` with one edit that argparse refuses: an unknown flag, the
+    ambiguous prefix ``--al``, a dropped ``--alg`` or ``--in``, or a value
+    its flag's type cannot read."""
+    how = rand.randrange(4)
+    if how == 0:
+        at = rand.randint(1, len(argv))
+        return argv[:at] + [rand.choice(("--bogus", "--threads", "--nope=1"))] + argv[at:]
+    if how == 1:
+        return argv + ["--al", rand.choice(("greedy", "0.5", "-inf"))]
+    if how == 2:
+        at = argv.index(rand.choice(("--alg", "--in")))
+        return argv[:at] + argv[at + 2 :]
+    return argv + rand.choice((["--x", "1.5"], ["--beta", "zz"], ["--seed", "1e3"], ["--ceiling", "-"]))
 
 
 # Document and report paths, relative to the test's working directory.
@@ -87,6 +108,8 @@ def test_every_mutated_document_meets_the_exit_code_contract(tmp_path, capsys, m
         (tmp_path / doc).write_bytes(text.encode("utf-8"))
         for alg, (flags, _) in SOLVERS.items():
             argv = ["solve", "--alg", alg, "--in", doc, "--out", out, *drawn_flags(rand, flags)]
+            if rand.random() < 0.1:
+                argv = refused_edit(rand, argv)
             code = main(argv)
             assert_contract(code, capsys.readouterr().err, (text, argv))
             codes.add(code)

@@ -345,17 +345,19 @@ def generator_loop(inst, p, beta, epsilon, seed):
     return RandomizedRun(reps, best, tuple(per_rep), seed, samples)
 
 
-def graph_instance(seed):
+def graph_instance(seed, descending=False):
+    """A graph on 30 vertices; with ``descending``, each edge is written
+    (u, v) with u > v, so the reduction's element rows are unsorted."""
     rand = random.Random(seed)
-    edges = sorted({tuple(sorted(rand.sample(range(1, 31), 2))) for _ in range(60)})
+    edges = sorted({tuple(sorted(rand.sample(range(1, 31), 2), reverse=descending)) for _ in range(60)})
     return graph_to_maxvertexcover(30, edges, 4)
 
 
-@pytest.mark.parametrize("family", ["p1", "p2", "p3", "p4", "graph", "small"])
+@pytest.mark.parametrize("family", ["p1", "p2", "p3", "p4", "graph", "graph-descending", "small"])
 def test_runs_equal_the_generator_loop(family):
     for seed in (0, 1, 7, 2**64 - 1):
-        if family == "graph":
-            inst, p = graph_instance(seed % 5), 2
+        if family.startswith("graph"):
+            inst, p = graph_instance(seed % 5, family == "graph-descending"), 2
         elif family == "small":
             # Nodes with one element left draw with bound 1, which reads
             # nothing from the stream, and their later siblings draw again.
@@ -383,10 +385,16 @@ def test_no_generator_is_built(monkeypatch):
     assert randomized_min_noncovered(inst, 3, 2.0, 0.1, seed=3).samples > 0
 
 
-def test_no_seed_sequence_is_built(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a SeedSequence was built")
+def test_one_seed_sequence_is_built_a_seeding_block(monkeypatch):
+    """The seed's pool comes from one SeedSequence a block of repetitions,
+    never one a repetition."""
+    built, seed_sequence = [], np.random.SeedSequence
 
-    monkeypatch.setattr(np.random, "SeedSequence", refuse)
-    inst = gen_random(n=40, m=15, k=3, p_max=3, seed=2)
-    assert randomized_min_noncovered(inst, 3, 2.0, 0.1, seed=3).samples > 0
+    def spy(*args, **kwargs):
+        built.append((args, kwargs))
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", spy)
+    inst = gen_random(n=12, m=6, k=1, p_max=2, seed=3)
+    run = randomized_min_noncovered(inst, 2, 1.0005, 0.1, seed=9)
+    assert run.repetitions == 4608 and built == [((9,), {})] * 2
