@@ -115,7 +115,8 @@ class Instance(_Derived):
     def __post_init__(self):
         _check_count(self.n, "universe size")
         _check_count(self.k, "budget")
-        self.__dict__["_ids"] = _flatten(self.sets, self.n, self._faults)
+        # Stored as plain ints, so that a bool or numpy count writes and sizes as a number.
+        self.__dict__.update(n=index(self.n), k=index(self.k), _ids=_flatten(self.sets, self.n, self._faults))
 
     @classmethod
     def of(cls, n: int, sets: Iterable[Iterable[int]], k: int) -> "Instance":
@@ -459,7 +460,9 @@ def _reduce(width: int, height: int, k: int, ids: np.ndarray, offs: np.ndarray) 
     reduction), or each element's sets, as the generators and the graph
     reduction give them; a row's ids need not be sorted. The instance keeps
     the transposed arrays as its sets' ids, and the given ones as its element
-    rows; it makes its ``sets`` tuples when they are first read."""
+    rows; it makes its ``sets`` tuples when they are first read. The counts
+    are taken as plain ints, so that a bool count sizes no array as bool."""
+    width, height, k = index(width), index(height), index(k)
     return _unchecked(Instance, n=height, k=k, _ids=_transpose(width, height, ids, offs), _elements=(ids, offs))
 
 
@@ -487,6 +490,30 @@ def _transpose(width: int, height: int, ids: np.ndarray, offs: np.ndarray) -> tu
         t_ids[slots] = np.repeat(np.arange(lo + 1, hi + 1, dtype=t_ids.dtype), np.diff(offs[lo : hi + 1]))[order]
         free += here
     return t_ids, t_offs
+
+
+def _bounded_draw(bitgen: np.random.PCG64, halves: list[int], bound: int, words: int = 16) -> int:
+    """The value ``np.random.Generator(bitgen).integers(bound)`` would draw
+    next, for a bound in [1, 2**32], read from the stream's 32-bit halves by
+    numpy's own rule.
+
+    ``halves`` is a stack over a sentinel 0: the stream's halves, low half
+    first, with the next one on top. When no half is left above the sentinel,
+    ``words`` more words go in: a minnc repetition draws some tens of halves,
+    a generated instance some per element, and a ``random_raw`` call costs
+    about as much whatever it returns. A bound of 1 gives 0 and draws
+    nothing; any other runs Lemire's method on the next half, which rejects
+    exactly the products whose low 32 bits fall below 2**32 % bound.
+    """
+    if bound == 1:
+        return 0
+    threshold = (1 << 32) % bound
+    while True:
+        if len(halves) < 2:
+            halves[1:] = bitgen.random_raw(words).astype("<u8").view("<u4")[::-1].tolist()
+        m = halves.pop() * bound
+        if m & 0xFFFFFFFF >= threshold:
+            return m >> 32
 
 
 def pad_frequencies(inst: Instance, p: int) -> Instance:

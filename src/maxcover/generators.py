@@ -3,26 +3,29 @@ search, seeded random instances with capped frequencies, and the graph adapter.
 
 Each builder lists, element by element, the 1-based ids of the sets holding
 the element, and ``core._reduce`` turns these rows into the sets. Combination
-bijections are realized by colexicographic ranking/unranking, so every
-construction is reproducible across platforms.
+bijections follow colexicographic order (``rank_colex``/``unrank_colex``),
+and random instances decode numpy's draws from a seeded PCG64 stream, so
+every construction is reproducible across platforms.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from numbers import Integral
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import MAX_HEADER_COUNT, Instance, _check_count, _check_integer, _check_ratio, _reduce
+from .core import MAX_HEADER_COUNT, Instance, _bounded_draw, _check_count, _check_integer, _check_ratio, _reduce
 
-# Most incidences the tight constructions build, and that ``gen_random`` sizes
-# its draw for (n * p_max, since each element joins up to p_max sets); a
-# larger spec is refused before anything is allocated.
+# Most incidences the tight constructions build, and that ``gen_random`` may
+# draw (n * p_max, since each element joins up to p_max sets). It bounds the
+# work: nothing is allocated at n * p_max, and a larger spec is refused first.
 DEFAULT_SIZE_CEILING = 5_000_000
 
 
@@ -45,6 +48,15 @@ def unrank_colex(rank: int, size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _colex_subsets(q: int, size: int, dtype) -> np.ndarray:
+    """Every ``size``-subset of range(q), one a row in colex order: the rows
+    ``unrank_colex`` gives rank by rank. Mapping c to q - 1 - c turns colex
+    order into reversed lexicographic order, so these are ``combinations``'
+    subsets read backwards and complemented. ``size`` is at least 1."""
+    lex = np.fromiter(chain.from_iterable(combinations(range(q), size)), dtype).reshape(-1, size)
+    return q - 1 - lex[::-1, ::-1]
+
+
 @dataclass(frozen=True)
 class TightGreedySpec:
     """Parameters of the family on which greedy attains its lower-bound ratio.
@@ -61,6 +73,7 @@ class TightGreedySpec:
     def __post_init__(self):
         for value, what in ((self.p, "frequency bound"), (self.k, "budget"), (self.m, "set count")):
             _check_integer(value, what)
+        self.__dict__.update(p=index(self.p), k=index(self.k), m=index(self.m))  # stored as plain ints
         if self.p < 1 or self.k < 1:
             raise ValueError(f"p and k must be positive, got p={self.p}, k={self.k}")
         if self.m <= self.k:
@@ -96,6 +109,7 @@ class TightFptSpec:
     def __post_init__(self):
         _check_integer(self.p, "frequency bound")
         _check_integer(self.k, "budget")
+        self.__dict__.update(p=index(self.p), k=index(self.k))  # stored as plain ints
         if self.p < 1 or self.k < 1:
             raise ValueError(f"p and k must be positive, got p={self.p}, k={self.k}")
         _check_ratio(self.beta, "beta")
@@ -131,8 +145,7 @@ def gen_tight_greedy(spec: TightGreedySpec) -> Instance:
     if n * spec.p > DEFAULT_SIZE_CEILING:
         raise ValueError(f"construction needs {n * spec.p} incidences, above the ceiling {DEFAULT_SIZE_CEILING}")
     rows = np.empty((spec.k, block, spec.p), np.min_scalar_type(spec.m))
-    spread = chain.from_iterable(unrank_colex(r, spec.p - 1) for r in range(block))
-    rows[..., :-1] = np.fromiter(spread, rows.dtype).reshape(block, spec.p - 1) + 1  # the same in every block
+    rows[..., :-1] = _colex_subsets(q, spec.p - 1, rows.dtype) + 1  # the same in every block
     rows[..., -1] = np.arange(q + 1, spec.m + 1)[:, None]
     inst = _reduce(spec.m, n, spec.k, rows.reshape(-1), np.arange(0, rows.size + 1, spec.p))
     # The bijection fixes each spread set's size at k * comb(m-k-1, p-2).
@@ -159,8 +172,7 @@ def gen_tight_fpt(spec: TightFptSpec) -> Instance:
         raise ValueError(f"construction needs {n1 * spec.p + n2} incidences, above the ceiling {DEFAULT_SIZE_CEILING}")
     # Element r + 1 <= n1 lies in the sets of the p-subset of rank r, and each later one in one decoy.
     decoys = np.repeat(np.arange(x + 1, x + spec.k + 1, dtype=np.min_scalar_type(x + spec.k)), per_set)
-    overlap = chain.from_iterable(unrank_colex(r, spec.p) for r in range(n1))
-    ids = np.concatenate((np.fromiter(overlap, decoys.dtype) + 1, decoys))
+    ids = np.concatenate((_colex_subsets(x, spec.p, decoys.dtype).reshape(-1) + 1, decoys))
     inst = _reduce(x + spec.k, n1 + n2, spec.k, ids, np.r_[0 : n1 * spec.p : spec.p, n1 * spec.p : len(ids) + 1])
     assert (np.diff(inst._ids[1][: x + 1]) == per_set).all()
     return inst
@@ -171,9 +183,20 @@ def gen_random(n: int, m: int, k: int, p_max: int, seed: int) -> Instance:
     of sets, its size drawn uniformly from [1, p_max]. Deterministic per seed.
 
     n and m may not exceed ``MAX_HEADER_COUNT``, the largest counts a
-    document header may declare, nor n * p_max ``DEFAULT_SIZE_CEILING``."""
+    document header may declare, nor n * p_max ``DEFAULT_SIZE_CEILING``.
+
+    Element by element, the sets are what ``rng.integers(1, p_max + 1)`` (the
+    size) and ``rng.choice(m, size, replace=False)`` draw on ``rng =
+    np.random.default_rng(seed)``, decoded from its PCG64 stream's 32-bit
+    halves: each of their draws is ``integers(bound)``, read by
+    ``_bounded_draw``'s rule, with its early accept inlined. ``choice``
+    shuffles the tail of ``range(m)`` when m > 10000 and size > m // 50, and
+    otherwise shuffles Floyd's sample; each shuffle swaps position i, from
+    the last down, with a draw of at most i.
+    """
     for value, what in ((n, "universe size"), (m, "set count"), (p_max, "frequency cap"), (seed, "seed")):
         _check_integer(value, what)
+    n, m, p_max = index(n), index(m), index(p_max)  # so that a bool count sizes no array
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be positive, got n={n}, m={m}")
     if max(n, m) > MAX_HEADER_COUNT:
@@ -183,14 +206,50 @@ def gen_random(n: int, m: int, k: int, p_max: int, seed: int) -> Instance:
     _check_count(k, "budget")
     if n * p_max > DEFAULT_SIZE_CEILING:
         raise ValueError(f"construction needs up to {n * p_max} incidences, above the ceiling {DEFAULT_SIZE_CEILING}")
-    rng = np.random.default_rng(seed)
-    ids = np.empty(n * p_max, np.min_scalar_type(m))
+    bitgen = np.random.PCG64(seed)  # default_rng(seed)'s bit generator
+    halves = [0]  # the stream's halves over a sentinel, as _bounded_draw reads them
+    pop, push = halves.pop, halves.append
+
+    def draw(bound):
+        half = pop()
+        prod = half * bound
+        if prod & 0xFFFFFFFF >= bound > 1:
+            return prod >> 32
+        push(half)
+        return _bounded_draw(bitgen, halves, bound, 1024)
+
+    ids, sizes = array("I"), array("I")  # a list of ints would take about four times the memory
+    for _ in range(n):
+        size = 1 + draw(p_max)
+        sizes.append(size)
+        if m > 10000 and size > m // 50:
+            swapped = {}  # the positions of range(m) the shuffle moved
+            for i in range(m - 1, max(m - size, 1) - 1, -1):
+                j = draw(i + 1)
+                swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
+            ids.extend([swapped.get(i, i) for i in range(m - size, m)])
+        elif size == 1:
+            ids.append(draw(m))
+        else:
+            taken = {}  # Floyd's sample, in the order it is taken
+            for j in range(m - size, m):
+                half = pop()
+                prod = half * (j + 1)
+                if prod & 0xFFFFFFFF >= j + 1 > 1:
+                    v = prod >> 32
+                else:
+                    push(half)
+                    v = _bounded_draw(bitgen, halves, j + 1, 1024)
+                taken[j if v in taken else v] = None
+            taken = list(taken)
+            for i in range(size - 1, 0, -1):
+                j = draw(i + 1)
+                taken[i], taken[j] = taken[j], taken[i]
+            ids.extend(taken)
+    ids = np.frombuffer(ids, np.uintc).astype(np.min_scalar_type(m))
+    ids += 1
     offs = np.zeros(n + 1, np.int64)
-    for e in range(n):
-        size = int(rng.integers(1, p_max + 1))
-        offs[e + 1] = offs[e] + size
-        ids[offs[e] : offs[e + 1]] = rng.choice(m, size=size, replace=False)
-    ids = ids[: offs[-1]] + 1
+    np.cumsum(np.frombuffer(sizes, np.uintc), out=offs[1:])
     return _reduce(m, n, k, ids, offs)
 
 
@@ -210,6 +269,7 @@ def graph_to_maxvertexcover(
     """
     _check_count(num_vertices, "vertex count")
     _check_count(k, "budget")
+    num_vertices = index(num_vertices)  # sizes the ids as a number, not as bool
     if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (2,):
         pairs, ends = None, edges.reshape(-1)
     else:

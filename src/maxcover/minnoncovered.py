@@ -16,8 +16,8 @@ from itertools import chain
 
 import numpy as np
 
-from .core import (_BLOCK_BYTES, Instance, Solution, _check_count, _check_integer, _check_ratio, _row_lists,
-                   _transpose, check_frequency_bound, set_masks)
+from .core import (_BLOCK_BYTES, Instance, Solution, _bounded_draw, _check_count, _check_integer, _check_ratio,
+                   _row_lists, _transpose, check_frequency_bound, set_masks)
 from .exact import DEFAULT_CEILING, EnumerationCeilingError
 
 
@@ -83,30 +83,6 @@ def _nth_uncovered(covered: int, count: int, r: int) -> int:
         else:
             lo = mid + 1
     return lo
-
-
-def _bounded_draw(bitgen: np.random.PCG64, halves: list[int], bound: int) -> int:
-    """The value ``np.random.Generator(bitgen).integers(bound)`` would draw
-    next, for a bound in [1, 2**32], read from the stream's 32-bit halves by
-    numpy's own rule.
-
-    ``halves`` is a stack over a sentinel 0: the stream's halves, low half
-    first, with the next one on top. When no half is left above the sentinel,
-    16 more words go in: a repetition draws some tens of halves, and a
-    ``random_raw`` call costs about as much whatever it returns. A bound of 1
-    gives 0 and draws nothing; any other runs Lemire's method on the next
-    half, which rejects exactly the products whose low 32 bits fall below
-    2**32 % bound.
-    """
-    if bound == 1:
-        return 0
-    threshold = (1 << 32) % bound
-    while True:
-        if len(halves) < 2:
-            halves[1:] = bitgen.random_raw(16).astype("<u8").view("<u4")[::-1].tolist()
-        m = halves.pop() * bound
-        if m & 0xFFFFFFFF >= threshold:
-            return m >> 32
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and

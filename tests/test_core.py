@@ -221,6 +221,26 @@ def test_non_integer_counts_are_refused():
     assert graph_to_maxvertexcover(np.int64(2), [(1, 2)], np.int64(1)) == Instance(1, ((1,), (1,)), 1)
 
 
+def test_counts_are_stored_as_plain_ints():
+    # A bool or numpy count is accepted as its value and kept as an int, so it
+    # writes as a number and sizes no id array as bool.
+    text = serialize_instance(Instance(n=True, sets=((1,),), k=True))
+    assert text == "p maxcover 1 1 1\ns 1\n"
+    assert parse_instance(text) == Instance(1, ((1,),), 1)
+    assert repr(Instance(True, ((1,),), np.int64(1))) == "Instance(n=1, sets=((1,),), k=1)"
+    inst = maxcover.gen_random(True, 4, 2, 2, 0)
+    assert "True" not in serialize_instance(inst)
+    assert all(a.dtype != bool for a in (*inst._ids, *inst.__dict__["_elements"]))
+    assert serialize_instance(maxcover.gen_random(6, True, np.int8(2), True, 0)).startswith("p maxcover 6 1 2\n")
+    spec = TightFptSpec(True, True, 0.5)
+    assert repr(spec) == "TightFptSpec(p=1, k=1, beta=0.5)"
+    assert serialize_instance(gen_tight_fpt(spec)).startswith("p maxcover 6 6 1\n")
+    graph = graph_to_maxvertexcover(True, [], True)
+    assert serialize_instance(graph) == "p maxcover 0 1 1\ns\n"
+    assert graph.__dict__["_elements"][0].dtype != bool
+    assert "True" not in serialize_instance(election_to_maxcover(ApprovalElection(True, True, ((1,),), True)))
+
+
 # Every integer parameter of the API that the constructors do not check, as
 # (call on a value, the name its message gives it, a value it accepts). Each
 # caller refuses a value that is not an integer, before its range, with one

@@ -531,6 +531,19 @@ def test_approval_load_peak_stays_within_the_appending_reduction():
     assert peak <= reference + kept_bytes(load_instance_text(text)) + _BLOCK_BYTES
 
 
+def test_generated_instance_peak_stays_within_its_reduction():
+    # The draws go into 32-bit buffers, and the element rows into one array.
+    # The build may hold more than reducing its own rows only by its buffer of
+    # draw sizes (4 bytes an element, and the array's growth) and the 2 048
+    # stream halves it reads ahead, about 80 KB as Python ints. tracemalloc
+    # slows the loop's small allocations about fiftyfold, so n is kept small.
+    n = 30000
+    ids, offs = gen_random(n, 1000, 5, 3, 0).__dict__["_elements"]
+    reference, _ = peak_bytes(lambda: core._reduce(1000, n, 5, ids.copy(), offs.copy()))
+    peak, _ = peak_bytes(lambda: gen_random(n, 1000, 5, 3, 0))
+    assert peak <= reference + 5 * n + 100_000
+
+
 def test_approval_load_peak_stays_within_parse_and_reduction():
     # The reference is the route the load replaced: the reader's arrays
     # reduced with no election. The load may hold more than that only by its
@@ -1418,8 +1431,37 @@ def test_generators_equal_appending_builders():
     for t in range(40):
         p_max = 1 + t % 4
         cases.append((rand.randint(1, 300), rand.randint(p_max, 50), rand.randint(0, 6), p_max, rand.randrange(2**32)))
+    # numpy's choice shuffles the tail of range(m) when m > 10000 and size >
+    # m // 50 (200 at m = 10001), and otherwise takes Floyd's sample. A size
+    # equal to m starts Floyd's sample at a bound of 1, which draws nothing,
+    # and stops the tail shuffle at position 1.
+    cases += [(40, 12000, 3, 241, 2), (30, 10001, 2, 10001, 1), (400, 10001, 2, 200, 3), (400, 10001, 2, 201, 3),
+              (200, 100, 3, 100, 7)]
     for args in cases:
-        assert gen_random(*args) == loop_gen_random(*args), args
+        inst = gen_random(*args)
+        assert inst == loop_gen_random(*args), args
+    assert (np.diff(inst.__dict__["_elements"][1]) == 100).any()
+    assert (np.diff(gen_random(400, 10001, 2, 201, 3).__dict__["_elements"][1]) == 201).any()
+
+
+def flat_gen_random_rows(n, m, p_max, seed):
+    """The element rows of the ``rng.choice`` loop, with no set lists."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.choice(m, size=int(rng.integers(1, p_max + 1)), replace=False) + 1 for _ in range(n)]
+    return np.concatenate(rows), np.cumsum([0] + [len(row) for row in rows])
+
+
+def test_generator_draws_past_a_lemire_rejection():
+    # At m = 999 536 a draw below about m rejects with odds 2**32 % m / 2**32,
+    # about 2e-4, so this seed's 11 000 such draws reject 8 times. The sets
+    # are compared as id arrays: ``==`` would build a million tuples.
+    n, m, p_max, seed = 2000, 999536, 10, 6
+    inst = gen_random(n, m, 3, p_max, seed)
+    ids, offs = flat_gen_random_rows(n, m, p_max, seed)
+    got_ids, got_offs = inst.__dict__["_elements"]
+    assert np.array_equal(got_ids, ids) and np.array_equal(got_offs, offs)
+    for got, want in zip(inst._ids, core._transpose(m, n, ids, offs), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_built_families_keep_their_id_arrays():

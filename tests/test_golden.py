@@ -3,7 +3,10 @@
 ``golden.json`` holds one small document per input format, a non-canonical
 twin of the maxcover and approval documents, the flags each solver runs with, and the digest of every ``solve`` report (solver x format),
 of one ``compare --with-opt`` CSV without its ``wall_time_s`` column, and of
-the ``solve --help`` and ``compare --help`` texts at 80 columns. It also pins
+the ``solve --help`` and ``compare --help`` texts at 80 columns, and of the
+``generate`` document on four random shapes (one within numpy's Floyd
+sample, one reaching its tail shuffle, p_max = 1, and draws of every set) and
+one shape of each tight family. It also pins
 the exit code, standard output and standard error of ``verify`` on each
 format's document for five reports: one it accepts, and one that names a set
 out of range, lists a set twice, exceeds the budget, or miscounts. A refactor
@@ -89,6 +92,12 @@ def test_compare_csv_digest(tmp_path, capsys):
     argv = ["compare", *GOLDEN["compare"]["argv"], "--in", document(tmp_path, "maxcover"), "--with-opt"]
     assert main(argv) == 0
     assert sha256(drop_wall_time(capsys.readouterr().out)) == GOLDEN["compare"]["digest"]
+
+
+@pytest.mark.parametrize("shape", tuple(GOLDEN["generate"]))
+def test_generate_document_digest(capsys, shape):
+    assert main(["generate", *GOLDEN["generate"][shape]["argv"]]) == 0
+    assert sha256(capsys.readouterr().out) == GOLDEN["generate"][shape]["digest"]
 
 
 @pytest.mark.parametrize("command", ["solve", "compare"])

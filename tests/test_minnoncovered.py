@@ -10,7 +10,8 @@ import pytest
 
 import maxcover.minnoncovered
 from maxcover import core
-from maxcover.minnoncovered import RandomizedRun, _bounded_draw, _nth_uncovered, _stream_states
+from maxcover.core import _bounded_draw
+from maxcover.minnoncovered import RandomizedRun, _nth_uncovered, _stream_states
 from maxcover import (
     EnumerationCeilingError,
     Instance,
@@ -266,15 +267,17 @@ DRAW_BOUNDS = [1, 2, 3, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
 
 def test_draws_equal_the_generator_values_on_one_stream():
     """The draws read from the stream's halves equal ``Generator.integers``
-    value for value, bounds in [1, 2**32] mixed on one stream. Should a
-    numpy release change its bounded-integer rule, this test fails first,
-    and names the cause the pinned digests would only show as a change."""
+    value for value, bounds in [1, 2**32] mixed on one stream, whatever
+    number of words each refill reads. Should a numpy release change its
+    bounded-integer rule, this test fails first, and names the cause the
+    pinned digests would only show as a change."""
     pick = random.Random(5)
     for seed in range(200):
         bounds = [pick.choice(DRAW_BOUNDS) for _ in range(150)]
         want = np.random.Generator(np.random.PCG64(seed))
-        bitgen, halves = np.random.PCG64(seed), [0]
-        assert [_bounded_draw(bitgen, halves, b) for b in bounds] == [int(want.integers(b)) for b in bounds], seed
+        bitgen, halves, words = np.random.PCG64(seed), [0], (16, 1, 1024)[seed % 3]
+        got = [_bounded_draw(bitgen, halves, b, words) for b in bounds]
+        assert got == [int(want.integers(b)) for b in bounds], seed
 
 
 def test_more_than_2_to_the_32_elements_are_refused_before_any_allocation(monkeypatch):
