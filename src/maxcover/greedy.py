@@ -1,8 +1,8 @@
 """Iterative best-marginal-gain selection with a full per-step trace.
 
-``greedy_cover`` counts its gains on the instance's rows of ids. The greedy
-stages of the hybrids run on the instance's packed rows, the one form the
-exhaustive kernel reads, from the counts of the node they start at.
+Every greedy from nothing covered picks with ``greedy_rows``, on the
+instance's rows of ids. ``exact_then_greedy``'s finish, which starts from a
+prefix, recounts the kernel's packed rows instead.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import index
 
 import numpy as np
 
@@ -25,41 +26,16 @@ class GreedyTrace:
     uncovered_after: tuple[int, ...]
 
 
-def greedy_on_rows(
-    rows: np.ndarray, union: np.ndarray, chosen: list[int], steps: int, counts: np.ndarray
-) -> tuple[list[int], list[int], np.ndarray]:
-    """``steps`` greedy picks on packed uint64 ``rows`` from the union row
-    ``union``, where ``counts[i]`` is popcount(union | rows[i]): (picks, gains,
-    union after them). A pick is the first largest count among the rows not
-    in ``chosen`` nor picked, zero gains included, and the next pick counts
-    every row again; ``steps`` must not exceed the rows left."""
-    taken = list(chosen)
-    gains: list[int] = []
-    covered = int(np.bitwise_count(union).sum())
-    for step in range(steps):
-        if step:
-            counts = np.bitwise_count(rows | union).sum(axis=1)
-        counts = counts.astype(np.int64)
-        counts[taken] = -1
-        i = int(counts.argmax())
-        taken.append(i)
-        gains.append(int(counts[i]) - covered)
-        covered += gains[-1]
-        union = union | rows[i]
-    return taken[len(chosen) :], gains, union
-
-
-def greedy_rows(inst: Instance, steps: int) -> tuple[list[int], list[int], np.ndarray]:
+def greedy_rows(inst: Instance, steps: int) -> tuple[list[int], list[int]]:
     """``steps`` <= m greedy picks from nothing covered, counted on the
-    instance's rows of ids: (picks, gains, the gain of each set after them),
-    where a picked set's gain reads -1.
+    instance's rows of ids: (picks, the gain of each).
 
     Every set's gain starts at its row length. A pick marks the ids of its
     row that are not yet covered, and takes one off the gain of every set
     that holds one of them, read from the instance's element rows a block at
-    a time, so the gains stay exact. The pick is the first largest gain, as
-    ``greedy_on_rows``'s: ties go to the lowest set index. Once no set
-    gains anything, the picks left are the lowest-index sets not taken.
+    a time, so the gains stay exact. The pick is the first largest gain: ties
+    go to the lowest set index. Once no set gains anything, the picks left
+    are the lowest-index sets not taken.
     """
     ids, offs = inst._ids
     gain = np.diff(offs)
@@ -70,7 +46,6 @@ def greedy_rows(inst: Instance, steps: int) -> tuple[list[int], list[int], np.nd
         i = int(gain.argmax())
         if gain[i] == 0:
             rest = np.flatnonzero(gain == 0)[: steps - len(picks)]
-            gain[rest] = -1
             picks += rest.tolist()
             gains += [0] * len(rest)
             break
@@ -81,7 +56,7 @@ def greedy_rows(inst: Instance, steps: int) -> tuple[list[int], list[int], np.nd
         picks.append(i)
         gains.append(len(new))
         gain[i] = -1
-    return picks, gains, gain
+    return picks, gains
 
 
 def _discount(gain: np.ndarray, owners: np.ndarray, starts: np.ndarray, new: np.ndarray) -> None:
@@ -101,7 +76,7 @@ def _discount(gain: np.ndarray, owners: np.ndarray, starts: np.ndarray, new: np.
 
 def greedy_cover(inst: Instance) -> tuple[Solution, GreedyTrace]:
     """Run min(k, m) greedy steps and report the per-step trace alongside."""
-    picks, gains, _ = greedy_rows(inst, inst.effective_budget)
+    picks, gains = greedy_rows(inst, inst.effective_budget)
     uncovered_after = tuple(inst.n - c for c in accumulate(gains))
     solution = Solution(tuple(sorted(picks)), sum(gains), inst.n - sum(gains))
     return solution, GreedyTrace(tuple(picks), tuple(gains), uncovered_after)
@@ -112,6 +87,7 @@ def greedy_guarantee(p: int, k: int, m: int) -> float:
     when every element appears in at least p of the m sets."""
     for value, what in ((p, "frequency bound"), (k, "budget"), (m, "set count")):
         _check_integer(value, what)
+    p, k, m = index(p), index(k), index(m)  # a numpy integer would wrap in the product
     if p < 1 or k < 1 or m < 1:
         raise ValueError(f"p, k, and m must all be positive, got p={p}, k={k}, m={m}")
     return 1.0 - math.exp(-max(p * k / m, 1.0))

@@ -1,7 +1,9 @@
 """Split-budget combinations of exhaustive search and greedy completion.
 
 Two orderings are provided: greedy first with an exhaustive finish on what is
-still uncovered, and exhaustive prefixes each finished greedily. Their
+still uncovered, and exhaustive prefixes each finished greedily. The first
+picks with ``greedy.greedy_rows``, as every greedy from nothing covered does;
+the second finishes each prefix on the kernel's packed rows. Their
 closed-form guarantees, the guarantee of the exact-then-approximate split
 used for comparison, and the density-based greedy-or-exact dispatcher live
 here as well.
@@ -11,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
 from .core import Instance, Solution, _check_integer, _check_ratio, _element_rows, _set_rows, frequency_profile
 from .exact import DEFAULT_CEILING, _walk, best_fixed_size_subset, brute_force, check_ceiling
-from .greedy import greedy_cover, greedy_on_rows, greedy_rows
+from .greedy import greedy_cover, greedy_rows
 
 RATIO_METHODS = ("alg4", "alg5", "alg5_vertexcover", "croce_paschos")
 
@@ -66,36 +69,32 @@ def greedy_then_exact(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     uncovered elements, exactly as if solving the residual instance. With
     x = 0 this is plain exhaustive search, with x = k plain greedy.
 
-    A residual search of two or more picks runs on the kernel over the
-    leftover packed rows less the union of the greedy picks, made on the same
-    rows. Otherwise the greedy runs on the id rows, and the residual search, a
-    scan of the leftover sets' gains, reads them from it: it counts the leaves
-    ``best_fixed_size_subset`` would.
+    The greedy picks are ``greedy_rows``'s. A residual search of two or more
+    picks runs on the kernel over the leftover packed rows less the union of
+    the picked rows. A residual search of one pick takes the first largest
+    gain among the leftover sets, which is greedy's next pick, and counts the
+    leaves ``best_fixed_size_subset`` would.
     """
-    _check_split(inst, x)
+    x = _check_split(inst, x)
     k_eff = inst.effective_budget
     x_eff = min(x, k_eff)
     size = k_eff - x_eff
+    check_ceiling(inst.m - x_eff, size, ceiling)
+    picks, gains = greedy_rows(inst, x_eff if size >= 2 else k_eff)
+    residual, scanned = 0, 1
     if size >= 2:
         rows = _set_rows(inst)
-        counts = np.bitwise_count(rows).sum(axis=1)
-        picks, gains, union = greedy_on_rows(rows, np.zeros_like(rows[0]), [], x_eff, counts)
+        union = np.bitwise_or.reduce(rows[picks], axis=0)
         remaining = sorted(set(range(inst.m)).difference(picks))
         combo, residual, scanned = best_fixed_size_subset(rows[remaining] & ~union, size, ceiling)
         picks += [remaining[j] for j in combo]
-    else:
-        picks, gains, gain = greedy_rows(inst, x_eff)
-        check_ceiling(inst.m - x_eff, size, ceiling)
-        residual, scanned = 0, 1
-        if size:
-            i = int(gain.argmax())
-            residual = int(gain[i])
-            # The scan stops after the first leftover set that covers every
-            # uncovered element some set holds, and reads them all otherwise.
-            starts = _element_rows(inst)[1]
-            reachable = int(np.count_nonzero(starts[1:] != starts[:-1])) - sum(gains)
-            scanned = i + 1 - sum(j < i for j in picks) if residual >= reachable else inst.m - x_eff
-            picks.append(i)
+    elif size:
+        i, residual = picks[-1], gains.pop()
+        # The scan stops after the first leftover set that covers every
+        # uncovered element some set holds, and reads them all otherwise.
+        starts = _element_rows(inst)[1]
+        reachable = int(np.count_nonzero(starts[1:] != starts[:-1])) - sum(gains)
+        scanned = i + 1 - sum(j < i for j in picks[:-1]) if residual >= reachable else inst.m - x_eff
     covered = sum(gains) + residual
     solution = Solution(tuple(sorted(picks)), covered, inst.n - covered)
     return HybridReport(x, solution, _ratio_or_unit("alg4", x, inst.k), scanned)
@@ -115,15 +114,17 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
     own x largest gains is below the best coverage so far, since a tying
     completion may still win on its index tuple. A cut above a prefix fails
     that prefix's own check too. ``combos_scanned`` counts the prefixes
-    finished greedily. The finish runs on the kernel's rows, and its first
-    pick reads the counts the walk made at the prefix's node.
+    finished greedily. A finishing pick is the first largest popcount(u |
+    row) among the kernel's rows not taken, zero gains included: the first
+    reads the walk's counts at the prefix's node, each later one counts every
+    row again, and the last one's count is the completion's coverage.
     """
-    _check_split(inst, x)
-    rows = _set_rows(inst)
+    x = _check_split(inst, x)
     k_eff = inst.effective_budget
     x_eff = min(x, k_eff)
     prefix_size = k_eff - x_eff
     check_ceiling(inst.m, prefix_size, ceiling)
+    rows = _set_rows(inst)
     best_chosen: tuple[int, ...] = ()
     best_covered, finished = -1, 0
 
@@ -131,9 +132,16 @@ def exact_then_greedy(inst: Instance, x: int, ceiling: int = DEFAULT_CEILING) ->
         nonlocal best_chosen, best_covered, finished
         if most >= best_covered:
             finished += 1
-            picks, _, union = greedy_on_rows(rows, union, prefix, x_eff, counts)
-            chosen = tuple(sorted(prefix + picks))
-            cov = int(np.bitwise_count(union).sum())
+            taken, cov = list(prefix), most  # with no picks, most is popcount(u)
+            for step in range(x_eff):
+                if step:
+                    union = union | rows[taken[-1]]
+                    counts = np.bitwise_count(rows | union).sum(axis=1)
+                counts = counts.astype(np.int64)
+                counts[taken] = -1
+                taken.append(int(counts.argmax()))
+                cov = int(counts[taken[-1]])
+            chosen = tuple(sorted(taken))
             if cov > best_covered or (cov == best_covered and chosen < best_chosen):
                 best_covered, best_chosen = cov, chosen
         return best_covered - 1  # a tie is not cut
@@ -174,10 +182,11 @@ def greedy_branch_applies(p_min: int, m: int, k: int, beta: float) -> bool:
     return k > -(m / p_min) * math.log(1.0 - beta)
 
 
-def _check_split(inst: Instance, x: int) -> None:
+def _check_split(inst: Instance, x: int) -> int:
     _check_integer(x, "split x")
     if not 0 <= x <= inst.k:
         raise ValueError(f"split x must lie in [0, k={inst.k}], got {x}")
+    return index(x)  # a narrow numpy integer would overflow in the budget sums
 
 
 def _ratio_or_unit(method: str, x: int, k: int) -> float:

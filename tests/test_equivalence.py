@@ -71,7 +71,6 @@ from maxcover import cli, core, greedy
 from maxcover.cli import SOLVERS, load_instance_text, main
 from maxcover.core import _BLOCK_BYTES, _parse_header
 from maxcover.exact import EnumerationCeilingError, _most_holders, best_fixed_size_subset
-from maxcover.greedy import greedy_on_rows
 from helpers import (
     appended_election_to_maxcover,
     bounded_families,
@@ -216,34 +215,6 @@ def test_set_masks_equal_bit_by_bit_masks():
         assert rows.flags.aligned and rows.flags.c_contiguous
         assert rows.tobytes() == b"".join(mask.to_bytes(8 * words, "little") for mask in reference)
         assert set_masks(inst) == [int.from_bytes(row, "little") for row in rows] == [mask_of(s) for s in inst.sets]
-
-
-def test_packed_row_greedy_equals_eager_scan():
-    rand = random.Random(2)
-    for inst in batch(2, 80):
-        masks = set_masks(inst)
-        rows = core._set_rows(inst)
-        # With nothing taken, and with a prefix taken, as the hybrids start
-        # their greedy stages.
-        for chosen in ([], rand.sample(range(inst.m), rand.randint(0, inst.m))):
-            covered, union = 0, np.zeros(rows.shape[1], np.uint64)
-            for i in chosen:
-                covered |= masks[i]
-                union |= rows[i]
-            counts = np.bitwise_count(rows | union).sum(axis=1)
-            for steps in range(inst.m - len(chosen) + 1):
-                picks, gains, after = greedy_on_rows(rows, union, chosen, steps, counts)
-                want = eager_extend(masks, [i in chosen for i in range(inst.m)], covered, steps)
-                assert (picks, gains, int.from_bytes(after.tobytes(), "little")) == want
-            assert int.from_bytes(union.tobytes(), "little") == covered
-
-
-def test_packed_row_greedy_ties_and_zero_gains():
-    masks = [0b011, 0b110, 0b011, 0b000, 0b110]
-    rows = rows_of(masks)
-    picks, gains, union = greedy_on_rows(rows, np.zeros(1, np.uint64), [], 5, np.bitwise_count(rows).sum(axis=1))
-    assert (picks, gains, int(union[0])) == eager_extend(masks, [False] * 5, 0, 5)
-    assert picks == [0, 1, 2, 3, 4] and gains == [2, 1, 0, 0, 0]
 
 
 def mask_greedy_cover(inst):
@@ -497,6 +468,8 @@ def test_hybrid_equals_its_recursive_form():
     shapes = [gen_random(2000, 40, 5, 2, s) for s in (0, 11000)]
     shapes += [gen_random(2000, 60, 4, 3, s) for s in (1, 11001)]
     shapes += [gen_tight_fpt(TightFptSpec(p=2, k=4, beta=beta)) for beta in (0.5, 0.75)]
+    # The greedy's edge cases, and a finish through ties and zero gains.
+    shapes += greedy_edge_cases() + [Instance.of(3, [[1, 2], [2, 3], [1, 2], [], [2, 3]], 5)]
     for inst in batch(5, 60) + tight_instances() + shapes:
         for x in range(inst.k + 1):
             report = exact_then_greedy(inst, x)

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from maxcover import (
@@ -83,6 +84,9 @@ def test_guarantee_formula_values():
         val = greedy_guarantee(pk_over_m, 1, 1)
         assert prev < val < 1.0
         prev = val
+    # Numpy integers count as the Python ints they equal; p * k would wrap in int8.
+    assert greedy_guarantee(np.int8(100), 100, 50) == greedy_guarantee(100, 100, 50) == 1.0
+    assert greedy_guarantee(np.int8(100), np.int8(100), np.uint8(50)) == 1.0
 
 
 def test_guarantee_rejects_nonpositive_arguments():

@@ -4,6 +4,7 @@ and the greedy-or-exact dispatcher."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from maxcover import (
@@ -19,6 +20,7 @@ from maxcover import (
     hybrid_ratio,
     ptas_dispatch,
 )
+from maxcover import core, hybrid
 from helpers import random_instance
 
 
@@ -124,6 +126,26 @@ def test_split_validation_and_scan_counts():
         exact_then_greedy(inst, 0, ceiling=2)
     with pytest.raises(EnumerationCeilingError):
         greedy_then_exact(inst, 0, ceiling=2)
+
+
+def test_a_numpy_split_acts_as_the_same_python_int():
+    # A narrow split would overflow in the budget sums, or wrap in the walk's
+    # gains; the report carries the split as a Python int.
+    singletons = Instance.of(300, [[i] for i in range(1, 301)], 300)
+    one_wide = Instance.of(300, [range(1, 301), [1], [2]], 2)
+    for solve, inst, x in ((greedy_then_exact, singletons, np.int8(100)), (exact_then_greedy, one_wide, np.uint8(1))):
+        report = solve(inst, x)
+        assert report == solve(inst, int(x))
+        assert type(report.x_split) is int and type(report.guarantee) is float
+
+
+def test_a_ceiling_refusal_comes_before_any_work(monkeypatch):
+    for name, module in (("_pack_rows", core), ("greedy_rows", hybrid)):
+        monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+    inst = Instance.of(6, [[1, 2], [3, 4], [5, 6], [1, 3, 5]], 3)
+    for solve in (greedy_then_exact, exact_then_greedy):
+        with pytest.raises(EnumerationCeilingError):
+            solve(inst, 1, ceiling=2)
 
 
 def test_split_scan_counts_on_rand_m40():
